@@ -54,7 +54,6 @@ from .fourier import (
     convolve_by_quadrature,
     evaluate,
     forward,
-    hs_norm_table,
     inverse,
     involution,
     parseval_defect,

@@ -14,9 +14,10 @@ psi^*(x) = conj(psi(x^-1)) into the Hermitian adjoint of the coefficients.
 
 Everything is computed by quadrature on grids that are exact for products of
 band-limited factors, so forward/inverse are mutually inverse on band-limited
-inputs up to roundoff.  The SU(2) transform contracts the separable phase
-axes first (the grid is a product grid), which keeps the direct O(grid x dual)
-quadrature affordable at desk scale without any fast-transform machinery.
+inputs up to roundoff.  On the uniform torus grid (n points per axis) the
+quadrature is numpy.fft read at k mod n.  SU(2) contracts the uniform
+alpha/gamma axes of its product grid with exact DFT matrices, then runs one
+Wigner-d contraction in beta.
 """
 
 from __future__ import annotations
@@ -122,23 +123,15 @@ class FourierCoefficients:
         return out
 
 
-def hs_norm_table(T: FourierCoefficients) -> dict[DualIndex, float]:
-    return T.hs_norms()
-
-
 # ---------------------------------------------------------------------------
-# transform plans (cached per grid)
+# transform plans
 # ---------------------------------------------------------------------------
 
 
-def _torus_plan(grid: QuadratureGrid, bandlimit: int):
-    key = ("torus_plan", bandlimit)
-    if key not in grid._cache:
-        duals = grid.group.enumerate_dual(bandlimit)
-        K = np.array([xi.label for xi in duals], dtype=float)
-        phases = np.exp(-1j * grid.nodes @ K.T)  # (N, n_dual), = xi_k(x)
-        grid._cache[key] = (duals, phases)
-    return grid._cache[key]
+def _torus_bins(grid: QuadratureGrid, duals: list[DualIndex]):
+    """(n, index) of the FFT bins k mod n; n = 2L+2 > 2|k_i| keeps them distinct."""
+    n = grid.axes["points_per_axis"]
+    return n, tuple((np.array([xi.label for xi in duals]) % n).T)
 
 
 def _su2_plan(grid: QuadratureGrid, bandlimit: int):
@@ -183,9 +176,11 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
             f"grid is exact to L = {f.grid.bandlimit}, requested {L}"
         )
     if isinstance(f.group, Torus):
-        duals, phases = _torus_plan(f.grid, L)
-        wf = f.grid.weights[:, None] * f.values  # (N, m)
-        coef = phases.T @ wf  # (n_dual, m)
+        duals = f.group.enumerate_dual(L)
+        n, bins = _torus_bins(f.grid, duals)
+        d = f.group.d
+        samples = f.values.reshape((n,) * d + (f.value_dim,))
+        coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
         entries = {xi: coef[i].reshape(f.value_dim, 1, 1) for i, xi in enumerate(duals)}
         return FourierCoefficients(f.group, L, f.value_dim, entries)
     plan = _su2_plan(f.grid, L)
@@ -212,10 +207,13 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
     if grid.bandlimit < T.bandlimit:
         raise BandlimitMismatchError("grid cannot represent the coefficient band limit")
     if isinstance(T.group, Torus):
-        duals, phases = _torus_plan(grid, T.bandlimit)
-        coef = np.stack([T.entries[xi][:, 0, 0] for xi in duals], axis=0)  # (n_dual, m)
-        vals = phases.conj() @ coef
-        return GridFunction(T.group, grid, vals, value_dim=T.value_dim,
+        duals = T.group.enumerate_dual(T.bandlimit)
+        n, bins = _torus_bins(grid, duals)
+        d, m = T.group.d, T.value_dim
+        spec = np.zeros((n,) * d + (m,), dtype=complex)
+        spec[bins] = np.stack([T.entries[xi][:, 0, 0] for xi in duals], axis=0)
+        vals = np.fft.ifftn(spec, axes=tuple(range(d))) * n**d
+        return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
                             bandlimit=T.bandlimit)
     plan = _su2_plan(grid, T.bandlimit)
     B = plan["B"]
@@ -235,7 +233,7 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
                         bandlimit=T.bandlimit)
 
 
-def evaluate(T: FourierCoefficients, points, chunk: int = 65536) -> np.ndarray:
+def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     """Evaluate the inverse transform at arbitrary group elements.
 
     Returns an (n_points, m) array.  Exact (up to roundoff) band-limited
@@ -244,18 +242,17 @@ def evaluate(T: FourierCoefficients, points, chunk: int = 65536) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = T.value_dim
     out = np.zeros((len(pts), m), dtype=complex)
+    # keep the per-chunk tables (chunk x sum d^2 entries) modest
+    table_size = sum(xi.dim**2 for xi in T.entries)
+    chunk = max(128, 4_000_000 // table_size)
     if isinstance(T.group, Torus):
-        duals = list(T.entries.keys())
-        K = np.array([xi.label for xi in duals], dtype=float)
-        coef = np.stack([T.entries[xi][:, 0, 0] for xi in duals], axis=0)
+        K = np.array([xi.label for xi in T.entries], dtype=float)
+        coef = np.stack([t[:, 0, 0] for t in T.entries.values()])
         for start in range(0, len(pts), chunk):
             sl = slice(start, start + chunk)
             out[sl] = np.exp(1j * pts[sl] @ K.T) @ coef
         return out
     two_L = 2 * T.bandlimit
-    # keep the per-chunk Wigner tables (chunk x sum d^2 entries) modest
-    table_size = sum((tl + 1) ** 2 for tl in range(two_L + 1))
-    chunk = min(chunk, max(128, 4_000_000 // table_size))
     for start in range(0, len(pts), chunk):
         sl = slice(start, start + chunk)
         p = pts[sl]
@@ -355,9 +352,3 @@ def involution(psi: GridFunction) -> GridFunction:
     return GridFunction(psi.group, psi.grid, psi.values[perm].conj(),
                         value_dim=1, bandlimit=psi.bandlimit)
 
-
-def check_convolution(chi: GridFunction, f: GridFunction) -> float:
-    """Verify-suite hook: sup |convolve(chi, f) - quadrature convolution|."""
-    fast = convolve(chi, f)
-    slow = convolve_by_quadrature(chi, f)
-    return float(np.max(np.abs(fast.values - slow.values)))

@@ -56,6 +56,10 @@ class QuadratureGrid:
         self.nodes = nodes
         self.weights = weights
         self.axes = axes
+        # haar_quadrature is lru_cached, so every caller shares these arrays
+        for arr in (nodes, weights, *axes.values()):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
         self._cache: dict = {}
 
     @property

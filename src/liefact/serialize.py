@@ -106,6 +106,8 @@ def gridfunction_from_csv(text: str, group, grid: QuadratureGrid) -> GridFunctio
         raise ParameterError("grid CSV header must be coords plus re/im pairs")
     m = (ncols - cdim) // 2
     data = np.array([[float(v) for v in r] for r in rows[1:]])
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("grid CSV holds a non-finite value (nan or inf)")
     if data.shape[0] != grid.size:
         raise ParameterError(
             f"node count {data.shape[0]} does not match the grid ({grid.size})"
@@ -120,8 +122,9 @@ def decay_table_csv(T: FourierCoefficients) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sqrt_lambda", "hsnorm"])
+    norms = T.hs_norms()
     for xi in T.duals():
-        writer.writerow([repr(float(np.sqrt(xi.casimir))), repr(T.hs_norms()[xi])])
+        writer.writerow([repr(float(np.sqrt(xi.casimir))), repr(norms[xi])])
     return buf.getvalue()
 
 

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 import liefact.fourier
 from liefact.cli import RunConfig, main
@@ -51,6 +52,26 @@ class TestTransform:
         code = run(["transform", "--group", "t1", "--bandlimit", "4",
                     "--input", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv_exits_2(self, tmp_path, bad):
+        from liefact.groups import haar_quadrature
+        from liefact.serialize import gridfunction_to_csv
+        from liefact.signals import poisson_function
+
+        t1 = Torus(1)
+        text = gridfunction_to_csv(poisson_function(t1, haar_quadrature(t1, 4), 1.0))
+        lines = text.splitlines()
+        cells = lines[3].split(",")
+        cells[1] = bad  # the re0 column
+        lines[3] = ",".join(cells)
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run(["transform", "--group", "t1", "--bandlimit", "4",
+                    "--input", str(csv_path), "--out", str(out)])
+        assert code == 2
+        assert not (out / "coefficients.json").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

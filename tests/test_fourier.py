@@ -34,14 +34,16 @@ class TestForward:
                 else:
                     assert np.abs(t).max() < 1e-12
 
-    def test_torus_character_lands_on_its_label(self, t1):
-        # f(x) = e^{3ix} has classical Fourier coefficient delta_{k,3}
-        grid = haar_quadrature(t1, 8)
-        f = GridFunction(t1, grid, np.exp(3j * grid.nodes[:, 0]))
-        T = forward(f)
-        for xi, t in T.entries.items():
-            expected = 1.0 if xi.label == (3,) else 0.0
-            assert abs(t[0, 0, 0] - expected) < 1e-12
+    def test_torus_character_lands_on_its_label(self, t1, t2):
+        # f(x) = e^{3ix} has classical Fourier coefficient delta_{k,3}; on T^2
+        # the sign and axis order of (2, -3) catch mirrored or swapped labels
+        for g, k in ((t1, (3,)), (t2, (2, -3))):
+            grid = haar_quadrature(g, 8)
+            f = GridFunction(g, grid, np.exp(1j * grid.nodes @ np.array(k, dtype=float)))
+            T = forward(f)
+            for xi, t in T.entries.items():
+                expected = 1.0 if xi.label == k else 0.0
+                assert abs(t[0, 0, 0] - expected) < 1e-12
 
     def test_su2_conjugate_coefficient_schur_value(self, su2):
         # conj(D^1_00) concentrates in the 2l = 2 block with single entry 1/3
@@ -78,7 +80,7 @@ class TestInverse:
         f = inverse(T)
         assert np.abs(f.values - c).max() < 1e-12
 
-    def test_poisson_kernel_against_direct_summation(self, t1):
+    def test_poisson_kernel_against_direct_summation(self, t1, t2):
         # oracle: f(x) = sum_k e^{-|k|} e^{ikx} summed directly
         L = 16
         T = poisson_coefficients(t1, L, 1.0)
@@ -87,6 +89,15 @@ class TestInverse:
         ref = np.zeros(len(x), dtype=complex)
         for k in range(-L, L + 1):
             ref += np.exp(-abs(k)) * np.exp(1j * k * x)
+        assert np.abs(f.values[:, 0] - ref).max() < 1e-12
+        # T^2: a direct double sum of e^{-|k|} e^{i(k1 x1 + k2 x2)}
+        L = 5
+        f = inverse(poisson_coefficients(t2, L, 1.0))
+        x1, x2 = f.grid.nodes[:, 0], f.grid.nodes[:, 1]
+        ref = np.zeros(len(x1), dtype=complex)
+        for k1 in range(-L, L + 1):
+            for k2 in range(-L, L + 1):
+                ref += np.exp(-np.hypot(k1, k2)) * np.exp(1j * (k1 * x1 + k2 * x2))
         assert np.abs(f.values[:, 0] - ref).max() < 1e-12
 
     def test_evaluate_matches_grid(self, su2, rng):

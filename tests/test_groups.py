@@ -115,6 +115,17 @@ class TestQuadrature:
             grid = haar_quadrature(g, L)
             assert abs(grid.weights.sum() - 1.0) < 1e-14
 
+    def test_cached_grid_is_read_only(self, t1, t2, su2):
+        for g in (t1, t2, su2):
+            grid = haar_quadrature(g, 3)
+            before = grid.nodes.copy()
+            arrays = [grid.nodes, grid.weights]
+            arrays += [a for a in grid.axes.values() if isinstance(a, np.ndarray)]
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 5.0
+            assert np.array_equal(haar_quadrature(g, 3).nodes, before)
+
     def test_torus1_uniform_rule(self, t1):
         grid = haar_quadrature(t1, 2)
         assert grid.size == 6

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from liefact.errors import ParameterError
-from liefact.fourier import forward
+from liefact.fourier import FourierCoefficients, forward
 from liefact.groups import haar_quadrature
 from liefact.serialize import (
     coefficients_from_json,
     coefficients_to_json,
+    decay_table_csv,
     gridfunction_from_csv,
     gridfunction_to_csv,
 )
-from liefact.signals import random_bandlimited
+from liefact.signals import poisson_coefficients, random_bandlimited
 
 
 class TestCoefficientJson:
@@ -55,6 +56,22 @@ class TestGridCsv:
         grid = haar_quadrature(t1, 4)
         with pytest.raises(ParameterError):
             gridfunction_from_csv("x0,re0\n", t1, grid)
+
+
+class TestDecayTable:
+    def test_norms_computed_once(self, t2, monkeypatch):
+        calls = []
+        orig = FourierCoefficients.hs_norms
+
+        def counted(self):
+            calls.append(1)
+            return orig(self)
+
+        monkeypatch.setattr(FourierCoefficients, "hs_norms", counted)
+        T = poisson_coefficients(t2, 4, 1.0)
+        rows = decay_table_csv(T).splitlines()
+        assert len(rows) == 1 + len(T.entries)
+        assert len(calls) == 1
 
 
 class TestReportCsv:
