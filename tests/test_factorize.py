@@ -22,7 +22,7 @@ from liefact.factorize import (
     supported_factorize,
 )
 from liefact.fourier import GridFunction, convolve, forward, inverse
-from liefact.groups import enumerate_dual, haar_quadrature
+from liefact.groups import QuadratureGrid, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_function,
     random_bandlimited,
@@ -102,6 +102,20 @@ class TestInducedAction:
             block = op[offset:offset + xi.dim, offset:offset + xi.dim]
             assert np.abs(block - T.entries[xi][0]).max() < 1e-10
             offset += xi.dim
+
+    def test_table_cache_keeps_one_rep_per_grid(self, su2, rng):
+        shared = haar_quadrature(su2, 1)
+        # a private grid on the same nodes, so no other cache entry counts
+        grid = QuadratureGrid(su2, 1, shared.nodes, shared.weights, shared.axes)
+        reps = []
+        for _ in range(2):
+            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            reps.append(FiniteRep.from_labels(su2, [0, 1], basis=np.linalg.qr(z)[0]))
+        for rep in reps + reps:
+            assert np.array_equal(rep.table(grid), rep.evaluate_at(grid.nodes))
+        assert list(grid._cache) == ["rep_table"]
+        with pytest.raises(ValueError):
+            reps[1].table(grid)[0, 0, 0] = 0.0
 
     def test_intertwining_relation(self, su2, rng):
         # (pi(x) (x) Id)(F gamma_v(xi)) = xi(x)^* o F gamma_v(xi)

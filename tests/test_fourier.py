@@ -3,6 +3,7 @@ import pytest
 
 from liefact.errors import BandlimitMismatchError, ParameterError
 from liefact.fourier import (
+    FourierCoefficients,
     GridFunction,
     conv_theorem_defect,
     convolve,
@@ -20,6 +21,7 @@ from liefact.signals import (
     reproducing_kernel,
     synth_coefficients,
 )
+from test_wigner import wigner_d_sum
 
 
 class TestForward:
@@ -107,6 +109,25 @@ class TestInverse:
         idx = rng.choice(grid.size, size=40)
         vals = evaluate(T, grid.nodes[idx])
         assert np.abs(vals - f.values[idx]).max() < 1e-11
+
+    def test_evaluate_off_grid_matches_sum_formula(self, su2, rng):
+        # oracle f(x) = sum_xi d_xi Tr[D^xi(x)^* T_xi], with D^xi built from the
+        # factorial sum formula and the ZYZ phases, not from liefact._wigner
+        entries = {}
+        for xi in enumerate_dual(su2, 2):
+            shape = (2, xi.dim, xi.dim)
+            entries[xi] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        T = FourierCoefficients(su2, 2, 2, entries)
+        pts = np.array([su2.random_element(rng) for _ in range(20)])
+        for (a, b, g), got in zip(pts, evaluate(T, pts)):
+            ref = np.zeros(2, dtype=complex)
+            for xi, t in entries.items():
+                two_ms = np.arange(xi.label, -xi.label - 1, -2)
+                d = np.array([[wigner_d_sum(xi.label, mp, m, b) for m in two_ms]
+                              for mp in two_ms])
+                D = np.exp(-0.5j * two_ms[:, None] * a) * d * np.exp(-0.5j * two_ms * g)
+                ref += xi.dim * np.einsum("ij,vij->v", D.conj(), t)
+            assert np.abs(got - ref).max() < 1e-12
 
 
 class TestParseval:

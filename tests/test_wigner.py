@@ -46,6 +46,28 @@ def test_recursion_matches_sum_formula():
                     assert mats[two_l][bi, i, j] == pytest.approx(ref, abs=1e-12)
 
 
+def test_wide_batch_matches_sum_formula_and_symmetries():
+    # the borders and interiors are filled for the whole batch at once, so
+    # check a wide batch that includes both endpoints
+    rng = np.random.default_rng(11)
+    betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 62)])
+    mats = wigner_d_matrices(64, betas)
+    for two_l in range(13):
+        d = two_l + 1
+        for bi, beta in enumerate(betas):
+            ref = np.array([
+                [wigner_d_sum(two_l, two_l - 2 * i, two_l - 2 * j, beta) for j in range(d)]
+                for i in range(d)
+            ])
+            assert np.abs(mats[two_l][bi] - ref).max() < 1e-12
+    # d^l_{m'm} = (-1)^{m-m'} d^l_{mm'} = d^l_{-m,-m'}; m - m' = i - j
+    d64 = mats[64]
+    k = np.arange(65)
+    sign = (-1.0) ** (k[:, None] - k[None, :])
+    assert np.abs(d64 - sign * d64.transpose(0, 2, 1)).max() < 1e-13
+    assert np.abs(d64 - d64[:, ::-1, ::-1].transpose(0, 2, 1)).max() < 1e-13
+
+
 def test_half_spin_matrix():
     beta = 0.8
     d = wigner_d_matrices(1, np.array([beta]))[1][0]
