@@ -41,13 +41,11 @@ def decay_seminorm(T: FourierCoefficients, w: WeightFunction, h: float) -> float
     """
     if h <= 0:
         raise DomainError("h must be positive")
-    best = -np.inf
-    for xi, norm in T.hs_norms().items():
-        if norm <= 0.0:
-            continue
-        best = max(best, np.log(norm) + eval_weight(w, np.sqrt(xi.casimir)) / h)
-    if best == -np.inf:
+    norms = T.hs_norms()
+    pos = norms > 0.0
+    if not pos.any():
         return 0.0
+    best = np.max(np.log(norms[pos]) + eval_weight(w, np.sqrt(T.layout.casimir[pos])) / h)
     with np.errstate(over="ignore"):
         return float(np.exp(best))
 
@@ -77,16 +75,9 @@ def _usable_points(T: FourierCoefficients, rel_floor: float = 1e-13):
     roundoff floor around 1e-16 that would otherwise flatten the decay tail
     and bias every fit.
     """
-    lams, norms = [], []
-    for xi, norm in T.hs_norms().items():
-        if norm > _ZERO_FLOOR:
-            lams.append(xi.casimir)
-            norms.append(norm)
-    lams, norms = np.array(lams), np.array(norms)
-    if len(norms):
-        keep = norms > rel_floor * np.max(norms)
-        lams, norms = lams[keep], norms[keep]
-    return lams, norms
+    norms = T.hs_norms()
+    keep = norms > max(_ZERO_FLOOR, rel_floor * np.max(norms))
+    return T.layout.casimir[keep], norms[keep]
 
 
 def _fit_inv_h(wvals: np.ndarray, y: np.ndarray):

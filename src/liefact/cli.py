@@ -31,7 +31,7 @@ from .factorize import (
     strong_factorize,
     supported_factorize,
 )
-from .fourier import forward, inverse
+from .fourier import forward, inverse, parseval_defect
 from .groups import Torus, parse_group_spec
 from .signals import heat_function, parse_builtin_spec, poisson_function
 from .verify import run_verification
@@ -105,8 +105,6 @@ def cmd_transform(config: RunConfig) -> int:
     roundtrip = inverse(T, grid)
     err = float(np.max(np.abs(roundtrip.values - f.values)))
     # Parseval gap on the grid = mass the band limit could not represent
-    from .fourier import parseval_defect
-
     tail = parseval_defect(f)
     outdir = Path(config.output_dir)
     outputs = [
@@ -201,11 +199,8 @@ def cmd_factorize(config: RunConfig) -> int:
         "min_transfer_margin": res.min_transfer_margin,
         "min_transfer_margin_relative": res.min_transfer_margin_relative,
         "source_seminorm": res.source_seminorm,
-        "multipliers": [
-            {"xi": serialize.label_to_json(group, xi.label), "c": c}
-            for xi, c in sorted(res.multipliers.items(),
-                                key=lambda kv: (kv[0].casimir, str(kv[0].label)))
-        ],
+        "multipliers": [{"xi": serialize.label_to_json(group, xi.label), "c": res.multipliers[xi]}
+                        for xi in serialize.wire_order(res.multipliers)],
         "params": {"weight": w.spec_string(), "h": config.h, "h_prime": res.h_prime},
     }
     outputs = [

@@ -19,7 +19,7 @@ class ParameterError(LiefactError, ValueError):
 
 
 class BandlimitMismatchError(ParameterError):
-    """A grid is not exact for the requested band limit."""
+    """Band limits disagree: a grid too coarse for a request, or two families composed."""
 
 
 class WitnessSearchError(LiefactError):

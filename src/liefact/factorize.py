@@ -55,6 +55,7 @@ from .fourier import (
     FourierCoefficients,
     GridFunction,
     compose,
+    dual_layout,
     forward,
     inverse,
 )
@@ -191,13 +192,6 @@ class FactorizationResult:
         return self.min_transfer_margin / max(self.source_seminorm, 1e-300)
 
 
-def _multipliers(group, bandlimit: int, w: WeightFunction, h_prime: float):
-    out = {}
-    for xi in group.enumerate_dual(bandlimit):
-        out[xi] = float(np.exp(eval_weight(w, np.sqrt(xi.casimir)) / h_prime))
-    return out
-
-
 def strong_factorize(f: GridFunction, w: WeightFunction, h: float,
                      h_prime: float | None = None) -> FactorizationResult:
     """Factor f = g * f' with multipliers C_xi = e^{w(sqrt(lambda))/h'}.
@@ -212,23 +206,19 @@ def strong_factorize(f: GridFunction, w: WeightFunction, h: float,
     if h_prime <= h:
         raise ParameterError("h' must exceed h")
     T = forward(f)
-    mult = _multipliers(f.group, T.bandlimit, w, h_prime)
-    g_hat = FourierCoefficients(
-        f.group, T.bandlimit, 1,
-        {xi: (np.eye(xi.dim, dtype=complex) / c)[None, :, :] for xi, c in mult.items()},
-    )
-    fprime_hat = T.map_entries(lambda xi, t: mult[xi] * t)
+    w_sqrt_lam = eval_weight(w, np.sqrt(T.layout.casimir))
+    mult = np.exp(w_sqrt_lam / h_prime)
+    g_hat = FourierCoefficients.diagonal(f.group, T.bandlimit, 1.0 / mult)
+    fprime_hat = T.scaled(mult)
     recombined = inverse(compose(g_hat, fprime_hat), f.grid)
     residual = float(np.max(np.abs(recombined.values - f.values)))
     h_eff = 1.0 / (1.0 / h - 1.0 / h_prime)
     source = decay_seminorm(T, w, h)
-    margins = {}
-    for xi, norm in fprime_hat.hs_norms().items():
-        lhs = norm * float(np.exp(eval_weight(w, np.sqrt(xi.casimir)) / h_eff))
-        margins[xi] = source - lhs
+    margins = source - fprime_hat.hs_norms() * np.exp(w_sqrt_lam / h_eff)
     return FactorizationResult(
-        g=g_hat, f_prime=fprime_hat, multipliers=mult, weight=w, h=h,
-        h_prime=h_prime, residual=residual, transfer_margins=margins,
+        g=g_hat, f_prime=fprime_hat, multipliers=dict(zip(T.duals, mult.tolist())),
+        weight=w, h=h, h_prime=h_prime, residual=residual,
+        transfer_margins=dict(zip(T.duals, margins.tolist())),
         source_seminorm=source, h_effective=h_eff,
     )
 
@@ -277,10 +267,8 @@ class VectorFactorizationResult:
 
 def _value_at_identity(T: FourierCoefficients) -> np.ndarray:
     """f(e) = sum_xi d_xi Tr[T_xi] per slice (xi(e) = Id)."""
-    out = np.zeros(T.value_dim, dtype=complex)
-    for xi, t in T.entries.items():
-        out += xi.dim * np.trace(t, axis1=1, axis2=2)
-    return out
+    return sum(d * np.trace(b, axis1=2, axis2=3).sum(axis=0)
+               for d, b in zip(T.layout.dims, T.blocks))
 
 
 def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
@@ -379,14 +367,9 @@ def build_partition(delta: float, k_pieces: int, bump_order: float,
     if h_prime <= 0:
         raise ParameterError("h' must be positive")
     chis = bump_partition_of_unity(delta, k_pieces, bump_order, grid)
-    half_decay = FourierCoefficients(
-        grid.group, grid.bandlimit, 1,
-        {
-            xi: (np.exp(-eval_weight(w, np.sqrt(xi.casimir)) / (2 * h_prime))
-                 * np.eye(xi.dim, dtype=complex))[None, :, :]
-            for xi in grid.group.enumerate_dual(grid.bandlimit)
-        },
-    )
+    lam = dual_layout(grid.group, grid.bandlimit).casimir
+    half_decay = FourierCoefficients.diagonal(
+        grid.group, grid.bandlimit, np.exp(-eval_weight(w, np.sqrt(lam)) / (2 * h_prime)))
     phi = inverse(half_decay, grid)
     return [
         GridFunction(grid.group, grid, chi.values[:, 0] * phi.values[:, 0], value_dim=1)
@@ -433,32 +416,22 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
     grid = f.grid
     psis = build_partition(delta, k, bump_order, w, h_prime, grid)
     psi_hats = [forward(p) for p in psis]
-    duals = f.group.enumerate_dual(grid.bandlimit)
-    S: dict[DualIndex, np.ndarray] = {}
-    mu: dict[DualIndex, float] = {}
-    bounds: dict[DualIndex, float] = {}
-    for xi in duals:
-        s = np.zeros((xi.dim, xi.dim), dtype=complex)
-        for ph in psi_hats:
-            a = ph.entries[xi][0]
-            s += a.conj().T @ a
-        S[xi] = s
-        mu[xi] = float(np.min(np.linalg.eigvalsh(s)))
-        bounds[xi] = float(np.exp(-eval_weight(w, np.sqrt(xi.casimir)) / h_prime)) / k
-        if mu[xi] < mu_floor:
-            raise ConditioningError(
-                f"S block at xi = {xi.label} is numerically singular "
-                f"(mu = {mu[xi]:.3e})", xi=xi,
-            )
+    layout = psi_hats[0].layout  # the circle's dual: one block of 1 x 1 irreps
+    S = sum(a.conj().transpose(0, 2, 1) @ a for a in (ph.blocks[0][:, 0] for ph in psi_hats))
+    mu = np.min(np.linalg.eigvalsh(S), axis=1)
+    bounds = np.exp(-eval_weight(w, np.sqrt(layout.casimir)) / h_prime) / k
+    singular = np.flatnonzero(mu < mu_floor)
+    if singular.size:
+        xi = layout.duals[singular[0]]
+        raise ConditioningError(
+            f"S block at xi = {xi.label} is numerically singular "
+            f"(mu = {mu[singular[0]]:.3e})", xi=xi,
+        )
     T = forward(f)
-    fprime_entries = {
-        xi: np.einsum("ab,vbc->vac", np.linalg.inv(S[xi]), T.entries[xi])
-        for xi in duals
-    }
-    fprime_hat = FourierCoefficients(f.group, grid.bandlimit, f.value_dim, fprime_entries)
-    S_hat = FourierCoefficients(
-        f.group, grid.bandlimit, 1, {xi: S[xi][None, :, :] for xi in duals}
-    )
+    fprime_hat = FourierCoefficients.from_blocks(
+        f.group, grid.bandlimit, f.value_dim,
+        [np.einsum("nab,nvbc->nvac", np.linalg.inv(S), T.blocks[0])])
+    S_hat = FourierCoefficients.from_blocks(f.group, grid.bandlimit, 1, [S[:, None]])
     g_grid = inverse(S_hat, grid)
     recombined = inverse(compose(S_hat, fprime_hat), grid)
     residual = float(np.max(np.abs(recombined.values - f.values)))
@@ -466,7 +439,9 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
     g_abs = np.abs(g_grid.values[:, 0])
     outside_mass = float(np.max(g_abs[outside])) if outside.any() else 0.0
     return SupportedFactorizationResult(
-        g=g_grid, support_delta=delta, S=S, mu=mu, mu_bounds=bounds,
+        g=g_grid, support_delta=delta, S=dict(zip(layout.duals, S)),
+        mu=dict(zip(layout.duals, mu.tolist())),
+        mu_bounds=dict(zip(layout.duals, bounds.tolist())),
         f_prime=fprime_hat, k=k, residual=residual,
         outside_support_mass=outside_mass, weight=w, h=h, h_prime=h_prime,
     )

@@ -4,7 +4,7 @@ Forward transform of f : G -> C^m on a truncated dual (band limit L):
 
     F f(xi) = sum_nodes weight * f(x) (x) xi(x)      in C^m (x) L(H_xi),
 
-stored as an (m, d, d) tensor per dual index.  Inversion:
+an (m, d, d) tensor per dual index.  Inversion:
 
     f(x) = sum_xi d_xi Tr[xi(x)^* o T_xi]            (trace per C^m slice).
 
@@ -18,9 +18,20 @@ inputs up to roundoff.  On the uniform torus grid (n points per axis) the
 quadrature is numpy.fft read at k mod n.  SU(2) contracts the uniform
 alpha/gamma axes of its product grid with exact DFT matrices, then runs one
 Wigner-d contraction in beta.
+
+Coefficients are packed: a family holds one complex (count, m, d, d) block
+per distinct irrep dimension d, so the torus has a single (n_dual, m, 1, 1)
+block and SU(2) one (1, m, 2l+1, 2l+1) block per degree.  A DualLayout,
+cached per (group, band limit), fixes the dual order, the Casimir and
+dimension vectors aligned with it and the positions of each block's members,
+so diagonal multipliers, norms and compositions are array expressions over
+the blocks.  ``entries`` maps each xi to the (m, d, d) view of its block.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, MutableMapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,66 +59,128 @@ class GridFunction:
         # declared content band limit; defaults to what the grid can represent
         self.bandlimit = grid.bandlimit if bandlimit is None else int(bandlimit)
 
-    @classmethod
-    def from_callable(cls, group, grid: QuadratureGrid, fn, value_dim: int = 1,
-                      bandlimit: int | None = None) -> "GridFunction":
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return cls(group, grid, vals, value_dim=value_dim, bandlimit=bandlimit)
-
     @property
     def scalar_values(self) -> np.ndarray:
         if self.value_dim != 1:
             raise DomainError("scalar_values requires value_dim == 1")
         return self.values[:, 0]
 
-    def sup_norm(self) -> float:
-        """sup over nodes of the max-norm on C^m."""
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values)))
-
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.grid.weights[:, None] * np.abs(self.values) ** 2))
+
+
+class DualLayout:
+    """Dual order, eigenvalues and block positions of one truncated dual.
+
+    ``labels``, ``casimir`` and ``dim`` are read-only and aligned with
+    ``duals``; block b holds the duals of dimension ``dims[b]`` at positions
+    ``members[b]``, and ``where[xi]`` is the (block, slot) of xi.
+    """
+
+    def __init__(self, duals):
+        self.duals = tuple(duals)
+        self.labels, self.casimir, self.dim = (
+            np.array([getattr(xi, a) for xi in self.duals]) for a in ("label", "casimir", "dim"))
+        self.dims = tuple(dict.fromkeys(self.dim.tolist()))
+        self.members = tuple(np.flatnonzero(self.dim == d) for d in self.dims)
+        for arr in (self.labels, self.casimir, self.dim, *self.members):
+            arr.flags.writeable = False
+        self.where = {self.duals[i]: (b, s) for b, idx in enumerate(self.members)
+                      for s, i in enumerate(idx.tolist())}
+
+
+@lru_cache(maxsize=None)
+def dual_layout(group, bandlimit: int) -> DualLayout:
+    """The layout of ``group``'s dual at ``bandlimit``, shared by every family."""
+    return DualLayout(group.enumerate_dual(bandlimit))
+
+
+class _BlockEntries(MutableMapping):
+    """xi -> the (m, d, d) view of its block; assignment writes through.
+
+    It holds the blocks and the layout, never the family: a reference back
+    would keep every dropped family alive until the cycle collector runs.
+    """
+
+    def __init__(self, blocks: tuple, layout: DualLayout):
+        self._blocks, self._layout = blocks, layout
+
+    def __getitem__(self, xi: DualIndex) -> np.ndarray:
+        b, s = self._layout.where[xi]
+        return self._blocks[b][s]
+
+    def __setitem__(self, xi: DualIndex, value) -> None:
+        view = self[xi]
+        if np.shape(value) != view.shape:
+            raise DomainError(f"entry for {xi.label} must have shape {view.shape}")
+        view[...] = value
+
+    def __delitem__(self, xi: DualIndex) -> None:
+        raise DomainError("coefficient family must cover the whole truncated dual")
+
+    def __iter__(self):
+        return iter(self._layout.duals)
+
+    def __len__(self) -> int:
+        return len(self._layout.duals)
 
 
 class FourierCoefficients:
     """Truncated family (T_xi) of (m, d_xi, d_xi) tensors over the dual.
 
-    Every dual index within the band limit must be present (zero tensors are
-    fine); transforms rely on the family being complete.
+    Every dual index within the band limit is present (zero tensors are
+    fine); transforms rely on the family being complete.  ``blocks`` holds
+    one (count, m, d, d) array per dimension, laid out by ``layout``.
     """
 
     def __init__(self, group, bandlimit: int, value_dim: int,
-                 entries: dict[DualIndex, np.ndarray]):
-        self.group = group
-        self.bandlimit = int(bandlimit)
-        self.value_dim = int(value_dim)
-        self.entries = entries
-        for xi, t in entries.items():
-            if t.shape != (value_dim, xi.dim, xi.dim):
-                raise DomainError(f"entry for {xi.label} has shape {t.shape}")
-        expected = group.enumerate_dual(self.bandlimit)
-        if len(entries) != len(expected) or any(xi not in entries for xi in expected):
+                 entries: Mapping[DualIndex, np.ndarray]):
+        zeros = FourierCoefficients.zeros(group, bandlimit, value_dim)
+        if len(entries) != len(zeros.duals) or any(xi not in entries for xi in zeros.duals):
             raise DomainError("coefficient family must cover the whole truncated dual")
+        self._attach(group, bandlimit, value_dim, zeros.blocks)
+        for xi, t in entries.items():
+            self.entries[xi] = t
+
+    def _attach(self, group, bandlimit: int, value_dim: int, blocks) -> None:
+        self.group, self.bandlimit, self.value_dim = group, int(bandlimit), int(value_dim)
+        self.layout = dual_layout(group, self.bandlimit)
+        self.blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        if [b.shape for b in self.blocks] != [(len(idx), self.value_dim, d, d) for d, idx
+                                              in zip(self.layout.dims, self.layout.members)]:
+            raise DomainError("coefficient blocks do not match the dual layout")
+        self.entries = _BlockEntries(self.blocks, self.layout)
+
+    @classmethod
+    def from_blocks(cls, group, bandlimit: int, value_dim: int, blocks) -> "FourierCoefficients":
+        """Wrap (count, m, d, d) blocks laid out by ``dual_layout(group, bandlimit)``."""
+        T = cls.__new__(cls)
+        T._attach(group, bandlimit, value_dim, blocks)
+        return T
 
     @classmethod
     def zeros(cls, group, bandlimit: int, value_dim: int = 1) -> "FourierCoefficients":
-        entries = {
-            xi: np.zeros((value_dim, xi.dim, xi.dim), dtype=complex)
-            for xi in group.enumerate_dual(bandlimit)
-        }
-        return cls(group, bandlimit, value_dim, entries)
+        layout = dual_layout(group, int(bandlimit))
+        return cls.from_blocks(group, bandlimit, value_dim, [
+            np.zeros((len(idx), value_dim, d, d), dtype=complex)
+            for d, idx in zip(layout.dims, layout.members)])
 
-    def matrix(self, xi: DualIndex) -> np.ndarray:
-        """The d x d matrix at xi (value_dim 1 only)."""
-        if self.value_dim != 1:
-            raise DomainError("matrix() requires value_dim == 1")
-        return self.entries[xi][0]
+    @classmethod
+    def diagonal(cls, group, bandlimit: int, c) -> "FourierCoefficients":
+        """The scalar family T_xi = c_xi Id, c an array aligned with the dual order."""
+        layout = dual_layout(group, int(bandlimit))
+        return cls.from_blocks(group, bandlimit, 1, [
+            c[idx, None, None, None] * np.eye(d, dtype=complex)
+            for d, idx in zip(layout.dims, layout.members)])
 
-    def duals(self) -> list[DualIndex]:
-        return sorted(self.entries.keys(), key=lambda xi: (xi.casimir, str(xi.label)))
+    @property
+    def duals(self) -> tuple[DualIndex, ...]:
+        return self.layout.duals
+
+    def scaled(self, c) -> "FourierCoefficients":
+        """The family c_xi T_xi, c an array aligned with the dual order."""
+        return FourierCoefficients.from_blocks(self.group, self.bandlimit, self.value_dim, [
+            c[idx, None, None, None] * b for idx, b in zip(self.layout.members, self.blocks)])
 
     def map_entries(self, fn) -> "FourierCoefficients":
         return FourierCoefficients(
@@ -115,11 +188,11 @@ class FourierCoefficients:
             {xi: fn(xi, t) for xi, t in self.entries.items()},
         )
 
-    def hs_norms(self) -> dict[DualIndex, float]:
+    def hs_norms(self) -> np.ndarray:
         """Hilbert-Schmidt norm per dual index, maximized over the m slices."""
-        out = {}
-        for xi, t in self.entries.items():
-            out[xi] = float(np.max(np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2)))))
+        out = np.empty(len(self.duals))
+        for idx, b in zip(self.layout.members, self.blocks):
+            out[idx] = np.max(np.sqrt(np.sum(np.abs(b) ** 2, axis=(2, 3))), axis=1)
         return out
 
 
@@ -128,10 +201,10 @@ class FourierCoefficients:
 # ---------------------------------------------------------------------------
 
 
-def _torus_bins(grid: QuadratureGrid, duals: list[DualIndex]):
+def _torus_bins(grid: QuadratureGrid, layout: DualLayout):
     """(n, index) of the FFT bins k mod n; n = 2L+2 > 2|k_i| keeps them distinct."""
     n = grid.axes["points_per_axis"]
-    return n, tuple((np.array([xi.label for xi in duals]) % n).T)
+    return n, tuple((layout.labels % n).T)
 
 
 def _su2_plan(grid: QuadratureGrid, bandlimit: int):
@@ -150,7 +223,6 @@ def _su2_plan(grid: QuadratureGrid, bandlimit: int):
         }  # indices of m = l..-l within the two_mus axis
         grid._cache[key] = {
             "B": B,
-            "two_mus": two_mus,
             "E": E,
             "dmats": dmats,
             "rows": rows,
@@ -176,13 +248,11 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
             f"grid is exact to L = {f.grid.bandlimit}, requested {L}"
         )
     if isinstance(f.group, Torus):
-        duals = f.group.enumerate_dual(L)
-        n, bins = _torus_bins(f.grid, duals)
+        n, bins = _torus_bins(f.grid, dual_layout(f.group, L))
         d = f.group.d
         samples = f.values.reshape((n,) * d + (f.value_dim,))
         coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
-        entries = {xi: coef[i].reshape(f.value_dim, 1, 1) for i, xi in enumerate(duals)}
-        return FourierCoefficients(f.group, L, f.value_dim, entries)
+        return FourierCoefficients.from_blocks(f.group, L, f.value_dim, [coef[:, :, None, None]])
     plan = _su2_plan(f.grid, L)
     B = plan["B"]
     m = f.value_dim
@@ -190,14 +260,13 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
     EA = plan["E"] * plan["wphase"]  # (2B, M), weights folded in
     g1 = np.einsum("aM,abcv->Mbcv", EA, vals, optimize=True)
     g2 = np.einsum("cN,Mbcv->MbNv", EA, g1, optimize=True)
-    entries = {}
-    for xi in f.group.enumerate_dual(L):
-        two_l = xi.label
+    blocks = []  # one (1, m, d, d) block per degree
+    for two_l in range(2 * L + 1):
         rows = plan["rows"][two_l]
         sub = g2[np.ix_(rows, np.arange(B), rows)]  # (d, B, d, m)
         dm = plan["dmats"][two_l]  # (B, d, d)
-        entries[xi] = np.einsum("b,bij,ibjv->vij", plan["beta_w"], dm, sub, optimize=True)
-    return FourierCoefficients(f.group, L, m, entries)
+        blocks.append(np.einsum("b,bij,ibjv->vij", plan["beta_w"], dm, sub, optimize=True)[None])
+    return FourierCoefficients.from_blocks(f.group, L, m, blocks)
 
 
 def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridFunction:
@@ -207,17 +276,16 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
     if grid.bandlimit < T.bandlimit:
         raise BandlimitMismatchError("grid cannot represent the coefficient band limit")
     if isinstance(T.group, Torus):
-        duals = T.group.enumerate_dual(T.bandlimit)
-        n, bins = _torus_bins(grid, duals)
+        n, bins = _torus_bins(grid, T.layout)
         d, m = T.group.d, T.value_dim
         spec = np.zeros((n,) * d + (m,), dtype=complex)
-        spec[bins] = np.stack([T.entries[xi][:, 0, 0] for xi in duals], axis=0)
+        spec[bins] = T.blocks[0][:, :, 0, 0]
         vals = np.fft.ifftn(spec, axes=tuple(range(d))) * n**d
         return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
                             bandlimit=T.bandlimit)
     plan = _su2_plan(grid, T.bandlimit)
     B = plan["B"]
-    M = len(plan["two_mus"])
+    M = plan["E"].shape[1]
     m = T.value_dim
     H = np.zeros((M, B, M, m), dtype=complex)
     for xi, t in T.entries.items():
@@ -243,11 +311,11 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     m = T.value_dim
     out = np.zeros((len(pts), m), dtype=complex)
     # keep the per-chunk tables (chunk x sum d^2 entries) modest
-    table_size = sum(xi.dim**2 for xi in T.entries)
+    table_size = int(np.sum(T.layout.dim**2))
     chunk = max(128, 4_000_000 // table_size)
     if isinstance(T.group, Torus):
-        K = np.array([xi.label for xi in T.entries], dtype=float)
-        coef = np.stack([t[:, 0, 0] for t in T.entries.values()])
+        K = T.layout.labels.astype(float)
+        coef = T.blocks[0][:, :, 0, 0]
         for start in range(0, len(pts), chunk):
             sl = slice(start, start + chunk)
             out[sl] = np.exp(1j * pts[sl] @ K.T) @ coef
@@ -278,9 +346,7 @@ def parseval_defect(f: GridFunction) -> float:
     """Relative defect |  ||f||_2^2 - sum_xi d_xi ||F f(xi)||_HS^2  |."""
     T = forward(f)
     lhs = f.l2_norm_sq()
-    rhs = 0.0
-    for xi, t in T.entries.items():
-        rhs += xi.dim * float(np.sum(np.abs(t) ** 2))
+    rhs = float(sum(d * np.sum(np.abs(b) ** 2) for d, b in zip(T.layout.dims, T.blocks)))
     return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
@@ -288,11 +354,11 @@ def compose(A: FourierCoefficients, Bc: FourierCoefficients) -> FourierCoefficie
     """Slice-wise composition (A_xi o B_xi): scalar left factor acting on C^m slices."""
     if A.value_dim != 1:
         raise ParameterError("left factor of a composition must be scalar-valued")
-    L = min(A.bandlimit, Bc.bandlimit)
-    entries = {}
-    for xi in A.group.enumerate_dual(L):
-        entries[xi] = np.einsum("ab,vbc->vac", A.entries[xi][0], Bc.entries[xi])
-    return FourierCoefficients(A.group, L, Bc.value_dim, entries)
+    if A.bandlimit != Bc.bandlimit:
+        raise BandlimitMismatchError(
+            f"composition factors have band limits {A.bandlimit} and {Bc.bandlimit}")
+    blocks = [np.einsum("nab,nvbc->nvac", a[:, 0], b) for a, b in zip(A.blocks, Bc.blocks)]
+    return FourierCoefficients.from_blocks(A.group, A.bandlimit, Bc.value_dim, blocks)
 
 
 def convolve(chi: GridFunction, f: GridFunction) -> GridFunction:
@@ -316,20 +382,18 @@ def convolve_by_quadrature(chi: GridFunction, f: GridFunction) -> GridFunction:
     out = np.zeros((grid.size, f.value_dim), dtype=complex)
     nx = grid.size
     block = max(1, 200_000 // nx)
-    if isinstance(group, Torus):
-        for start in range(0, chi.grid.size, block):
-            ys = chi.grid.nodes[start:start + block]
-            pts = np.mod(grid.nodes[None, :, :] - ys[:, None, :], 2 * np.pi)
-            vals = evaluate(Tf, pts.reshape(-1, group.coord_dim)).reshape(len(ys), nx, -1)
-            out += np.einsum("y,yxv->xv", wchi[start:start + block], vals)
-    else:
-        mats_x = np.stack([group.defining_matrix(x) for x in grid.nodes])
-        for start in range(0, chi.grid.size, block):
-            ys = chi.grid.nodes[start:start + block]
+    torus = isinstance(group, Torus)
+    mats_x = None if torus else np.stack([group.defining_matrix(x) for x in grid.nodes])
+    for start in range(0, chi.grid.size, block):
+        ys = chi.grid.nodes[start:start + block]
+        if torus:
+            pts = np.mod(grid.nodes[None, :, :] - ys[:, None, :], 2 * np.pi).reshape(-1, group.d)
+        else:
             uinv = np.stack([group.defining_matrix(y) for y in ys]).conj().transpose(0, 2, 1)
             prod = np.einsum("yab,nbc->ynac", uinv, mats_x).reshape(-1, 2, 2)
-            vals = evaluate(Tf, group.coords_from_matrices(prod)).reshape(len(ys), nx, -1)
-            out += np.einsum("y,yxv->xv", wchi[start:start + block], vals)
+            pts = group.coords_from_matrices(prod)
+        vals = evaluate(Tf, pts).reshape(len(ys), nx, -1)
+        out += np.einsum("y,yxv->xv", wchi[start:start + block], vals)
     return GridFunction(group, grid, out, value_dim=f.value_dim, bandlimit=f.bandlimit)
 
 
@@ -337,11 +401,10 @@ def conv_theorem_defect(chi: GridFunction, f: GridFunction) -> float:
     """Max HS distance between F(chi *_quad f)(xi) and F(chi)(xi) o F(f)(xi)."""
     direct = forward(convolve_by_quadrature(chi, f))
     composed = compose(forward(chi, direct.bandlimit), forward(f, direct.bandlimit))
-    worst = 0.0
-    for xi in composed.entries:
-        diff = direct.entries[xi] - composed.entries[xi]
-        worst = max(worst, float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(1, 2))))))
-    return worst
+    diff = FourierCoefficients.from_blocks(
+        direct.group, direct.bandlimit, direct.value_dim,
+        [a - b for a, b in zip(direct.blocks, composed.blocks)])
+    return float(np.max(diff.hs_norms()))
 
 
 def involution(psi: GridFunction) -> GridFunction:

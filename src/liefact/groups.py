@@ -91,10 +91,6 @@ class Torus:
     def dim(self) -> int:
         return self.d
 
-    @property
-    def coord_dim(self) -> int:
-        return self.d
-
     def spec_string(self) -> str:
         return f"t{self.d}"
 
@@ -189,10 +185,6 @@ class SU2:
 
     @property
     def dim(self) -> int:
-        return 3
-
-    @property
-    def coord_dim(self) -> int:
         return 3
 
     def spec_string(self) -> str:
@@ -300,7 +292,9 @@ class SU2:
     def irrep_matrices(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
         pts = self.validate_coords(np.atleast_2d(points))
         two_l = xi.label
-        d = wigner_d_matrices(two_l, pts[:, 1])[two_l]
+        # a product grid repeats few betas: one table per distinct angle
+        betas, where = np.unique(pts[:, 1], return_inverse=True)
+        d = wigner_d_matrices(two_l, betas)[two_l][where]
         two_ms = np.arange(two_l, -two_l - 1, -2)
         left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
         right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
@@ -390,14 +384,7 @@ def weyl_summability(group, alpha: float, bandlimit: int) -> np.ndarray:
     """
     if bandlimit < 1:
         raise DomainError("band limit must be >= 1")
-    sums = np.zeros(bandlimit)
-    prev: set = set()
-    total = 0.0
-    for lprime in range(1, bandlimit + 1):
-        for xi in group.enumerate_dual(lprime):
-            if xi.label in prev:
-                continue
-            prev.add(xi.label)
-            total += xi.dim**2 * (1.0 + xi.casimir) ** (-alpha)
-        sums[lprime - 1] = total
-    return sums
+    return np.array([
+        sum(xi.dim**2 * (1.0 + xi.casimir) ** (-alpha) for xi in group.enumerate_dual(lprime))
+        for lprime in range(1, bandlimit + 1)
+    ])

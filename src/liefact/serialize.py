@@ -22,7 +22,7 @@ import numpy as np
 from .classify import DecayReport
 from .errors import ParameterError
 from .fourier import FourierCoefficients, GridFunction
-from .groups import QuadratureGrid, Torus, parse_group_spec
+from .groups import DualIndex, QuadratureGrid, Torus, parse_group_spec
 from .spectral import SeminormReport
 
 
@@ -38,9 +38,14 @@ def _label_from_json(group, obj):
     return int(obj)
 
 
+def wire_order(duals) -> list[DualIndex]:
+    """The dual indices in the order every output format lists them."""
+    return sorted(duals, key=lambda xi: (xi.casimir, str(xi.label)))
+
+
 def coefficients_to_json(T: FourierCoefficients) -> str:
     entries = []
-    for xi in T.duals():
+    for xi in wire_order(T.duals):
         t = T.entries[xi]
         entries.append(
             {
@@ -63,18 +68,16 @@ def coefficients_from_json(text: str) -> FourierCoefficients:
     group = parse_group_spec(doc["group"])
     bandlimit = int(doc["bandlimit"])
     m = int(doc["value_dim"])
-    index = {xi.label: xi for xi in group.enumerate_dual(bandlimit)}
-    entries = {}
+    T = FourierCoefficients.zeros(group, bandlimit, m)
+    index = {xi.label: xi for xi in T.duals}
     for item in doc["entries"]:
         label = _label_from_json(group, item["xi"])
         if label not in index:
             raise ParameterError(f"label {label!r} outside the declared band limit")
         xi = index[label]
         t = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
-        entries[xi] = t.reshape(m, xi.dim, xi.dim)
-    for xi in index.values():
-        entries.setdefault(xi, np.zeros((m, xi.dim, xi.dim), dtype=complex))
-    return FourierCoefficients(group, bandlimit, m, entries)
+        T.entries[xi] = t.reshape(m, xi.dim, xi.dim)
+    return T
 
 
 def gridfunction_to_csv(f: GridFunction) -> str:
@@ -122,8 +125,8 @@ def decay_table_csv(T: FourierCoefficients) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sqrt_lambda", "hsnorm"])
-    norms = T.hs_norms()
-    for xi in T.duals():
+    norms = dict(zip(T.duals, T.hs_norms().tolist()))
+    for xi in wire_order(T.duals):
         writer.writerow([repr(float(np.sqrt(xi.casimir))), repr(norms[xi])])
     return buf.getvalue()
 

@@ -10,18 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierCoefficients, GridFunction, inverse
+from .fourier import FourierCoefficients, GridFunction, dual_layout, inverse
 from .groups import QuadratureGrid
 
 
 def synth_coefficients(group, bandlimit: int, hs_norm_fn) -> FourierCoefficients:
     """Scalar coefficients Id * hs_norm_fn(lambda)/sqrt(d), so that
-    ||T_xi||_HS = hs_norm_fn(lambda_xi) exactly."""
-    entries = {}
-    for xi in group.enumerate_dual(bandlimit):
-        scale = float(hs_norm_fn(xi.casimir)) / np.sqrt(xi.dim)
-        entries[xi] = (scale * np.eye(xi.dim, dtype=complex))[None, :, :]
-    return FourierCoefficients(group, bandlimit, 1, entries)
+    ||T_xi||_HS = hs_norm_fn(lambda_xi) exactly.  The law is called once on
+    all eigenvalues, or per eigenvalue if it only accepts scalars."""
+    layout = dual_layout(group, bandlimit)
+    lam = layout.casimir
+    try:
+        norms = np.broadcast_to(np.asarray(hs_norm_fn(lam), dtype=float), lam.shape)
+    except ValueError:
+        norms = np.vectorize(hs_norm_fn, otypes=[float])(lam)
+    return FourierCoefficients.diagonal(group, bandlimit, norms / np.sqrt(layout.dim))
 
 
 def poisson_coefficients(group, bandlimit: int, t: float) -> FourierCoefficients:
@@ -40,11 +43,8 @@ def heat_coefficients(group, bandlimit: int, t: float) -> FourierCoefficients:
 
 def reproducing_kernel(group, bandlimit: int) -> FourierCoefficients:
     """T_xi = Id for every xi within the band limit (truncated delta)."""
-    entries = {
-        xi: np.eye(xi.dim, dtype=complex)[None, :, :]
-        for xi in group.enumerate_dual(bandlimit)
-    }
-    return FourierCoefficients(group, bandlimit, 1, entries)
+    return FourierCoefficients.diagonal(group, bandlimit,
+                                        np.ones(len(dual_layout(group, bandlimit).duals)))
 
 
 def poisson_function(group, grid: QuadratureGrid, t: float) -> GridFunction:

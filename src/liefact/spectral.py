@@ -35,7 +35,7 @@ from .weights import WeightFunction, young_conjugate
 
 def apply_laplacian(T: FourierCoefficients) -> FourierCoefficients:
     """Multiply each coefficient block by -lambda_xi."""
-    return T.map_entries(lambda xi, t: -xi.casimir * t)
+    return T.scaled(-T.layout.casimir)
 
 
 def laplacian_fd_defect(group, xi: DualIndex, x, step: float = 1e-3) -> float:
@@ -57,22 +57,24 @@ def laplacian_fd_defect(group, xi: DualIndex, x, step: float = 1e-3) -> float:
     return float(np.max(np.abs(lap + xi.casimir * center)))
 
 
+def _iterate_sups(f: GridFunction, j_max: int):
+    """Yield sup|Lap^j f| for j = 0..j_max, computed spectrally (+inf on overflow)."""
+    cur = forward(f)
+    for j in range(j_max + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j:
+                cur = apply_laplacian(cur)
+            vals = inverse(cur, f.grid).values
+            sup = float(np.max(np.abs(vals))) if vals.size else 0.0
+        yield sup if np.isfinite(sup) else np.inf
+
+
 def iterate_supnorms(f: GridFunction, j_max: int) -> np.ndarray:
     """[ sup|Lap^j f| for j = 0..j_max ], computed spectrally.
 
     Overflowing entries are reported as +inf, not raised.
     """
-    T = forward(f)
-    out = np.zeros(j_max + 1)
-    cur = T
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(j_max + 1):
-            vals = inverse(cur, f.grid).values
-            sup = np.max(np.abs(vals)) if vals.size else 0.0
-            out[j] = np.inf if not np.isfinite(sup) else sup
-            if j < j_max:
-                cur = apply_laplacian(cur)
-    return out
+    return np.fromiter(_iterate_sups(f, j_max), dtype=float, count=j_max + 1)
 
 
 @dataclass
@@ -99,21 +101,15 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
     """
     if h <= 0:
         raise DomainError("h must be positive")
-    T = forward(f)
     supnorms = []
     weighted = []
-    cur = T
     best = 0.0
     argmax = 0
     saturated = False
     below = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(j_max + 1):
-            vals = inverse(cur, f.grid).values
-            sup = float(np.max(np.abs(vals))) if vals.size else 0.0
-            if not np.isfinite(sup):
-                sup = np.inf
-                saturated = True
+        for j, sup in enumerate(_iterate_sups(f, j_max)):
+            saturated = sup == np.inf
             supnorms.append(sup)
             term = sup * np.exp(-young_conjugate(w, h, 2.0 * j))
             weighted.append(term)
@@ -122,8 +118,6 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
             below = below + 1 if term < 1e-3 * max(best, 1e-300) else 0
             if below >= 3 or saturated:
                 break
-            if j < j_max:
-                cur = apply_laplacian(cur)
     supnorms = np.array(supnorms)
     weighted = np.array(weighted)
     return SeminormReport(
@@ -157,19 +151,18 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
     js = np.arange(j_max + 1)[finite]
     log_sup = np.log(sup[finite])
     hs = T.hs_norms()
-    c1 = 0.0
-    for xi, norm in hs.items():
-        if norm <= 0:
-            continue
-        # inf_j (1+lambda)^(n-j) sup_j, in logs
-        bound = np.min((n - js) * np.log1p(xi.casimir) + log_sup)
-        c1 = max(c1, float(np.exp(np.log(norm) - bound)))
+    pos = hs > 0
+    log_norms = np.log(hs[pos])
+    log1p_lam = np.log1p(T.layout.casimir[pos])
+    # per xi: inf_j (1+lambda)^(n-j) sup_j, in logs
+    bound = np.min((n - js)[None, :] * log1p_lam[:, None] + log_sup[None, :], axis=1,
+                   initial=np.inf)
+    c1 = float(np.max(np.exp(log_norms - bound), initial=0.0))
+    # per j: sup_xi (1+lambda)^(j+n) ||F f(xi)||, in logs
     c2 = 0.0
-    log_norms = {xi: np.log(v) for xi, v in hs.items() if v > 0}
-    if log_norms:
-        for j, ls in zip(js, log_sup):
-            bound = max(lv + (j + n) * np.log1p(xi.casimir) for xi, lv in log_norms.items())
-            c2 = max(c2, float(np.exp(ls - bound)))
+    if log_norms.size:
+        bound = np.max(log_norms[None, :] + (js + n)[:, None] * log1p_lam[None, :], axis=1)
+        c2 = float(np.max(np.exp(log_sup - bound), initial=0.0))
     func_side = iterate_seminorm(f, w, h).value
     coef_side = decay_seminorm(T, w, h)
     consistent = bool(np.isfinite(c1) and np.isfinite(c2))

@@ -35,7 +35,7 @@ from .errors import DomainError, ParameterError, WitnessSearchError
 # arguments e^64 ~ 6e27 of the weight, far beyond any maximizer that occurs
 # for the supported t-range of the library.
 _U_MAX = 64.0
-_DEFAULT_RESOLUTION = 1e-3
+_RESOLUTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _gevrey_scaled_conjugate(s: float, h: float, t):
     return np.where(tau <= s, 0.0, val)
 
 
-def _grid_scaled_conjugate(w: WeightFunction, h: float, t, resolution: float):
+def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
     """(1/h) sup_u { h t u - w(e^u) } over a uniform u-grid on [0, _U_MAX].
 
     If the objective is still increasing at the end of the grid the sup is
@@ -149,14 +149,14 @@ def _grid_scaled_conjugate(w: WeightFunction, h: float, t, resolution: float):
     h*t*u, e.g. for the log1p class at t > 1/h... slope comparison below).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    u = np.arange(0.0, _U_MAX + resolution, resolution)
+    u = np.arange(0.0, _U_MAX + _RESOLUTION, _RESOLUTION)
     phi = eval_weight(w, np.exp(u))
     objective = h * t_arr[:, None] * u[None, :] - phi[None, :]
     sup = objective.max(axis=1)
     # divergence: still strictly climbing at the grid end
     tail_slope = objective[:, -1] - objective[:, -2]
     at_end = objective[:, -1] >= sup - 1e-12
-    diverging = at_end & (tail_slope > 1e-9 * resolution)
+    diverging = at_end & (tail_slope > 1e-9 * _RESOLUTION)
     sup = np.where(diverging, np.inf, np.maximum(sup, 0.0))
     return sup / h
 
@@ -167,17 +167,16 @@ class YoungConjugate:
 
     source: WeightFunction
     h: float
-    resolution: float = _DEFAULT_RESOLUTION
 
     def __post_init__(self):
         if self.h <= 0:
             raise DomainError("h must be positive")
 
     def __call__(self, t):
-        return young_conjugate(self.source, self.h, t, resolution=self.resolution)
+        return young_conjugate(self.source, self.h, t)
 
 
-def young_conjugate(w: WeightFunction, h: float, t, resolution: float = _DEFAULT_RESOLUTION):
+def young_conjugate(w: WeightFunction, h: float, t):
     """Scaled Young conjugate (1/h) phi*(h t), phi(u) = w(e^u).
 
     Closed form for the Gevrey kinds, grid maximization otherwise.
@@ -190,18 +189,18 @@ def young_conjugate(w: WeightFunction, h: float, t, resolution: float = _DEFAULT
     if w.kind == "gevrey":
         out = _gevrey_scaled_conjugate(w.gevrey_s, h, arr)
     else:
-        out = _grid_scaled_conjugate(w, h, arr, resolution)
+        out = _grid_scaled_conjugate(w, h, arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(np.atleast_1d(out)[0])
     return np.reshape(out, arr.shape)
 
 
-def young_conjugate_grid(w: WeightFunction, h: float, t, resolution: float = _DEFAULT_RESOLUTION):
+def young_conjugate_grid(w: WeightFunction, h: float, t):
     """Grid-maximized conjugate regardless of kind (oracle for the closed forms)."""
     if h <= 0:
         raise DomainError("h must be positive")
     arr = np.asarray(t, dtype=float)
-    out = _grid_scaled_conjugate(w, h, arr, resolution)
+    out = _grid_scaled_conjugate(w, h, arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(np.atleast_1d(out)[0])
     return np.reshape(out, arr.shape)

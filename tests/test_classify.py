@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from liefact.classify import (
     gevrey_order_estimate,
 )
 from liefact.errors import EstimationError, InsufficientDataError, ParameterError
-from liefact.fourier import FourierCoefficients
-from liefact.signals import poisson_coefficients, synth_coefficients
+from liefact.fourier import FourierCoefficients, forward
+from liefact.serialize import coefficients_from_json, coefficients_to_json
+from liefact.signals import poisson_coefficients, poisson_function, synth_coefficients
 from liefact.weights import eval_weight, gevrey_weight
 
 
@@ -90,6 +93,18 @@ class TestCriticalH:
             estimate_critical_h(T, gevrey_weight(1.0))
 
 
+    def test_report_independent_of_load_order(self, t1, t2):
+        # a JSON read-back lists the dual in wire order; the fit must not see it
+        w = gevrey_weight(1.0)
+        for g, L in ((t1, 64), (t2, 16)):
+            T = forward(poisson_function(g, g.haar_quadrature(L), 1.0))
+            direct = estimate_critical_h(T, w)
+            back = estimate_critical_h(coefficients_from_json(coefficients_to_json(T)), w)
+            for field in dataclasses.fields(direct):
+                a, b = getattr(direct, field.name), getattr(back, field.name)
+                assert np.array_equal(a, b), (g, field.name, a, b)
+
+
 class TestFitWeight:
     def test_polynomial_decay_caps_order(self, t1):
         T = synth_coefficients(t1, 64, lambda lam: (1.0 + lam) ** -5.0)
@@ -132,7 +147,7 @@ class TestFitWeight:
     def test_defining_inequality_transfers(self, t1):
         T = poisson_coefficients(t1, 64, 1.0)
         w = fit_weight_from_decay(T)
-        for xi, norm in T.hs_norms().items():
+        for xi, norm in zip(T.duals, T.hs_norms()):
             if norm > 0 and xi.casimir >= 2.0:
                 bound = norm * np.exp(eval_weight(w, np.sqrt(1.0 + xi.casimir)))
                 assert bound <= 1.0 + 1e-9

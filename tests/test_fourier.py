@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from liefact.errors import BandlimitMismatchError, ParameterError
+from liefact.errors import BandlimitMismatchError, DomainError, ParameterError
 from liefact.fourier import (
     FourierCoefficients,
     GridFunction,
+    compose,
     conv_theorem_defect,
     convolve,
     convolve_by_quadrature,
@@ -14,13 +18,14 @@ from liefact.fourier import (
     involution,
     parseval_defect,
 )
-from liefact.groups import enumerate_dual, haar_quadrature
+from liefact.groups import DualIndex, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_coefficients,
     random_bandlimited,
     reproducing_kernel,
     synth_coefficients,
 )
+from liefact.spectral import apply_laplacian
 from test_wigner import wigner_d_sum
 
 
@@ -264,3 +269,68 @@ class TestInvolution:
             psi = random_bandlimited(g, grid, rng)
             back = involution(involution(psi))
             assert np.abs(back.values - psi.values).max() < 1e-12
+
+
+class TestPackedCoefficients:
+    def test_entry_assignment_writes_through(self, t2, su2, rng):
+        # perfbench corrupts a transform by assigning one entry; every reader
+        # of the packed blocks must see it
+        for g, L in ((t2, 4), (su2, 2)):
+            grid = haar_quadrature(g, L)
+            f = random_bandlimited(g, grid, rng)
+            T = forward(f)
+            xi = T.duals[-2]
+            bump = np.full((1, xi.dim, xi.dim), 0.5 - 0.25j)
+            T.entries[xi] = T.entries[xi] + bump
+            table = g.irrep_matrices(xi, grid.nodes)
+            expected = f.values + xi.dim * np.einsum("nij,vij->nv", table.conj(), bump)
+            assert np.abs(inverse(T, grid).values - expected).max() < 1e-12
+            assert np.abs(evaluate(T, grid.nodes[:25]) - expected[:25]).max() < 1e-12
+            t = T.entries[xi]
+            assert T.hs_norms()[T.duals.index(xi)] == np.max(
+                np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2))))
+
+    def test_entries_keep_the_family_complete_and_shaped(self, su2):
+        T = FourierCoefficients.zeros(su2, 2, value_dim=2)
+        xi = T.duals[2]
+        with pytest.raises(DomainError):
+            T.entries[xi] = np.zeros((2, xi.dim + 1, xi.dim + 1))
+        with pytest.raises(DomainError):
+            T.entries[xi] = np.zeros((1, xi.dim, xi.dim))
+        with pytest.raises(DomainError):
+            del T.entries[xi]
+        with pytest.raises(KeyError):
+            T.entries[DualIndex(label=9, dim=10, casimir=24.75)] = np.zeros((2, 10, 10))
+        assert len(T.entries) == len(T.duals) == 5
+
+    def test_dropped_family_is_freed_without_the_cycle_collector(self, t2, rng):
+        T = forward(random_bandlimited(t2, haar_quadrature(t2, 4), rng))
+        T.entries[T.duals[0]][0, 0, 0] = 1.0
+        ref = weakref.ref(T)
+        gc.disable()
+        try:
+            del T
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_compose_rejects_mismatched_band_limits(self, t1, rng):
+        A = forward(random_bandlimited(t1, haar_quadrature(t1, 4), rng))
+        B = forward(random_bandlimited(t1, haar_quadrature(t1, 6), rng))
+        with pytest.raises(BandlimitMismatchError):
+            compose(A, B)
+
+    def test_block_algebra_matches_per_dual_loops(self, t2, su2, rng):
+        # the packed expressions do the per-xi arithmetic of the loops they
+        # replace, in the same order, so the results are bit-identical
+        for g, L in ((t2, 4), (su2, 3)):
+            grid = haar_quadrature(g, L)
+            A = forward(random_bandlimited(g, grid, rng))
+            T = forward(random_bandlimited(g, grid, rng, value_dim=2))
+            norms, comp, lap = T.hs_norms(), compose(A, T), apply_laplacian(T)
+            for i, xi in enumerate(T.duals):
+                t = T.entries[xi]
+                assert norms[i] == np.max(np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2))))
+                assert np.array_equal(comp.entries[xi],
+                                      np.einsum("ab,vbc->vac", A.entries[xi][0], t))
+                assert np.array_equal(lap.entries[xi], -xi.casimir * t)

@@ -90,6 +90,26 @@ class TestMatrixCoefficients:
             matrix_coefficients(su2, xi, np.array([0.0, 3.5, 0.0]))
 
 
+    def test_su2_grid_table_built_on_distinct_betas(self, su2, monkeypatch):
+        # a product grid repeats B betas, so the Wigner table needs only those
+        import liefact.groups
+
+        angles = []
+        real = liefact.groups.wigner_d_matrices
+
+        def spy(two_l_max, beta):
+            angles.append(np.size(beta))
+            return real(two_l_max, beta)
+
+        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", spy)
+        grid = haar_quadrature(su2, 3)
+        xi = enumerate_dual(su2, 3)[5]
+        mats = su2.irrep_matrices(xi, grid.nodes)
+        assert angles and max(angles) <= grid.axes["B"]
+        for node, mat in zip(grid.nodes, mats):
+            assert np.array_equal(mat, su2.irrep_matrix(xi, node))
+
+
 class TestElements:
     def test_inverse_roundtrip(self, t1, t2, su2, rng):
         for g in (t1, t2, su2):
