@@ -108,11 +108,3 @@ def wigner_d_matrices(two_l_max: int, beta) -> list[np.ndarray]:
             interior /= l * np.sqrt(np.multiply.outer(lift, lift))
     return mats
 
-
-def wigner_D_single(two_l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """D^l(alpha, beta, gamma) at one point (complex (2l+1, 2l+1) matrix)."""
-    d = wigner_d_matrices(two_l, np.array([beta]))[two_l][0]
-    two_ms = np.arange(two_l, -two_l - 1, -2)
-    left = np.exp(-0.5j * two_ms * alpha)
-    right = np.exp(-0.5j * two_ms * gamma)
-    return left[:, None] * d * right[None, :]

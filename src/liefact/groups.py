@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._wigner import wigner_d_matrices, wigner_D_single
+from ._wigner import wigner_d_matrices
 from .errors import DomainError, ParameterError
 
 
@@ -213,23 +213,7 @@ class SU2:
 
     def coords_from_matrix(self, u: np.ndarray) -> np.ndarray:
         """ZYZ angles of a 2x2 SU(2) matrix; beta in [0, pi], phases in [0, 4pi)."""
-        ch = abs(u[0, 0])
-        sh = abs(u[1, 0])
-        beta = 2.0 * math.atan2(sh, ch)
-        if sh < 1e-300:
-            # beta = 0: only alpha + gamma matters
-            s = -2.0 * np.angle(u[0, 0])
-            alpha, gamma = s, 0.0
-        elif ch < 1e-300:
-            # beta = pi: only alpha - gamma matters
-            d = 2.0 * np.angle(u[1, 0])
-            alpha, gamma = d, 0.0
-        else:
-            s = -2.0 * np.angle(u[0, 0])  # alpha + gamma (mod 4pi)
-            d = 2.0 * np.angle(u[1, 0])   # alpha - gamma (mod 4pi)
-            alpha = 0.5 * (s + d)
-            gamma = 0.5 * (s - d)
-        return np.array([alpha % (4 * np.pi), beta, gamma % (4 * np.pi)])
+        return self.coords_from_matrices(np.asarray(u)[None])[0]
 
     def coords_from_matrices(self, us: np.ndarray) -> np.ndarray:
         """Batched ZYZ extraction for an (n, 2, 2) array of SU(2) matrices."""
@@ -286,8 +270,7 @@ class SU2:
     # -- matrix coefficients ----------------------------------------------
 
     def irrep_matrix(self, xi: DualIndex, x) -> np.ndarray:
-        a, b, g = self.validate_coords(x)
-        return wigner_D_single(xi.label, a, b, g)
+        return self.irrep_matrices(xi, np.asarray(x, float)[None, :])[0]
 
     def irrep_matrices(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
         pts = self.validate_coords(np.atleast_2d(points))
@@ -298,7 +281,9 @@ class SU2:
         two_ms = np.arange(two_l, -two_l - 1, -2)
         left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
         right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
-        return left[:, :, None] * d * right[:, None, :]
+        out = left[:, :, None] * d
+        out *= right[:, None, :]
+        return out
 
     # -- quadrature ---------------------------------------------------------
 

@@ -101,6 +101,7 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
     """
     if h <= 0:
         raise DomainError("h must be positive")
+    penalty = young_conjugate(w, h, 2.0 * np.arange(j_max + 1))
     supnorms = []
     weighted = []
     best = 0.0
@@ -111,7 +112,7 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
         for j, sup in enumerate(_iterate_sups(f, j_max)):
             saturated = sup == np.inf
             supnorms.append(sup)
-            term = sup * np.exp(-young_conjugate(w, h, 2.0 * j))
+            term = sup * np.exp(-penalty[j])
             weighted.append(term)
             if term > best:
                 best, argmax = term, j

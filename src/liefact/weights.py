@@ -17,9 +17,13 @@ w_s(t) = max(0, t^s - 1) the conjugate has the closed form
 
     exp((1/h) phi_s*(h t)) = e^(1/h) * (h/(s e))^(t/s) * t^(t/s),
 
-which the grid maximizer must reproduce; everything else is evaluated by
-maximizing over a uniform u-grid (the sup is attained at finite u whenever
-w(e^u) grows superlinearly in u, i.e. condition (gamma) holds).
+which the discrete conjugate must reproduce.  Every other kind is evaluated
+as the exact discrete Legendre transform of phi sampled on a uniform u-grid:
+since phi* = (conv phi)*, the sup over the samples is attained at a vertex of
+their lower convex hull, namely the first vertex whose right-hand hull slope
+reaches h t (one monotone-chain pass plus a ``searchsorted``).  The conjugate
+is +inf when h t exceeds the last hull slope by more than 1e-9, i.e. when
+h t u - phi(u) is still climbing at the grid end (condition (gamma) fails).
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, WitnessSearchError
 
-# u-grid used by the generic conjugate maximizer.  u = 64 corresponds to
-# arguments e^64 ~ 6e27 of the weight, far beyond any maximizer that occurs
-# for the supported t-range of the library.
+# u-grid of the discrete conjugate.  u = 64 corresponds to arguments
+# e^64 ~ 6e27 of the weight, far beyond any maximizer that occurs for the
+# supported t-range of the library.
 _U_MAX = 64.0
 _RESOLUTION = 1e-3
 
@@ -133,32 +137,55 @@ def eval_weight(w: WeightFunction, t):
     return out
 
 
-def _gevrey_scaled_conjugate(s: float, h: float, t):
+def _gevrey_scaled_conjugate(w: WeightFunction, h: float, t):
     """(1/h) phi_s*(h t) in closed form."""
-    tau = h * np.asarray(t, dtype=float)
+    s = w.gevrey_s
+    tau = h * t
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (1.0 + (tau / s) * (np.log(tau / s) - 1.0)) / h
     return np.where(tau <= s, 0.0, val)
 
 
 def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
-    """(1/h) sup_u { h t u - w(e^u) } over a uniform u-grid on [0, _U_MAX].
+    """(1/h) max_i { h t u_i - w(e^{u_i}) } over the u-grid, floored at 0.
 
-    If the objective is still increasing at the end of the grid the sup is
-    treated as infinite (this happens precisely when w(e^u) fails to outgrow
-    h*t*u, e.g. for the log1p class at t > 1/h... slope comparison below).
+    The lower convex hull of the samples (u_i, phi_i) is built in one
+    monotone-chain pass; the maximizer for tau = h t is the first hull vertex
+    whose right-hand slope is >= tau (``searchsorted`` on the slopes).  The
+    value is +inf when tau exceeds the last hull slope by more than 1e-9, i.e.
+    when the objective still climbs by more than 1e-12 per grid step at
+    u = _U_MAX.  The tolerance keeps a tau within roundoff of the last slope
+    finite, such as log1p at tau = 1, whose sampled slope there is 1.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     u = np.arange(0.0, _U_MAX + _RESOLUTION, _RESOLUTION)
     phi = eval_weight(w, np.exp(u))
-    objective = h * t_arr[:, None] * u[None, :] - phi[None, :]
-    sup = objective.max(axis=1)
-    # divergence: still strictly climbing at the grid end
-    tail_slope = objective[:, -1] - objective[:, -2]
-    at_end = objective[:, -1] >= sup - 1e-12
-    diverging = at_end & (tail_slope > 1e-9 * _RESOLUTION)
-    sup = np.where(diverging, np.inf, np.maximum(sup, 0.0))
-    return sup / h
+    us, ps = u.tolist(), phi.tolist()
+    verts, slopes = [0], []
+    for i in range(1, len(us)):
+        slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
+        while slopes and slope <= slopes[-1]:
+            verts.pop()
+            slopes.pop()
+            slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
+        verts.append(i)
+        slopes.append(slope)
+    tau = h * t
+    j = np.array(verts)[np.searchsorted(slopes, tau)]
+    sup = np.maximum(tau * u[j] - phi[j], 0.0)
+    return np.where(tau > slopes[-1] + 1e-9, np.inf, sup) / h
+
+
+def _shaped_conjugate(kernel, w: WeightFunction, h: float, t):
+    """Check h > 0 and t >= 0, apply ``kernel(w, h, t)``, return t's shape."""
+    if h <= 0:
+        raise DomainError("h must be positive")
+    arr = np.asarray(t, dtype=float)
+    if not np.all(arr >= 0):
+        raise DomainError("the conjugate is evaluated at t >= 0")
+    out = kernel(w, h, np.atleast_1d(arr))
+    if np.isscalar(t) or arr.ndim == 0:
+        return float(out[0])
+    return np.reshape(out, arr.shape)
 
 
 @dataclass(frozen=True)
@@ -179,31 +206,16 @@ class YoungConjugate:
 def young_conjugate(w: WeightFunction, h: float, t):
     """Scaled Young conjugate (1/h) phi*(h t), phi(u) = w(e^u).
 
-    Closed form for the Gevrey kinds, grid maximization otherwise.
+    Closed form for the Gevrey kinds, the discrete Legendre transform of the
+    sampled w(e^u) via its lower convex hull otherwise.
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("the conjugate is evaluated at t >= 0")
-    if w.kind == "gevrey":
-        out = _gevrey_scaled_conjugate(w.gevrey_s, h, arr)
-    else:
-        out = _grid_scaled_conjugate(w, h, arr)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(np.atleast_1d(out)[0])
-    return np.reshape(out, arr.shape)
+    kernel = _gevrey_scaled_conjugate if w.kind == "gevrey" else _grid_scaled_conjugate
+    return _shaped_conjugate(kernel, w, h, t)
 
 
 def young_conjugate_grid(w: WeightFunction, h: float, t):
-    """Grid-maximized conjugate regardless of kind (oracle for the closed forms)."""
-    if h <= 0:
-        raise DomainError("h must be positive")
-    arr = np.asarray(t, dtype=float)
-    out = _grid_scaled_conjugate(w, h, arr)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(np.atleast_1d(out)[0])
-    return np.reshape(out, arr.shape)
+    """Discrete conjugate regardless of kind (oracle for the closed forms)."""
+    return _shaped_conjugate(_grid_scaled_conjugate, w, h, t)
 
 
 @dataclass(frozen=True)
@@ -281,7 +293,7 @@ def young_inequality_witness(
     for i in range(1, 16):
         h_prime = h * 0.5**i
         # (1/h') phi*(k h') = scaled conjugate at k
-        penalty = np.array([young_conjugate(w, h_prime, float(kk)) for kk in k])
+        penalty = young_conjugate(w, h_prime, k)
         finite = np.isfinite(penalty)
         rhs = np.max(k[finite][None, :] * np.log(t)[:, None] - penalty[finite][None, :], axis=1)
         needed = float(np.max(lhs - rhs))

@@ -109,6 +109,21 @@ class TestMatrixCoefficients:
         for node, mat in zip(grid.nodes, mats):
             assert np.array_equal(mat, su2.irrep_matrix(xi, node))
 
+    def test_su2_grid_table_peak_memory(self, su2):
+        # the phase product is formed in the result, not in a second temporary
+        import tracemalloc
+
+        grid = haar_quadrature(su2, 8)
+        xi = enumerate_dual(su2, 8)[8]
+        tracemalloc.start()
+        try:
+            mats = su2.irrep_matrices(xi, grid.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats.shape == (len(grid.nodes), 9, 9)
+        assert peak < 2.2 * mats.nbytes
+
 
 class TestElements:
     def test_inverse_roundtrip(self, t1, t2, su2, rng):

@@ -104,6 +104,48 @@ class TestYoungConjugate:
         with pytest.raises(DomainError):
             young_conjugate(gevrey_weight(1.0), 0.0, 1.0)
 
+    def test_grid_conjugate_rejects_negative_t(self):
+        with pytest.raises(DomainError):
+            young_conjugate_grid(gevrey_weight(1.0), 1.0, -1.0)
+        with pytest.raises(DomainError):
+            young_conjugate(log1p_weight(), 1.0, [1.0, np.nan])
+
+    def test_log1p_divergence_tolerance(self):
+        # log1p(e^u) has slope 1 at the grid end up to roundoff: the conjugate
+        # stays finite within 1e-9 of that slope and diverges beyond it
+        w = log1p_weight()
+        assert young_conjugate(w, 1.0, 1.0) == 0.0
+        assert young_conjugate(w, 1.0, 1.0 + 5e-10) < 1e-7
+        assert young_conjugate(w, 1.0, 1.0 + 2e-9) == np.inf
+
+    def test_hull_matches_brute_force_on_nonconvex_table(self):
+        # u |-> w(e^u) is not convex here, so the maximizer skips whole
+        # stretches of the grid; the hull must still find the sampled sup
+        w = tabulated_weight([(0, 0), (1, 0), (2, 3), (5, 3.5), (10, 20), (20, 21), (40, 80)])
+        u = np.arange(0.0, 64.0 + 1e-3, 1e-3)
+        phi = eval_weight(w, np.exp(u))
+        ts = np.concatenate([np.linspace(0.0, 30.0, 301), [1e3, 1e9, 1e20]])
+        for h in (0.5, 1.0, 2.0):
+            brute = np.array([max(np.max(h * t * u - phi), 0.0) / h for t in ts])
+            assert np.array_equal(young_conjugate_grid(w, h, ts), brute)
+            assert np.array_equal(young_conjugate(w, h, ts), brute)
+        last_slope = (phi[-1] - phi[-2]) / (u[-1] - u[-2])
+        assert young_conjugate_grid(w, 1.0, 0.5 * last_slope) < np.inf
+        assert young_conjugate_grid(w, 1.0, 1.01 * last_slope) == np.inf
+
+    def test_grid_conjugate_peak_memory(self):
+        # a dense (points x u-grid) objective would need ~100 MB per temporary
+        import tracemalloc
+
+        ts = np.linspace(0.0, 50.0, 200)
+        tracemalloc.start()
+        try:
+            young_conjugate_grid(log1p_weight(), 1.0, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     @settings(derandomize=True, max_examples=40)
     @given(st.floats(0.0, 25.0), st.floats(0.0, 25.0))
     def test_superadditive(self, a, b):

@@ -5,7 +5,8 @@ from math import cos, factorial, sin, sqrt
 import numpy as np
 import pytest
 
-from liefact._wigner import wigner_D_single, wigner_d_matrices
+from liefact._wigner import wigner_d_matrices
+from liefact.groups import DualIndex, SU2
 
 
 def wigner_d_sum(two_j, two_mp, two_m, beta):
@@ -105,7 +106,7 @@ def test_identity_angle():
 def test_full_matrix_phases():
     # D^l = diag(e^{-i m' a}) d^l(b) diag(e^{-i m g}) with m decreasing
     a, b, g = 0.7, 1.2, 2.9
-    D = wigner_D_single(2, a, b, g)
+    D = SU2().irrep_matrix(DualIndex(label=2, dim=3, casimir=2.0), [a, b, g])
     d = wigner_d_matrices(2, np.array([b]))[2][0]
     ms = np.array([1.0, 0.0, -1.0])
     ref = np.exp(-1j * ms[:, None] * a) * d * np.exp(-1j * ms[None, :] * g)
