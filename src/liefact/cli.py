@@ -224,7 +224,7 @@ def cmd_verify(config: RunConfig) -> int:
         status = "PASS" if r.ok else "FAIL"
         all_ok &= r.ok
         print(f"{r.name:<{width}}  measured {r.measured:>12.4e}  "
-              f"bound {r.bound:>10.2e}  {status}")
+              f"bound {r.bound:>10.2e}  margin {r.margin:>11.4e}  {status}")
     if config.output_dir:
         outdir = Path(config.output_dir)
         doc = [dataclasses.asdict(r) for r in results]

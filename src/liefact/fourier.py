@@ -17,7 +17,13 @@ band-limited factors, so forward/inverse are mutually inverse on band-limited
 inputs up to roundoff.  On the uniform torus grid (n points per axis) the
 quadrature is numpy.fft read at k mod n.  SU(2) contracts the uniform
 alpha/gamma axes of its product grid with exact DFT matrices, then runs one
-Wigner-d contraction in beta.
+Wigner-d contraction in beta per degree.  The indices m = l..-l of degree 2l
+are the basic slice [2L+2l : 2L-2l-1 : -2] of the axis 2m = -2L..2L, so a
+degree's plane of the phase-stage array is a strided view that lines up with
+the degree's (d, d, B) Wigner table: ``forward`` is one matmul per degree,
+``inverse`` one broadcast add into the view.  ``evaluate`` builds the phases
+of all 2m once per chunk of points and slices each degree from them, and
+builds its Wigner table on the distinct betas of the chunk only.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
 per distinct irrep dimension d, so the torus has a single (n_dual, m, 1, 1)
@@ -207,28 +213,27 @@ def _torus_bins(grid: QuadratureGrid, layout: DualLayout):
     return n, tuple((layout.labels % n).T)
 
 
+def _degree_slice(two_L: int, two_l: int) -> slice:
+    """Rows m = l..-l of degree 2l on the axis 2m = -2L..2L, as a basic slice."""
+    stop = two_L - two_l - 1
+    return slice(two_L + two_l, stop if stop >= 0 else None, -2)
+
+
 def _su2_plan(grid: QuadratureGrid, bandlimit: int):
+    """(E, tables) of the SU(2) grid at ``bandlimit``, cached on the grid.
+
+    E[a, 2L + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
+    puts the gamma index first like the phase-stage arrays, whose degree view
+    [s, s] (s from ``_degree_slice``) lines up with it entry by entry.
+    """
     key = ("su2_plan", bandlimit)
     if key not in grid._cache:
-        B = grid.axes["B"]
         two_L = 2 * bandlimit
-        two_mus = np.arange(-two_L, two_L + 1)  # twice the magnetic index
-        phases = grid.axes["alphas"]
-        betas = np.arccos(grid.axes["beta_u"])
-        dmats = wigner_d_matrices(two_L, betas)  # list indexed by 2l: (B, d, d)
-        E = np.exp(-0.5j * np.outer(phases, two_mus))  # (2B, M)
-        rows = {
-            two_l: (two_l - np.arange(0, 2 * two_l + 1, 2)) + two_L
-            for two_l in range(two_L + 1)
-        }  # indices of m = l..-l within the two_mus axis
-        grid._cache[key] = {
-            "B": B,
-            "E": E,
-            "dmats": dmats,
-            "rows": rows,
-            "beta_w": grid.axes["beta_w"] / 2.0,
-            "wphase": 1.0 / (2 * B),
-        }
+        E = np.exp(-0.5j * np.outer(grid.axes["alphas"], np.arange(-two_L, two_L + 1)))
+        tables = wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"]))
+        for two_l, d in enumerate(tables):  # one degree's copy alive at a time
+            tables[two_l] = np.ascontiguousarray(d.transpose(2, 1, 0))
+        grid._cache[key] = (E, tables)
     return grid._cache[key]
 
 
@@ -253,19 +258,17 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         samples = f.values.reshape((n,) * d + (f.value_dim,))
         coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
         return FourierCoefficients.from_blocks(f.group, L, f.value_dim, [coef[:, :, None, None]])
-    plan = _su2_plan(f.grid, L)
-    B = plan["B"]
-    m = f.value_dim
-    vals = f.values.reshape(2 * B, B, 2 * B, m)
-    EA = plan["E"] * plan["wphase"]  # (2B, M), weights folded in
-    g1 = np.einsum("aM,abcv->Mbcv", EA, vals, optimize=True)
-    g2 = np.einsum("cN,Mbcv->MbNv", EA, g1, optimize=True)
+    E, tables = _su2_plan(f.grid, L)
+    B, m = f.grid.axes["B"], f.value_dim
+    EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
+    g1 = np.einsum("aM,abcv->Mbcv", EA, f.values.reshape(2 * B, B, 2 * B, m), optimize=True)
+    g2 = np.tensordot(EA, g1, axes=(0, 2)).view(float)  # (N, M, b, re/im of v): real matmuls
+    beta_w = f.grid.axes["beta_w"] / 2.0
     blocks = []  # one (1, m, d, d) block per degree
-    for two_l in range(2 * L + 1):
-        rows = plan["rows"][two_l]
-        sub = g2[np.ix_(rows, np.arange(B), rows)]  # (d, B, d, m)
-        dm = plan["dmats"][two_l]  # (B, d, d)
-        blocks.append(np.einsum("b,bij,ibjv->vij", plan["beta_w"], dm, sub, optimize=True)[None])
+    for two_l, tab in enumerate(tables):
+        s = _degree_slice(2 * L, two_l)
+        t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
+        blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
     return FourierCoefficients.from_blocks(f.group, L, m, blocks)
 
 
@@ -283,20 +286,15 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
         vals = np.fft.ifftn(spec, axes=tuple(range(d))) * n**d
         return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
                             bandlimit=T.bandlimit)
-    plan = _su2_plan(grid, T.bandlimit)
-    B = plan["B"]
-    M = plan["E"].shape[1]
-    m = T.value_dim
-    H = np.zeros((M, B, M, m), dtype=complex)
-    for xi, t in T.entries.items():
-        rows = plan["rows"][xi.label]
-        dm = plan["dmats"][xi.label]
-        H[np.ix_(rows, np.arange(B), rows)] += xi.dim * np.einsum(
-            "bij,vij->ibjv", dm, t, optimize=True
-        )
-    Ec = plan["E"].conj()  # e^{+i mu alpha}
-    tmp = np.einsum("aM,MbNv->abNv", Ec, H, optimize=True)
-    vals = np.einsum("abNv,cN->abcv", tmp, Ec, optimize=True)
+    E, tables = _su2_plan(grid, T.bandlimit)
+    B, M, m = grid.axes["B"], E.shape[1], T.value_dim
+    H = np.zeros((M, M, m, B), dtype=complex)  # (N, M, v, b): beta last, long inner loops
+    for two_l, (tab, t) in enumerate(zip(tables, T.blocks)):  # one block per degree
+        s = _degree_slice(2 * T.bandlimit, two_l)
+        H[s, s] += ((two_l + 1) * t[0].transpose(2, 1, 0))[..., None] * tab[:, :, None]
+    Ec = E.conj()  # e^{+i mu alpha}
+    tmp = np.einsum("aM,NMvb->aNvb", Ec, H, optimize=True)
+    vals = np.einsum("aNvb,cN->abcv", tmp, Ec, optimize=True)
     return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
                         bandlimit=T.bandlimit)
 
@@ -321,19 +319,20 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
             out[sl] = np.exp(1j * pts[sl] @ K.T) @ coef
         return out
     two_L = 2 * T.bandlimit
+    two_ms = np.arange(-two_L, two_L + 1)
+    coefs = [((two_l + 1) * t[0]).reshape(m, -1).T for two_l, t in enumerate(T.blocks)]
     for start in range(0, len(pts), chunk):
         sl = slice(start, start + chunk)
         p = pts[sl]
-        dmats = wigner_d_matrices(two_L, p[:, 1])
-        acc = np.zeros((len(p), m), dtype=complex)
-        for xi, t in T.entries.items():
-            two_l = xi.label
-            two_ms = np.arange(two_l, -two_l - 1, -2)
-            left = np.exp(0.5j * np.outer(p[:, 0], two_ms))
-            right = np.exp(0.5j * np.outer(p[:, 2], two_ms))
-            Dc = left[:, :, None] * dmats[two_l] * right[:, None, :]  # conj(D), d real
-            acc += xi.dim * np.einsum("nij,vij->nv", Dc, t, optimize=True)
-        out[sl] = acc
+        betas, where = np.unique(p[:, 1], return_inverse=True)
+        dmats = wigner_d_matrices(two_L, betas)
+        left = np.exp(0.5j * np.outer(p[:, 0], two_ms))
+        right = np.exp(0.5j * np.outer(p[:, 2], two_ms))
+        for two_l, c in enumerate(coefs):  # one block per degree
+            s = _degree_slice(two_L, two_l)
+            Dc = left[:, s, None] * dmats[two_l][where]  # conj(D), d real
+            Dc *= right[:, None, s]
+            out[sl] += Dc.reshape(len(p), -1) @ c
     return out
 
 

@@ -37,6 +37,11 @@ class CheckResult:
     def ok(self) -> bool:
         return bool(self.measured <= self.bound)
 
+    @property
+    def margin(self) -> float:
+        """bound - measured: how far the check is from failing (negative = failed)."""
+        return self.bound - self.measured
+
 
 def _inner(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.sum(f.grid.weights[:, None] * f.values * g.values.conj()))

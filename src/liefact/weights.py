@@ -21,14 +21,16 @@ which the discrete conjugate must reproduce.  Every other kind is evaluated
 as the exact discrete Legendre transform of phi sampled on a uniform u-grid:
 since phi* = (conv phi)*, the sup over the samples is attained at a vertex of
 their lower convex hull, namely the first vertex whose right-hand hull slope
-reaches h t (one monotone-chain pass plus a ``searchsorted``).  The conjugate
-is +inf when h t exceeds the last hull slope by more than 1e-9, i.e. when
-h t u - phi(u) is still climbing at the grid end (condition (gamma) fails).
+reaches h t (a ``searchsorted`` on the hull, which one monotone-chain pass
+builds once per weight into a small cache).  The conjugate is +inf when h t
+exceeds the last hull slope by more than 1e-9, i.e. when h t u - phi(u) is
+still climbing at the grid end (condition (gamma) fails).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -40,6 +42,8 @@ from .errors import DomainError, ParameterError, WitnessSearchError
 # supported t-range of the library.
 _U_MAX = 64.0
 _RESOLUTION = 1e-3
+# hulls kept at once, one per weight (at most ~1.5 MB each)
+_HULL_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -146,16 +150,13 @@ def _gevrey_scaled_conjugate(w: WeightFunction, h: float, t):
     return np.where(tau <= s, 0.0, val)
 
 
-def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
-    """(1/h) max_i { h t u_i - w(e^{u_i}) } over the u-grid, floored at 0.
+@lru_cache(maxsize=_HULL_CACHE_SIZE)
+def _lower_hull(w: WeightFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, phi, slopes) at the lower-hull vertices of phi(u) = w(e^u) on the u-grid.
 
-    The lower convex hull of the samples (u_i, phi_i) is built in one
-    monotone-chain pass; the maximizer for tau = h t is the first hull vertex
-    whose right-hand slope is >= tau (``searchsorted`` on the slopes).  The
-    value is +inf when tau exceeds the last hull slope by more than 1e-9, i.e.
-    when the objective still climbs by more than 1e-12 per grid step at
-    u = _U_MAX.  The tolerance keeps a tau within roundoff of the last slope
-    finite, such as log1p at tau = 1, whose sampled slope there is 1.
+    One monotone-chain pass; slopes[k] is the slope from vertex k to vertex
+    k + 1.  The hull depends on w alone, so it is built once per weight and
+    shared read-only by every conjugate call.
     """
     u = np.arange(0.0, _U_MAX + _RESOLUTION, _RESOLUTION)
     phi = eval_weight(w, np.exp(u))
@@ -169,8 +170,26 @@ def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
             slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
         verts.append(i)
         slopes.append(slope)
+    hull = (u[verts], phi[verts], np.array(slopes))
+    for arr in hull:
+        arr.flags.writeable = False
+    return hull
+
+
+def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
+    """(1/h) max_i { h t u_i - w(e^{u_i}) } over the u-grid, floored at 0.
+
+    The maximizer for tau = h t is the first vertex of the lower convex hull
+    of the samples (u_i, phi_i) whose right-hand slope is >= tau
+    (``searchsorted`` on the slopes).  The value is +inf when tau exceeds the
+    last hull slope by more than 1e-9, i.e. when the objective still climbs
+    by more than 1e-12 per grid step at u = _U_MAX.  The tolerance keeps a
+    tau within roundoff of the last slope finite, such as log1p at tau = 1,
+    whose sampled slope there is 1.
+    """
+    u, phi, slopes = _lower_hull(w)
     tau = h * t
-    j = np.array(verts)[np.searchsorted(slopes, tau)]
+    j = np.searchsorted(slopes, tau)
     sup = np.maximum(tau * u[j] - phi[j], 0.0)
     return np.where(tau > slopes[-1] + 1e-9, np.inf, sup) / h
 

@@ -169,10 +169,22 @@ class TestFactorize:
 
 
 class TestVerify:
-    def test_default_passes(self, tmp_path):
+    def test_default_passes(self, tmp_path, capsys):
         assert run(["verify", "--fast", "--out", str(tmp_path / "v")]) == 0
         results = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert all(r["measured"] <= r["bound"] for r in results)
+        # the margin is printed, never written: verify.json keeps its three keys
+        assert all(set(r) == {"name", "measured", "bound"} for r in results)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verify: all properties pass"
+        num = r"(-?[0-9.]+e[+-][0-9]+)"
+        for r, line in zip(results, lines[:-1]):
+            m = re.fullmatch(rf"{re.escape(r['name'])} +measured +{num} +bound +{num} "
+                             rf"+margin +{num} +PASS", line)
+            assert m, line
+            measured, bound, margin = (float(g) for g in m.groups())
+            assert margin >= 0
+            assert abs(margin - (bound - measured)) <= 1e-4 * (abs(bound) + abs(measured))
 
     def test_mutated_convolution_fails(self, monkeypatch, capsys, tmp_path):
         orig = liefact.fourier.convolve

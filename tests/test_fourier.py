@@ -65,6 +65,23 @@ class TestForward:
                 ref[1, 1] = 1.0 / 3.0
             assert np.abs(t[0] - ref).max() < 1e-10
 
+    def test_su2_off_centre_coefficients_land_in_place(self, su2):
+        # conj(D^xi_ij) at 2l = 3 concentrates at (i, j) of its block with value
+        # 1/4; a mirrored or transposed degree slice would move it, which a
+        # roundtrip cannot see because forward and inverse would agree
+        grid = haar_quadrature(su2, 3)
+        xi3 = [xi for xi in enumerate_dual(su2, 3) if xi.label == 3][0]
+        table = su2.irrep_matrices(xi3, grid.nodes)
+        picks = [(0, 1), (2, 0)]  # one per value_dim slice
+        f = GridFunction(su2, grid, np.stack([table[:, i, j].conj() for i, j in picks], axis=1))
+        T = forward(f)
+        for two_l, block in enumerate(T.blocks):
+            ref = np.zeros(block.shape[1:])
+            if two_l == 3:
+                for v, (i, j) in enumerate(picks):
+                    ref[v, i, j] = 1.0 / 4.0
+            assert np.abs(block[0] - ref).max() < 1e-12
+
     def test_bandlimit_mismatch(self, t1):
         grid = haar_quadrature(t1, 4)
         f = GridFunction(t1, grid, np.ones(grid.size))
@@ -114,6 +131,26 @@ class TestInverse:
         idx = rng.choice(grid.size, size=40)
         vals = evaluate(T, grid.nodes[idx])
         assert np.abs(vals - f.values[idx]).max() < 1e-11
+
+    def test_evaluate_builds_wigner_on_distinct_betas(self, su2, rng, monkeypatch):
+        import liefact.fourier
+
+        grid = haar_quadrature(su2, 4)
+        T = forward(random_bandlimited(su2, grid, rng))
+        angles = []
+        wigner = liefact.fourier.wigner_d_matrices
+
+        def spy(two_l_max, beta):
+            angles.append(np.size(beta))
+            return wigner(two_l_max, beta)
+
+        monkeypatch.setattr(liefact.fourier, "wigner_d_matrices", spy)
+        evaluate(T, grid.nodes[rng.choice(grid.size, 40, replace=False)])
+        assert angles and max(angles) <= grid.axes["B"]
+        grid = haar_quadrature(su2, 16)
+        T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
+        idx = rng.choice(grid.size, 64, replace=False)
+        assert np.abs(evaluate(T, grid.nodes[idx]) - inverse(T, grid).values[idx]).max() < 1e-12
 
     def test_evaluate_off_grid_matches_sum_formula(self, su2, rng):
         # oracle f(x) = sum_xi d_xi Tr[D^xi(x)^* T_xi], with D^xi built from the

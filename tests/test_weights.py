@@ -133,6 +133,25 @@ class TestYoungConjugate:
         assert young_conjugate_grid(w, 1.0, 0.5 * last_slope) < np.inf
         assert young_conjugate_grid(w, 1.0, 1.01 * last_slope) == np.inf
 
+    def test_hull_built_once_per_weight(self, monkeypatch):
+        from liefact import weights
+
+        weights._lower_hull.cache_clear()
+        calls = []
+
+        def spy(w, t):
+            calls.append(w)
+            return eval_weight(w, t)
+
+        monkeypatch.setattr(weights, "eval_weight", spy)
+        w = log1p_weight()
+        young_conjugate(w, 0.5, 0.7)
+        young_conjugate(w, 2.0, [0.1, 0.4])
+        assert len(calls) == 1
+        for arr in weights._lower_hull(w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_grid_conjugate_peak_memory(self):
         # a dense (points x u-grid) objective would need ~100 MB per temporary
         import tracemalloc
