@@ -154,9 +154,8 @@ def _gevrey_scaled_conjugate(w: WeightFunction, h: float, t):
 def _lower_hull(w: WeightFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, phi, slopes) at the lower-hull vertices of phi(u) = w(e^u) on the u-grid.
 
-    One monotone-chain pass; slopes[k] is the slope from vertex k to vertex
-    k + 1.  The hull depends on w alone, so it is built once per weight and
-    shared read-only by every conjugate call.
+    One monotone-chain pass, kept per weight (the hull depends on neither h
+    nor t) and shared read-only; slopes[k] runs from vertex k to vertex k + 1.
     """
     u = np.arange(0.0, _U_MAX + _RESOLUTION, _RESOLUTION)
     phi = eval_weight(w, np.exp(u))
