@@ -142,10 +142,8 @@ def cmd_factorize(config: RunConfig) -> int:
     w = parse_weight_spec(config.weight)
     if config.vector:
         group = parse_group_spec(config.group)
-        if isinstance(group, Torus):
-            labels = [tuple(int(v) for v in part.split("/")) for part in config.rep.split(",")]
-        else:
-            labels = [int(v) for v in config.rep.split(",")]
+        labels = [tuple(int(v) for v in part.split("/")) if isinstance(group, Torus)
+                  else int(part) for part in config.rep.split(",")]
         rep = FiniteRep.from_labels(group, labels,
                                     bandlimit_hint=max(config.bandlimit or 8, 8))
         rng = np.random.default_rng(config.seed)
@@ -169,14 +167,12 @@ def cmd_factorize(config: RunConfig) -> int:
             f, config.support_delta, w, config.h, config.h_prime,
             k=config.pieces, bump_order=config.bump_order,
         )
-        mu_margin = min(res.mu[xi] - res.mu_bounds[xi] for xi in res.mu)
-        sup_g = float(np.max(np.abs(res.g.values)))
         bundle = {
             "mode": "supported",
             "residual": res.residual,
             "outside_support_mass": res.outside_support_mass,
-            "sup_g": sup_g,
-            "min_mu_margin": mu_margin,
+            "sup_g": float(np.max(np.abs(res.g.values))),
+            "min_mu_margin": res.min_mu_margin,
             "pieces": res.k,
             "params": {"weight": w.spec_string(), "h": config.h,
                        "h_prime": config.h_prime, "delta": config.support_delta},
@@ -190,7 +186,7 @@ def cmd_factorize(config: RunConfig) -> int:
         _manifest(outdir, config, outputs)
         print(f"factorize(supported): residual {res.residual:.3e}, "
               f"outside-support mass {res.outside_support_mass:.3e}, "
-              f"min mu margin {mu_margin:.3e}")
+              f"min mu margin {res.min_mu_margin:.3e}")
         return 0
     res = strong_factorize(f, w, config.h, config.h_prime)
     bundle = {
@@ -199,8 +195,9 @@ def cmd_factorize(config: RunConfig) -> int:
         "min_transfer_margin": res.min_transfer_margin,
         "min_transfer_margin_relative": res.min_transfer_margin_relative,
         "source_seminorm": res.source_seminorm,
-        "multipliers": [{"xi": serialize.label_to_json(group, xi.label), "c": res.multipliers[xi]}
-                        for xi in serialize.wire_order(res.multipliers)],
+        "multipliers": [{"xi": serialize.label_to_json(group, res.g.duals[i].label),
+                         "c": float(res.multipliers[i])}
+                        for i in serialize.wire_order(res.g.layout)],
         "params": {"weight": w.spec_string(), "h": config.h, "h_prime": res.h_prime},
     }
     outputs = [

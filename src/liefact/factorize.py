@@ -12,8 +12,9 @@ truncated dual, and the decay transfers with the weaker exponent:
     ||F(f')(xi)||_HS e^{(1/h - 1/h') w(sqrt(lambda))} = ||T_xi||_HS e^{(1/h) w}
                                                    <= p_hat_{w,h}(T).
 
-One g factors a whole family at once (bounded strong factorization); the
-vector form applies this to the orbit map gamma_v(x) = pi(x) v of a
+One g factors a whole family at once (bounded strong factorization): the
+members are stacked along value_dim and factored as one C^m-valued function.
+The vector form applies this to the orbit map gamma_v(x) = pi(x) v of a
 finite-dimensional representation, where evaluating f'_v at the identity
 yields v_tilde with gamma_{v_tilde} = f'_v and v = Pi(g_check) v_tilde,
 g_check(x) = g(x^-1).
@@ -33,8 +34,10 @@ is Hermitian positive definite with smallest eigenvalue
 by Cauchy-Schwarz, because the pieces sum back to Phi.  The bound holds for
 the quadrature coefficients verbatim (the pieces sum to Phi exactly on the
 grid), so it is checkable to roundoff even though the pieces themselves are
-not band-limited.  Dividing, f' = F^-1(S_xi^-1 F(f)(xi)) gives f = g * f'
-with g supported in V.
+not band-limited.  The pieces are one function with value_dim = k, so one
+transform gives all F(psi_j).  Dividing, f' = F^-1(S_xi^-1 F(f)(xi)) gives
+f = g * f' with g supported in V.  Per-xi results are arrays aligned with
+``layout.duals``, except the xi-keyed ``mu`` and ``mu_bounds``.
 """
 
 from __future__ import annotations
@@ -95,13 +98,9 @@ class FiniteRep:
     @property
     def bandlimit(self) -> int:
         """Smallest L whose dual contains every block."""
-        best = 1
-        for xi in self.blocks:
-            if isinstance(self.group, Torus):
-                best = max(best, max(abs(k) for k in xi.label) or 1)
-            else:
-                best = max(best, (xi.label + 1) // 2, 1)
-        return best
+        if isinstance(self.group, Torus):
+            return max([1] + [max(abs(k) for k in xi.label) for xi in self.blocks])
+        return max([1] + [(xi.label + 1) // 2 for xi in self.blocks])
 
     def evaluate(self, x) -> np.ndarray:
         """pi(x) as an m x m unitary matrix."""
@@ -169,22 +168,37 @@ def induced_action(rep: FiniteRep, chi: GridFunction, v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _resolve_h_prime(h: float, h_prime: float | None) -> float:
+    """h' for the exponent h: h > 0, h' defaults to 2h and must exceed h."""
+    if h <= 0:
+        raise ParameterError("h must be positive")
+    h_prime = 2.0 * h if h_prime is None else h_prime
+    if h_prime <= h:
+        raise ParameterError("h' must exceed h")
+    return h_prime
+
+
 @dataclass
 class FactorizationResult:
     g: FourierCoefficients                    # scalar; F(g)(xi) = C_xi^-1 Id
     f_prime: FourierCoefficients              # F(f')(xi) = C_xi F(f)(xi)
-    multipliers: dict[DualIndex, float]
+    multipliers: np.ndarray                   # C_xi, aligned with layout.duals
     weight: WeightFunction
     h: float
     h_prime: float
-    residual: float                           # sup |f - g * f'|
-    transfer_margins: dict[DualIndex, float]  # p_hat_{w,h}(f) - per-xi transferred norm
+    slot_residuals: np.ndarray                # sup |f - g * f'| per value slot
+    transfer_margins: np.ndarray              # p_hat_{w,h}(f) - per-xi transferred norm
     source_seminorm: float                    # p_hat_{w,h}(F f)
     h_effective: float                        # 1 / (1/h - 1/h')
 
     @property
+    def residual(self) -> float:
+        """sup |f - g * f'| over every value slot."""
+        return float(np.max(self.slot_residuals))
+
+    @property
     def min_transfer_margin(self) -> float:
-        return min(self.transfer_margins.values()) if self.transfer_margins else 0.0
+        return float(np.min(self.transfer_margins))
 
     @property
     def min_transfer_margin_relative(self) -> float:
@@ -199,26 +213,19 @@ def strong_factorize(f: GridFunction, w: WeightFunction, h: float,
     Exact on the truncated dual; the decay of f' is certified at the weaker
     exponent 1/h - 1/h' via the per-xi transfer margins.
     """
-    if h <= 0:
-        raise ParameterError("h must be positive")
-    if h_prime is None:
-        h_prime = 2.0 * h
-    if h_prime <= h:
-        raise ParameterError("h' must exceed h")
+    h_prime = _resolve_h_prime(h, h_prime)
     T = forward(f)
     w_sqrt_lam = eval_weight(w, np.sqrt(T.layout.casimir))
     mult = np.exp(w_sqrt_lam / h_prime)
     g_hat = FourierCoefficients.diagonal(f.group, T.bandlimit, 1.0 / mult)
     fprime_hat = T.scaled(mult)
     recombined = inverse(compose(g_hat, fprime_hat), f.grid)
-    residual = float(np.max(np.abs(recombined.values - f.values)))
     h_eff = 1.0 / (1.0 / h - 1.0 / h_prime)
     source = decay_seminorm(T, w, h)
-    margins = source - fprime_hat.hs_norms() * np.exp(w_sqrt_lam / h_eff)
     return FactorizationResult(
-        g=g_hat, f_prime=fprime_hat, multipliers=dict(zip(T.duals, mult.tolist())),
-        weight=w, h=h, h_prime=h_prime, residual=residual,
-        transfer_margins=dict(zip(T.duals, margins.tolist())),
+        g=g_hat, f_prime=fprime_hat, multipliers=mult, weight=w, h=h, h_prime=h_prime,
+        slot_residuals=np.max(np.abs(recombined.values - f.values), axis=0),
+        transfer_margins=source - fprime_hat.hs_norms() * np.exp(w_sqrt_lam / h_eff),
         source_seminorm=source, h_effective=h_eff,
     )
 
@@ -227,32 +234,36 @@ def strong_factorize(f: GridFunction, w: WeightFunction, h: float,
 class BoundedFactorizationResult:
     g: FourierCoefficients
     f_primes: list[FourierCoefficients]
-    multipliers: dict[DualIndex, float]
-    residuals: list[float]
+    multipliers: np.ndarray  # C_xi, aligned with layout.duals
+    residuals: np.ndarray    # sup |f_i - g * f'_i| per member
     family_seminorm: float   # sup_i p_hat_{w, h_eff}(f'_i): the image family is bounded
     h_effective: float
 
 
 def bounded_factorize_set(fs, w: WeightFunction, h: float,
                           h_prime: float | None = None) -> BoundedFactorizationResult:
-    """One g factors every member of the family: f_i = g * f'_i."""
+    """One g factors every member of the family: f_i = g * f'_i.
+
+    The members are factored stacked along value_dim; f' is split back by
+    each member's width.
+    """
     fs = list(fs)
     if not fs:
         raise ParameterError("the family must be non-empty")
-    L = fs[0].bandlimit
-    for f in fs:
-        if f.bandlimit != L or f.group != fs[0].group:
-            raise ParameterError("family members must share a group and band limit")
-    results = [strong_factorize(f, w, h, h_prime) for f in fs]
-    h_eff = results[0].h_effective
-    family = max(decay_seminorm(r.f_prime, w, h_eff) for r in results)
+    grid, L = fs[0].grid, fs[0].bandlimit
+    if any(f.grid is not grid or f.bandlimit != L for f in fs):
+        raise ParameterError("family members must share one grid and band limit")
+    stacked = np.concatenate([f.values for f in fs], axis=1)
+    res = strong_factorize(GridFunction(fs[0].group, grid, stacked, bandlimit=L), w, h, h_prime)
+    fp, cuts = res.f_prime, np.cumsum([f.value_dim for f in fs])[:-1]
+    f_primes = [FourierCoefficients.from_blocks(fp.group, fp.bandlimit, f.value_dim, blocks)
+                for f, blocks in zip(fs, zip(*(np.split(b, cuts, axis=1) for b in fp.blocks)))]
+    # hs_norms maximizes over slices, so the stacked seminorm is the max over members
     return BoundedFactorizationResult(
-        g=results[0].g,
-        f_primes=[r.f_prime for r in results],
-        multipliers=results[0].multipliers,
-        residuals=[r.residual for r in results],
-        family_seminorm=family,
-        h_effective=h_eff,
+        g=res.g, f_primes=f_primes, multipliers=res.multipliers,
+        residuals=np.maximum.reduceat(res.slot_residuals, np.r_[0, cuts]),
+        family_seminorm=decay_seminorm(fp, w, res.h_effective),
+        h_effective=res.h_effective,
     )
 
 
@@ -275,9 +286,7 @@ def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
                      h_prime: float | None = None) -> VectorFactorizationResult:
     """Factor v = Pi(g_check) v_tilde through the orbit map of a finite rep."""
     v = np.asarray(v, dtype=complex)
-    if v.shape != (rep.total_dim,):
-        raise ParameterError(f"vector must have length {rep.total_dim}")
-    gamma = orbit_map(rep, v)
+    gamma = orbit_map(rep, v)  # checks the length of v
     res = strong_factorize(gamma, w, h, h_prime)
     v_tilde = _value_at_identity(res.f_prime)
     g_grid = inverse(res.g, gamma.grid)
@@ -333,9 +342,10 @@ def default_piece_count(delta: float) -> int:
 
 
 def bump_partition_of_unity(delta: float, k_pieces: int, bump_order: float,
-                            grid: QuadratureGrid) -> list[GridFunction]:
-    """k bumps chi_j with sum_j chi_j = 1, each supported in a translate of
-    W = (-delta/2, delta/2); raises when k translates cannot cover the circle."""
+                            grid: QuadratureGrid) -> GridFunction:
+    """k bumps chi_j with sum_j chi_j = 1, as one function with value_dim = k,
+    each supported in a translate of W = (-delta/2, delta/2); raises when k
+    translates cannot cover the circle."""
     if delta <= 0 or delta >= np.pi:
         raise DomainError("the support parameter delta must lie in (0, pi)")
     spacing = 2 * np.pi / k_pieces
@@ -346,20 +356,18 @@ def bump_partition_of_unity(delta: float, k_pieces: int, bump_order: float,
         )
     halfwidth = delta / 2.0
     centers = spacing * np.arange(k_pieces)
-    bumps = [gevrey_bump(bump_order, c, halfwidth, grid) for c in centers]
-    total = np.sum([b.values[:, 0].real for b in bumps], axis=0)
+    bumps = np.array([gevrey_bump(bump_order, c, halfwidth, grid).values[:, 0] for c in centers])
+    total = np.sum(bumps.real, axis=0)
     if np.min(total) <= 0:
         raise CoverageError("bump pieces leave part of the circle uncovered")
-    return [
-        GridFunction(grid.group, grid, b.values[:, 0] / total, value_dim=1)
-        for b in bumps
-    ]
+    return GridFunction(grid.group, grid, (bumps / total).T)
 
 
 def build_partition(delta: float, k_pieces: int, bump_order: float,
                     w: WeightFunction, h_prime: float,
-                    grid: QuadratureGrid) -> list[GridFunction]:
-    """Pieces psi_j = chi_j * Phi with Phi = F^-1(e^{-w(sqrt(lambda))/(2h')} Id).
+                    grid: QuadratureGrid) -> GridFunction:
+    """Pieces psi_j = chi_j * Phi with Phi = F^-1(e^{-w(sqrt(lambda))/(2h')} Id),
+    as one function with value_dim = k.
 
     The pieces sum back to Phi exactly on the grid and each vanishes outside
     its translate of W.
@@ -371,17 +379,17 @@ def build_partition(delta: float, k_pieces: int, bump_order: float,
     half_decay = FourierCoefficients.diagonal(
         grid.group, grid.bandlimit, np.exp(-eval_weight(w, np.sqrt(lam)) / (2 * h_prime)))
     phi = inverse(half_decay, grid)
-    return [
-        GridFunction(grid.group, grid, chi.values[:, 0] * phi.values[:, 0], value_dim=1)
-        for chi in chis
-    ]
+    return GridFunction(grid.group, grid, chis.values * phi.values)
+
+
+_MU_FLOOR = 1e-13  # an S block whose smallest eigenvalue is below this is singular
 
 
 @dataclass
 class SupportedFactorizationResult:
     g: GridFunction
     support_delta: float
-    S: dict[DualIndex, np.ndarray]    # Hermitian PSD blocks F(g)(xi)
+    S: np.ndarray                     # Hermitian PSD blocks F(g)(xi), aligned with layout.duals
     mu: dict[DualIndex, float]        # smallest eigenvalues
     mu_bounds: dict[DualIndex, float] # e^{-w(sqrt(lambda))/h'}/k
     f_prime: FourierCoefficients
@@ -392,11 +400,16 @@ class SupportedFactorizationResult:
     h: float
     h_prime: float
 
+    @property
+    def min_mu_margin(self) -> float:
+        """Smallest mu_xi - e^{-w(sqrt(lambda))/h'}/k; negative breaks the bound."""
+        return min(self.mu[xi] - self.mu_bounds[xi] for xi in self.mu)
+
 
 def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
                         h: float, h_prime: float | None = None,
-                        k: int | None = None, bump_order: float = 2.0,
-                        mu_floor: float = 1e-13) -> SupportedFactorizationResult:
+                        k: int | None = None,
+                        bump_order: float = 2.0) -> SupportedFactorizationResult:
     """Factor f = g * f' with g supported in V = (-delta, delta) on torus(1)."""
     if not isinstance(f.group, Torus) or f.group.d != 1:
         raise DomainError("supported factorization is implemented on torus(1)")
@@ -405,22 +418,16 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
             "supported factorization needs a non-quasianalytic weight "
             "(satisfies_beta0)"
         )
-    if h <= 0:
-        raise ParameterError("h must be positive")
-    if h_prime is None:
-        h_prime = 2.0 * h
-    if h_prime <= h:
-        raise ParameterError("h' must exceed h")
+    h_prime = _resolve_h_prime(h, h_prime)
     if k is None:
         k = default_piece_count(delta)
     grid = f.grid
-    psis = build_partition(delta, k, bump_order, w, h_prime, grid)
-    psi_hats = [forward(p) for p in psis]
-    layout = psi_hats[0].layout  # the circle's dual: one block of 1 x 1 irreps
-    S = sum(a.conj().transpose(0, 2, 1) @ a for a in (ph.blocks[0][:, 0] for ph in psi_hats))
+    pieces = forward(build_partition(delta, k, bump_order, w, h_prime, grid))
+    layout, P = pieces.layout, pieces.blocks[0]  # the circle: (n_dual, k, 1, 1)
+    S = np.einsum("njba,njbc->nac", P.conj(), P)  # sum over the pieces j
     mu = np.min(np.linalg.eigvalsh(S), axis=1)
     bounds = np.exp(-eval_weight(w, np.sqrt(layout.casimir)) / h_prime) / k
-    singular = np.flatnonzero(mu < mu_floor)
+    singular = np.flatnonzero(mu < _MU_FLOOR)
     if singular.size:
         xi = layout.duals[singular[0]]
         raise ConditioningError(
@@ -439,7 +446,7 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
     g_abs = np.abs(g_grid.values[:, 0])
     outside_mass = float(np.max(g_abs[outside])) if outside.any() else 0.0
     return SupportedFactorizationResult(
-        g=g_grid, support_delta=delta, S=dict(zip(layout.duals, S)),
+        g=g_grid, support_delta=delta, S=S,
         mu=dict(zip(layout.duals, mu.tolist())),
         mu_bounds=dict(zip(layout.duals, bounds.tolist())),
         f_prime=fprime_hat, k=k, residual=residual,

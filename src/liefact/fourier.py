@@ -220,21 +220,22 @@ def _degree_slice(two_L: int, two_l: int) -> slice:
 
 
 def _su2_plan(grid: QuadratureGrid, bandlimit: int):
-    """(E, tables) of the SU(2) grid at ``bandlimit``, cached on the grid.
+    """(E, tables) at ``bandlimit`` L', sliced from the grid's one cached plan.
 
-    E[a, 2L + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
+    E[a, 2L' + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
     puts the gamma index first like the phase-stage arrays, whose degree view
     [s, s] (s from ``_degree_slice``) lines up with it entry by entry.
     """
-    key = ("su2_plan", bandlimit)
-    if key not in grid._cache:
-        two_L = 2 * bandlimit
+    if "su2_plan" not in grid._cache:
+        two_L = 2 * grid.bandlimit
         E = np.exp(-0.5j * np.outer(grid.axes["alphas"], np.arange(-two_L, two_L + 1)))
         tables = wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"]))
         for two_l, d in enumerate(tables):  # one degree's copy alive at a time
             tables[two_l] = np.ascontiguousarray(d.transpose(2, 1, 0))
-        grid._cache[key] = (E, tables)
-    return grid._cache[key]
+        grid._cache["su2_plan"] = (E, tables)
+    E, tables = grid._cache["su2_plan"]
+    cut = 2 * (grid.bandlimit - bandlimit)
+    return E[:, cut:E.shape[1] - cut], tables[:2 * bandlimit + 1]
 
 
 # ---------------------------------------------------------------------------

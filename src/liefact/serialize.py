@@ -21,39 +21,32 @@ import numpy as np
 
 from .classify import DecayReport
 from .errors import ParameterError
-from .fourier import FourierCoefficients, GridFunction
-from .groups import DualIndex, QuadratureGrid, Torus, parse_group_spec
+from .fourier import DualLayout, FourierCoefficients, GridFunction
+from .groups import QuadratureGrid, Torus, parse_group_spec
 from .spectral import SeminormReport
 
 
 def label_to_json(group, label):
-    if isinstance(group, Torus):
-        return list(label)
-    return int(label)
+    return list(label) if isinstance(group, Torus) else int(label)
 
 
 def _label_from_json(group, obj):
-    if isinstance(group, Torus):
-        return tuple(int(v) for v in obj)
-    return int(obj)
+    return tuple(int(v) for v in obj) if isinstance(group, Torus) else int(obj)
 
 
-def wire_order(duals) -> list[DualIndex]:
-    """The dual indices in the order every output format lists them."""
-    return sorted(duals, key=lambda xi: (xi.casimir, str(xi.label)))
+def wire_order(layout: DualLayout) -> list[int]:
+    """Positions into ``layout.duals`` in the order every output format lists them."""
+    duals = layout.duals
+    return sorted(range(len(duals)), key=lambda i: (duals[i].casimir, str(duals[i].label)))
 
 
 def coefficients_to_json(T: FourierCoefficients) -> str:
     entries = []
-    for xi in wire_order(T.duals):
+    for i in wire_order(T.layout):
+        xi = T.duals[i]
         t = T.entries[xi]
-        entries.append(
-            {
-                "xi": label_to_json(T.group, xi.label),
-                "re": t.real.tolist(),
-                "im": t.imag.tolist(),
-            }
-        )
+        entries.append({"xi": label_to_json(T.group, xi.label),
+                        "re": t.real.tolist(), "im": t.imag.tolist()})
     doc = {
         "group": T.group.spec_string(),
         "bandlimit": T.bandlimit,
@@ -125,9 +118,9 @@ def decay_table_csv(T: FourierCoefficients) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sqrt_lambda", "hsnorm"])
-    norms = dict(zip(T.duals, T.hs_norms().tolist()))
-    for xi in wire_order(T.duals):
-        writer.writerow([repr(float(np.sqrt(xi.casimir))), repr(norms[xi])])
+    norms = T.hs_norms().tolist()
+    for i in wire_order(T.layout):
+        writer.writerow([repr(float(np.sqrt(T.duals[i].casimir))), repr(norms[i])])
     return buf.getvalue()
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,34 @@ class TestVerify:
             sets.append(tuple(r.name for r in results if r.ok))
         assert len(set(sets)) == 1
         assert len(sets[0]) == len(run_verification(seed=0, fast=True))
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``liefact ...`` command of README's sh blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["liefact"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_commands_run_and_repeat_byte_identical(self, tmp_path, monkeypatch):
+        commands = readme_commands()
+        assert {c[0] for c in commands} == {"transform", "classify", "factorize", "verify"}
+        outputs = []
+        for run_dir in (tmp_path / "first", tmp_path / "second"):
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            for argv in commands:
+                assert run(argv) == 0, argv
+            outputs.append({p.relative_to(run_dir): p.read_bytes()
+                            for p in sorted(run_dir.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) >= 2 * len(commands)
+        assert outputs[0] == outputs[1]
 
 
 class TestConfig:

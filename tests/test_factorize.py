@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liefact import factorize
 from liefact.classify import decay_seminorm, gevrey_order_estimate
 from liefact.errors import (
     ConditioningError,
@@ -149,7 +150,7 @@ class TestStrongFactorization:
         f = random_bandlimited(t1, grid, rng)
         res = strong_factorize(f, w, 0.5, 1.0)
         T = forward(f)
-        for xi, c in res.multipliers.items():
+        for xi, c in zip(res.g.duals, res.multipliers):
             assert c == pytest.approx(np.exp(eval_weight(w, np.sqrt(xi.casimir))), rel=1e-14)
             assert np.allclose(res.g.entries[xi][0], np.eye(xi.dim) / c)
             assert np.allclose(res.f_prime.entries[xi], c * T.entries[xi])
@@ -173,7 +174,7 @@ class TestStrongFactorization:
         table = su2.irrep_matrices(xi2, grid.nodes)
         f = GridFunction(su2, grid, table[:, 0, 1])
         res = strong_factorize(f, gevrey_weight(1.0), 1.0, 2.0)
-        c = res.multipliers[xi2]
+        c = res.multipliers[res.g.duals.index(xi2)]
         assert np.allclose(res.f_prime.entries[xi2], c * forward(f).entries[xi2])
         assert res.residual < 1e-12
 
@@ -224,6 +225,41 @@ class TestBoundedFamily:
         z = GridFunction(t1, grid, np.zeros(grid.size))
         res = bounded_factorize_set([f, z], gevrey_weight(1.0), 1.0, 2.0)
         assert all(np.abs(t).max() == 0.0 for t in res.f_primes[1].entries.values())
+
+    def test_members_on_different_grids_rejected(self, t1, rng):
+        # equal declared band limits, but g could not act on both grids
+        f1 = random_bandlimited(t1, haar_quadrature(t1, 8), rng)
+        grid16 = haar_quadrature(t1, 16)
+        f2 = GridFunction(t1, grid16, random_bandlimited(t1, grid16, rng).values, bandlimit=8)
+        with pytest.raises(ParameterError):
+            bounded_factorize_set([f1, f2], gevrey_weight(1.0), 1.0, 2.0)
+
+    def test_one_transform_for_the_family(self, t1, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(factorize, "forward",
+                            lambda f, *a: calls.append(f.value_dim) or forward(f, *a))
+        grid = haar_quadrature(t1, 8)
+        fam = [random_bandlimited(t1, grid, rng, value_dim=m) for m in (1, 2, 1)]
+        bounded_factorize_set(fam, gevrey_weight(1.0), 1.0, 2.0)
+        assert calls == [4]
+
+    @pytest.mark.parametrize("group, L", [("t1", 32), ("t2", 8)])
+    def test_stacked_bit_equal_to_members(self, group, L, rng, request):
+        g = request.getfixturevalue(group)
+        grid = haar_quadrature(g, L)
+        w = gevrey_weight(1.0)
+        fam = [random_bandlimited(g, grid, rng, value_dim=m, decay=1.5) for m in (1, 2, 1)]
+        fam.append(poisson_function(g, grid, 2.0))
+        res = bounded_factorize_set(fam, w, 1.0, 2.0)
+        singles = [strong_factorize(f, w, 1.0, 2.0) for f in fam]
+        for fp, single, r in zip(res.f_primes, singles, res.residuals):
+            assert r == single.residual
+            assert fp.value_dim == single.f_prime.value_dim
+            assert all(np.array_equal(a, b) for a, b in zip(fp.blocks, single.f_prime.blocks))
+        assert np.array_equal(res.multipliers, singles[0].multipliers)
+        assert all(np.array_equal(a, b) for a, b in zip(res.g.blocks, singles[0].g.blocks))
+        assert res.family_seminorm == max(
+            decay_seminorm(s.f_prime, w, res.h_effective) for s in singles)
 
 
 class TestVectorFactorization:
@@ -287,22 +323,23 @@ class TestPartition:
     def test_partition_of_unity(self, t1):
         grid = haar_quadrature(t1, 128)
         chis = bump_partition_of_unity(2.0, 8, 2.0, grid)
-        total = sum(c.values[:, 0] for c in chis)
+        assert chis.value_dim == 8
+        total = chis.values.sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-10
 
     def test_pieces_supported_in_translates(self, t1):
         grid = haar_quadrature(t1, 128)
         psis = build_partition(2.0, 8, 2.0, gevrey_weight(0.5), 1.0, grid)
         centers = 2 * np.pi * np.arange(8) / 8
-        for c, psi in zip(centers, psis):
+        for c, psi in zip(centers, psis.values.T):
             dist = np.abs(np.mod(grid.nodes[:, 0] - c + np.pi, 2 * np.pi) - np.pi)
-            assert np.all(psi.values[dist >= 1.0, 0] == 0.0)
+            assert np.all(psi[dist >= 1.0] == 0.0)
 
     def test_pieces_sum_to_half_decay_kernel(self, t1):
         grid = haar_quadrature(t1, 256)
         w = gevrey_weight(0.5)
         psis = build_partition(2.0, 8, 2.0, w, 1.0, grid)
-        total = sum(p.values[:, 0] for p in psis)
+        total = psis.values.sum(axis=1)
         ref = inverse(
             synth_coefficients(
                 t1, 256, lambda lam: np.exp(-eval_weight(w, np.sqrt(lam)) / 2.0)
@@ -339,7 +376,7 @@ class TestSupportedFactorization:
         grid = haar_quadrature(t1, 128)
         f = poisson_function(t1, grid, 1.0)
         res = supported_factorize(f, 2.0, gevrey_weight(0.5), 0.5, 1.0, k=8)
-        for xi, s in res.S.items():
+        for s in res.S:
             assert np.abs(s - s.conj().T).max() < 1e-14
             assert np.min(np.linalg.eigvalsh(s)) >= -1e-12
 
@@ -364,6 +401,29 @@ class TestSupportedFactorization:
         res = supported_factorize(f, 2.0, gevrey_weight(0.5), 0.5, 1.0, k=8)
         assert res.residual < 1e-7
         assert res.f_prime.value_dim == 2
+
+    def test_one_transform_for_the_pieces_and_one_for_f(self, t1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(factorize, "forward",
+                            lambda f, *a: calls.append(f.value_dim) or forward(f, *a))
+        grid = haar_quadrature(t1, 64)
+        supported_factorize(poisson_function(t1, grid, 1.0), 2.0, gevrey_weight(0.5),
+                            0.5, 1.0, k=8)
+        assert sorted(calls) == [1, 8]
+
+    def test_S_bit_equal_to_per_piece_sum(self, t1):
+        grid = haar_quadrature(t1, 128)
+        w = gevrey_weight(0.5)
+        res = supported_factorize(poisson_function(t1, grid, 1.0), 2.0, w, 0.5, 1.0, k=8)
+        psis = build_partition(2.0, 8, 2.0, w, 1.0, grid)
+        per_piece = [forward(GridFunction(t1, grid, p)).blocks[0][:, 0] for p in psis.values.T]
+        assert np.array_equal(res.S, sum(a.conj().transpose(0, 2, 1) @ a for a in per_piece))
+
+    def test_exponent_validation(self, t1):
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        for h, h_prime in ((0.0, 1.0), (0.5, 0.5)):
+            with pytest.raises(ParameterError):
+                supported_factorize(f, 2.0, gevrey_weight(0.5), h, h_prime, k=8)
 
     def test_wrong_group_rejected(self, su2, rng):
         grid = haar_quadrature(su2, 2)

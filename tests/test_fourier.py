@@ -18,7 +18,7 @@ from liefact.fourier import (
     involution,
     parseval_defect,
 )
-from liefact.groups import DualIndex, enumerate_dual, haar_quadrature
+from liefact.groups import DualIndex, QuadratureGrid, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_coefficients,
     random_bandlimited,
@@ -81,6 +81,20 @@ class TestForward:
                 for v, (i, j) in enumerate(picks):
                     ref[v, i, j] = 1.0 / 4.0
             assert np.abs(block[0] - ref).max() < 1e-12
+
+    def test_su2_one_plan_per_grid(self, su2, rng):
+        # L' < L is served from the grid's one plan; a private grid declared at
+        # L' on the same nodes builds the per-L' plan, and both agree bit for bit
+        shared = haar_quadrature(su2, 12)
+        nodes, weights, axes = shared.nodes, shared.weights, shared.axes
+        grid = QuadratureGrid(su2, 12, nodes, weights, axes)
+        f = GridFunction(su2, grid, random_bandlimited(su2, shared, rng, value_dim=2).values)
+        for Lp in (3, 7, 12):
+            own = QuadratureGrid(su2, Lp, nodes, weights, axes)
+            T, ref = forward(f, Lp), forward(GridFunction(su2, own, f.values), Lp)
+            assert all(np.array_equal(a, b) for a, b in zip(T.blocks, ref.blocks))
+            assert np.array_equal(inverse(T, grid).values, inverse(ref, own).values)
+        assert list(grid._cache) == ["su2_plan"]
 
     def test_bandlimit_mismatch(self, t1):
         grid = haar_quadrature(t1, 4)
