@@ -112,7 +112,7 @@ def cmd_transform(config: RunConfig) -> int:
         _write(outdir, "decay.csv", serialize.decay_table_csv(T)),
     ]
     _manifest(outdir, config, outputs)
-    print(f"transform: {len(T.entries)} dual blocks, roundtrip sup error {err:.3e}, "
+    print(f"transform: {len(T.duals)} dual blocks, roundtrip sup error {err:.3e}, "
           f"discarded-tail mass (relative Parseval gap) {tail:.3e}")
     return 0
 
@@ -197,7 +197,7 @@ def cmd_factorize(config: RunConfig) -> int:
         "source_seminorm": res.source_seminorm,
         "multipliers": [{"xi": serialize.label_to_json(group, res.g.duals[i].label),
                          "c": float(res.multipliers[i])}
-                        for i in serialize.wire_order(res.g.layout)],
+                        for i in res.g.layout.wire.tolist()],
         "params": {"weight": w.spec_string(), "h": config.h, "h_prime": res.h_prime},
     }
     outputs = [

@@ -170,11 +170,11 @@ def induced_action(rep: FiniteRep, chi: GridFunction, v) -> np.ndarray:
 
 def _resolve_h_prime(h: float, h_prime: float | None) -> float:
     """h' for the exponent h: h > 0, h' defaults to 2h and must exceed h."""
-    if h <= 0:
-        raise ParameterError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ParameterError("h must be positive and finite")
     h_prime = 2.0 * h if h_prime is None else h_prime
-    if h_prime <= h:
-        raise ParameterError("h' must exceed h")
+    if not h < h_prime < np.inf:
+        raise ParameterError("h' must exceed h and be finite")
     return h_prime
 
 
@@ -256,7 +256,7 @@ def bounded_factorize_set(fs, w: WeightFunction, h: float,
     stacked = np.concatenate([f.values for f in fs], axis=1)
     res = strong_factorize(GridFunction(fs[0].group, grid, stacked, bandlimit=L), w, h, h_prime)
     fp, cuts = res.f_prime, np.cumsum([f.value_dim for f in fs])[:-1]
-    f_primes = [FourierCoefficients.from_blocks(fp.group, fp.bandlimit, f.value_dim, blocks)
+    f_primes = [FourierCoefficients(fp.group, fp.bandlimit, f.value_dim, blocks)
                 for f, blocks in zip(fs, zip(*(np.split(b, cuts, axis=1) for b in fp.blocks)))]
     # hs_norms maximizes over slices, so the stacked seminorm is the max over members
     return BoundedFactorizationResult(
@@ -319,10 +319,10 @@ def gevrey_bump(s: float, center: float, halfwidth: float,
 
         x |-> exp(-(1 - ((x-center)/halfwidth)^2)^(-1/(s-1)))  inside,  0 outside.
     """
-    if s <= 1.0:
+    if not 1.0 < s < np.inf:
         raise QuasianalyticError(
-            "bump order s must exceed 1 (quasianalytic classes have no "
-            "compactly supported members)"
+            "bump order s must be finite and exceed 1 (quasianalytic classes "
+            "have no compactly supported members)"
         )
     if not isinstance(grid.group, Torus) or grid.group.d != 1:
         raise DomainError("bumps are implemented on torus(1)")
@@ -341,13 +341,15 @@ def default_piece_count(delta: float) -> int:
     return int(np.ceil(2 * np.pi / (delta / 2.0))) + 1
 
 
-def bump_partition_of_unity(delta: float, k_pieces: int, bump_order: float,
+def bump_partition_of_unity(delta: float, k_pieces: int | None, bump_order: float,
                             grid: QuadratureGrid) -> GridFunction:
     """k bumps chi_j with sum_j chi_j = 1, as one function with value_dim = k,
     each supported in a translate of W = (-delta/2, delta/2); raises when k
-    translates cannot cover the circle."""
-    if delta <= 0 or delta >= np.pi:
+    translates cannot cover the circle.  k = None takes default_piece_count."""
+    if not 0 < delta < np.pi:
         raise DomainError("the support parameter delta must lie in (0, pi)")
+    if k_pieces is None:
+        k_pieces = default_piece_count(delta)
     spacing = 2 * np.pi / k_pieces
     if spacing >= delta:
         raise CoverageError(
@@ -363,7 +365,7 @@ def bump_partition_of_unity(delta: float, k_pieces: int, bump_order: float,
     return GridFunction(grid.group, grid, (bumps / total).T)
 
 
-def build_partition(delta: float, k_pieces: int, bump_order: float,
+def build_partition(delta: float, k_pieces: int | None, bump_order: float,
                     w: WeightFunction, h_prime: float,
                     grid: QuadratureGrid) -> GridFunction:
     """Pieces psi_j = chi_j * Phi with Phi = F^-1(e^{-w(sqrt(lambda))/(2h')} Id),
@@ -419,10 +421,9 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
             "(satisfies_beta0)"
         )
     h_prime = _resolve_h_prime(h, h_prime)
-    if k is None:
-        k = default_piece_count(delta)
     grid = f.grid
     pieces = forward(build_partition(delta, k, bump_order, w, h_prime, grid))
+    k = pieces.value_dim
     layout, P = pieces.layout, pieces.blocks[0]  # the circle: (n_dual, k, 1, 1)
     S = np.einsum("njba,njbc->nac", P.conj(), P)  # sum over the pieces j
     mu = np.min(np.linalg.eigvalsh(S), axis=1)
@@ -435,10 +436,10 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
             f"(mu = {mu[singular[0]]:.3e})", xi=xi,
         )
     T = forward(f)
-    fprime_hat = FourierCoefficients.from_blocks(
+    fprime_hat = FourierCoefficients(
         f.group, grid.bandlimit, f.value_dim,
         [np.einsum("nab,nvbc->nvac", np.linalg.inv(S), T.blocks[0])])
-    S_hat = FourierCoefficients.from_blocks(f.group, grid.bandlimit, 1, [S[:, None]])
+    S_hat = FourierCoefficients(f.group, grid.bandlimit, 1, [S[:, None]])
     g_grid = inverse(S_hat, grid)
     recombined = inverse(compose(S_hat, fprime_hat), grid)
     residual = float(np.max(np.abs(recombined.values - f.values)))

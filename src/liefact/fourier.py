@@ -31,12 +31,15 @@ block and SU(2) one (1, m, 2l+1, 2l+1) block per degree.  A DualLayout,
 cached per (group, band limit), fixes the dual order, the Casimir and
 dimension vectors aligned with it and the positions of each block's members,
 so diagonal multipliers, norms and compositions are array expressions over
-the blocks.  ``entries`` maps each xi to the (m, d, d) view of its block.
+the blocks.  The layout also owns the wire order in which every output format
+lists the dual and a label -> position index that serialization reads.  The
+blocks are the only coefficient path inside the library; ``entries`` is a
+writable xi -> (m, d, d) view of them, kept for outside callers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, MutableMapping
+from collections.abc import MutableMapping
 from functools import lru_cache
 
 import numpy as np
@@ -80,7 +83,9 @@ class DualLayout:
 
     ``labels``, ``casimir`` and ``dim`` are read-only and aligned with
     ``duals``; block b holds the duals of dimension ``dims[b]`` at positions
-    ``members[b]``, and ``where[xi]`` is the (block, slot) of xi.
+    ``members[b]``.  ``position[label]`` is the position i of a label, whose
+    (block, slot) is ``(block[i], slot[i])``; ``wire`` lists the positions in
+    the order every output format uses (by Casimir, then label text).
     """
 
     def __init__(self, duals):
@@ -89,10 +94,15 @@ class DualLayout:
             np.array([getattr(xi, a) for xi in self.duals]) for a in ("label", "casimir", "dim"))
         self.dims = tuple(dict.fromkeys(self.dim.tolist()))
         self.members = tuple(np.flatnonzero(self.dim == d) for d in self.dims)
-        for arr in (self.labels, self.casimir, self.dim, *self.members):
+        self.block, self.slot = np.empty((2, len(self.duals)), dtype=int)
+        for b, idx in enumerate(self.members):
+            self.block[idx], self.slot[idx] = b, np.arange(len(idx))
+        self.wire = np.array(sorted(range(len(self.duals)), key=lambda i: (
+            self.duals[i].casimir, str(self.duals[i].label))), dtype=int)
+        for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, self.wire,
+                    *self.members):
             arr.flags.writeable = False
-        self.where = {self.duals[i]: (b, s) for b, idx in enumerate(self.members)
-                      for s, i in enumerate(idx.tolist())}
+        self.position = {xi.label: i for i, xi in enumerate(self.duals)}
 
 
 @lru_cache(maxsize=None)
@@ -112,8 +122,8 @@ class _BlockEntries(MutableMapping):
         self._blocks, self._layout = blocks, layout
 
     def __getitem__(self, xi: DualIndex) -> np.ndarray:
-        b, s = self._layout.where[xi]
-        return self._blocks[b][s]
+        i = self._layout.position[xi.label]
+        return self._blocks[self._layout.block[i]][self._layout.slot[i]]
 
     def __setitem__(self, xi: DualIndex, value) -> None:
         view = self[xi]
@@ -136,19 +146,11 @@ class FourierCoefficients:
 
     Every dual index within the band limit is present (zero tensors are
     fine); transforms rely on the family being complete.  ``blocks`` holds
-    one (count, m, d, d) array per dimension, laid out by ``layout``.
+    one (count, m, d, d) array per dimension, laid out by
+    ``dual_layout(group, bandlimit)``.
     """
 
-    def __init__(self, group, bandlimit: int, value_dim: int,
-                 entries: Mapping[DualIndex, np.ndarray]):
-        zeros = FourierCoefficients.zeros(group, bandlimit, value_dim)
-        if len(entries) != len(zeros.duals) or any(xi not in entries for xi in zeros.duals):
-            raise DomainError("coefficient family must cover the whole truncated dual")
-        self._attach(group, bandlimit, value_dim, zeros.blocks)
-        for xi, t in entries.items():
-            self.entries[xi] = t
-
-    def _attach(self, group, bandlimit: int, value_dim: int, blocks) -> None:
+    def __init__(self, group, bandlimit: int, value_dim: int, blocks):
         self.group, self.bandlimit, self.value_dim = group, int(bandlimit), int(value_dim)
         self.layout = dual_layout(group, self.bandlimit)
         self.blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
@@ -158,16 +160,9 @@ class FourierCoefficients:
         self.entries = _BlockEntries(self.blocks, self.layout)
 
     @classmethod
-    def from_blocks(cls, group, bandlimit: int, value_dim: int, blocks) -> "FourierCoefficients":
-        """Wrap (count, m, d, d) blocks laid out by ``dual_layout(group, bandlimit)``."""
-        T = cls.__new__(cls)
-        T._attach(group, bandlimit, value_dim, blocks)
-        return T
-
-    @classmethod
     def zeros(cls, group, bandlimit: int, value_dim: int = 1) -> "FourierCoefficients":
         layout = dual_layout(group, int(bandlimit))
-        return cls.from_blocks(group, bandlimit, value_dim, [
+        return cls(group, bandlimit, value_dim, [
             np.zeros((len(idx), value_dim, d, d), dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
 
@@ -175,7 +170,7 @@ class FourierCoefficients:
     def diagonal(cls, group, bandlimit: int, c) -> "FourierCoefficients":
         """The scalar family T_xi = c_xi Id, c an array aligned with the dual order."""
         layout = dual_layout(group, int(bandlimit))
-        return cls.from_blocks(group, bandlimit, 1, [
+        return cls(group, bandlimit, 1, [
             c[idx, None, None, None] * np.eye(d, dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
 
@@ -185,14 +180,8 @@ class FourierCoefficients:
 
     def scaled(self, c) -> "FourierCoefficients":
         """The family c_xi T_xi, c an array aligned with the dual order."""
-        return FourierCoefficients.from_blocks(self.group, self.bandlimit, self.value_dim, [
+        return FourierCoefficients(self.group, self.bandlimit, self.value_dim, [
             c[idx, None, None, None] * b for idx, b in zip(self.layout.members, self.blocks)])
-
-    def map_entries(self, fn) -> "FourierCoefficients":
-        return FourierCoefficients(
-            self.group, self.bandlimit, self.value_dim,
-            {xi: fn(xi, t) for xi, t in self.entries.items()},
-        )
 
     def hs_norms(self) -> np.ndarray:
         """Hilbert-Schmidt norm per dual index, maximized over the m slices."""
@@ -258,7 +247,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         d = f.group.d
         samples = f.values.reshape((n,) * d + (f.value_dim,))
         coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
-        return FourierCoefficients.from_blocks(f.group, L, f.value_dim, [coef[:, :, None, None]])
+        return FourierCoefficients(f.group, L, f.value_dim, [coef[:, :, None, None]])
     E, tables = _su2_plan(f.grid, L)
     B, m = f.grid.axes["B"], f.value_dim
     EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
@@ -270,7 +259,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         s = _degree_slice(2 * L, two_l)
         t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
         blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
-    return FourierCoefficients.from_blocks(f.group, L, m, blocks)
+    return FourierCoefficients(f.group, L, m, blocks)
 
 
 def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridFunction:
@@ -358,7 +347,7 @@ def compose(A: FourierCoefficients, Bc: FourierCoefficients) -> FourierCoefficie
         raise BandlimitMismatchError(
             f"composition factors have band limits {A.bandlimit} and {Bc.bandlimit}")
     blocks = [np.einsum("nab,nvbc->nvac", a[:, 0], b) for a, b in zip(A.blocks, Bc.blocks)]
-    return FourierCoefficients.from_blocks(A.group, A.bandlimit, Bc.value_dim, blocks)
+    return FourierCoefficients(A.group, A.bandlimit, Bc.value_dim, blocks)
 
 
 def convolve(chi: GridFunction, f: GridFunction) -> GridFunction:
@@ -401,7 +390,7 @@ def conv_theorem_defect(chi: GridFunction, f: GridFunction) -> float:
     """Max HS distance between F(chi *_quad f)(xi) and F(chi)(xi) o F(f)(xi)."""
     direct = forward(convolve_by_quadrature(chi, f))
     composed = compose(forward(chi, direct.bandlimit), forward(f, direct.bandlimit))
-    diff = FourierCoefficients.from_blocks(
+    diff = FourierCoefficients(
         direct.group, direct.bandlimit, direct.value_dim,
         [a - b for a, b in zip(direct.blocks, composed.blocks)])
     return float(np.max(diff.hs_norms()))

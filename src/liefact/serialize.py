@@ -6,9 +6,12 @@ Coefficient JSON schema:
      "entries": [{"xi": label, "re": [...], "im": [...]}, ...]}
 
 where label is an int (su2: 2l) or a list of ints (torus: k) and re/im are
-nested (m, d, d) lists.  Grid-function CSV: one header line, then node
-coordinates followed by interleaved re/im columns per value slot.  All float
-formatting goes through repr, so identical data serializes byte-identically.
+nested (m, d, d) lists of finite numbers, each label at most once.  Entries
+are written in the layout's wire order straight from the packed blocks and
+read back into their block slots; a label the file omits reads as zero.
+Grid-function CSV: one header line, then node coordinates followed by
+interleaved re/im columns per value slot.  All float formatting goes through
+repr, so identical data serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .classify import DecayReport
 from .errors import ParameterError
-from .fourier import DualLayout, FourierCoefficients, GridFunction
+from .fourier import FourierCoefficients, GridFunction
 from .groups import QuadratureGrid, Torus, parse_group_spec
 from .spectral import SeminormReport
 
@@ -34,26 +37,14 @@ def _label_from_json(group, obj):
     return tuple(int(v) for v in obj) if isinstance(group, Torus) else int(obj)
 
 
-def wire_order(layout: DualLayout) -> list[int]:
-    """Positions into ``layout.duals`` in the order every output format lists them."""
-    duals = layout.duals
-    return sorted(range(len(duals)), key=lambda i: (duals[i].casimir, str(duals[i].label)))
-
-
 def coefficients_to_json(T: FourierCoefficients) -> str:
-    entries = []
-    for i in wire_order(T.layout):
-        xi = T.duals[i]
-        t = T.entries[xi]
-        entries.append({"xi": label_to_json(T.group, xi.label),
-                        "re": t.real.tolist(), "im": t.imag.tolist()})
-    doc = {
-        "group": T.group.spec_string(),
-        "bandlimit": T.bandlimit,
-        "value_dim": T.value_dim,
-        "entries": entries,
-    }
-    return json.dumps(doc, sort_keys=True)
+    layout = T.layout
+    re, im = [b.real.tolist() for b in T.blocks], [b.imag.tolist() for b in T.blocks]
+    entries = [{"xi": label_to_json(T.group, layout.duals[i].label),
+                "re": re[layout.block[i]][layout.slot[i]],
+                "im": im[layout.block[i]][layout.slot[i]]} for i in layout.wire.tolist()]
+    return json.dumps({"group": T.group.spec_string(), "bandlimit": T.bandlimit,
+                       "value_dim": T.value_dim, "entries": entries}, sort_keys=True)
 
 
 def coefficients_from_json(text: str) -> FourierCoefficients:
@@ -62,14 +53,23 @@ def coefficients_from_json(text: str) -> FourierCoefficients:
     bandlimit = int(doc["bandlimit"])
     m = int(doc["value_dim"])
     T = FourierCoefficients.zeros(group, bandlimit, m)
-    index = {xi.label: xi for xi in T.duals}
+    layout, seen = T.layout, set()
     for item in doc["entries"]:
         label = _label_from_json(group, item["xi"])
-        if label not in index:
+        i = layout.position.get(label)
+        if i is None:
             raise ParameterError(f"label {label!r} outside the declared band limit")
-        xi = index[label]
-        t = np.asarray(item["re"], dtype=float) + 1j * np.asarray(item["im"], dtype=float)
-        T.entries[xi] = t.reshape(m, xi.dim, xi.dim)
+        if i in seen:
+            raise ParameterError(f"label {label!r} is listed twice")
+        seen.add(i)
+        shape = (m, int(layout.dim[i]), int(layout.dim[i]))
+        re, im = np.asarray(item["re"], dtype=float), np.asarray(item["im"], dtype=float)
+        if re.shape != shape or im.shape != shape:
+            raise ParameterError(f"entry for {label!r} must have shape {shape}")
+        slot = T.blocks[layout.block[i]][layout.slot[i]]
+        slot.real, slot.imag = re, im
+    if not all(np.isfinite(b).all() for b in T.blocks):
+        raise ParameterError("coefficient JSON holds a non-finite value (nan or inf)")
     return T
 
 
@@ -118,9 +118,9 @@ def decay_table_csv(T: FourierCoefficients) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sqrt_lambda", "hsnorm"])
-    norms = T.hs_norms().tolist()
-    for i in wire_order(T.layout):
-        writer.writerow([repr(float(np.sqrt(T.duals[i].casimir))), repr(norms[i])])
+    wire = T.layout.wire
+    for lam, norm in zip(np.sqrt(T.layout.casimir)[wire].tolist(), T.hs_norms()[wire].tolist()):
+        writer.writerow([repr(lam), repr(norm)])
     return buf.getvalue()
 
 

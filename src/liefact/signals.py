@@ -29,15 +29,15 @@ def synth_coefficients(group, bandlimit: int, hs_norm_fn) -> FourierCoefficients
 
 def poisson_coefficients(group, bandlimit: int, t: float) -> FourierCoefficients:
     """||T_xi||_HS = exp(-t sqrt(lambda_xi)); on T^1 this is exp(-t |k|)."""
-    if t <= 0:
-        raise ParameterError("poisson parameter t must be positive")
+    if not 0 < t < np.inf:
+        raise ParameterError("poisson parameter t must be positive and finite")
     return synth_coefficients(group, bandlimit, lambda lam: np.exp(-t * np.sqrt(lam)))
 
 
 def heat_coefficients(group, bandlimit: int, t: float) -> FourierCoefficients:
     """||T_xi||_HS = exp(-t lambda_xi)."""
-    if t <= 0:
-        raise ParameterError("heat parameter t must be positive")
+    if not 0 < t < np.inf:
+        raise ParameterError("heat parameter t must be positive and finite")
     return synth_coefficients(group, bandlimit, lambda lam: np.exp(-t * lam))
 
 
@@ -57,14 +57,15 @@ def heat_function(group, grid: QuadratureGrid, t: float) -> GridFunction:
 
 def random_bandlimited(group, grid: QuadratureGrid, rng, value_dim: int = 1,
                        decay: float = 0.3) -> GridFunction:
-    """Random band-limited function with mildly decaying random coefficients."""
-    entries = {}
-    for xi in group.enumerate_dual(grid.bandlimit):
-        shape = (value_dim, xi.dim, xi.dim)
-        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        entries[xi] = t * np.exp(-decay * np.sqrt(xi.casimir)) / xi.dim
-    T = FourierCoefficients(group, grid.bandlimit, value_dim, entries)
-    return inverse(T, grid)
+    """Random band-limited function with mildly decaying random coefficients;
+    the blocks draw their members in dual order, as one draw per xi would."""
+    layout = dual_layout(group, grid.bandlimit)
+    damp = np.exp(-decay * np.sqrt(layout.casimir))
+    blocks = []
+    for d, idx in zip(layout.dims, layout.members):
+        z = rng.standard_normal((len(idx), 2, value_dim, d, d))
+        blocks.append((z[:, 0] + 1j * z[:, 1]) * damp[idx, None, None, None] / d)
+    return inverse(FourierCoefficients(group, grid.bandlimit, value_dim, blocks), grid)
 
 
 def parse_builtin_spec(spec: str):

@@ -130,8 +130,8 @@ def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
     fa = random_bandlimited(su2, grid, rng)
     fb = random_bandlimited(su2, grid, rng)
     Ta, Tb = forward(fa), forward(fb)
-    lin = inverse(
-        Ta.map_entries(lambda xi, t: 2.0 * t + 1j * Tb.entries[xi]), grid)
+    lin = inverse(fourier.FourierCoefficients(
+        su2, 2, 1, [2.0 * a + 1j * b for a, b in zip(Ta.blocks, Tb.blocks)]), grid)
     ref = 2.0 * fa.values + 1j * fb.values
     check("fourier/linearity", float(np.max(np.abs(lin.values - ref))), 1e-12)
 
@@ -190,7 +190,7 @@ def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
     check("classify/seminorm-monotone-in-h", worst, 0.0)
 
     c = 3.7
-    scaled = decay_seminorm(T.map_entries(lambda xi, t: c * t), w1, 1.0)
+    scaled = decay_seminorm(T.scaled(np.full(len(T.duals), c)), w1, 1.0)
     check("classify/scaling-equivariance",
           abs(scaled - c * decay_seminorm(T, w1, 1.0)), 1e-9)
 

@@ -42,7 +42,7 @@ class TestDecaySeminorm:
     def test_scaling_equivariance(self, t1):
         T = synth_coefficients(t1, 16, lambda lam: np.exp(-np.sqrt(lam)))
         w = gevrey_weight(1.0)
-        scaled = T.map_entries(lambda xi, t: -2.5j * t)
+        scaled = T.scaled(np.full(len(T.duals), -2.5j))
         assert decay_seminorm(scaled, w, 1.0) == pytest.approx(
             2.5 * decay_seminorm(T, w, 1.0), rel=1e-12)
 

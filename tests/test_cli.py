@@ -108,6 +108,18 @@ class TestClassify:
                     "--weight", "gevrey:s=1", "--out", str(tmp_path / "c")])
         assert code == 3
 
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys):
+        path = self._poisson_coeff_file(tmp_path, 2.0)
+        doc = json.loads(path.read_text())
+        doc["entries"][3]["re"][0][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code = run(["classify", "--coefficients", str(path),
+                    "--weight", "gevrey:s=1", "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "decay_report.json").exists()
+
     def test_heat_flags_super_omega(self, tmp_path, capsys):
         out = tmp_path / "t"
         run(["transform", "--group", "t1", "--bandlimit", "16",
@@ -162,6 +174,31 @@ class TestFactorize:
         bundle = json.loads((tmp_path / "v" / "bundle.json").read_text())
         assert bundle["action_residual"] <= 1e-9
         assert bundle["orbit_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--builtin", "poisson:nan"],
+        ["transform", "--builtin", "poisson:inf"],
+        ["transform", "--builtin", "heat:nan"],
+        ["transform", "--builtin", "bump:nan:1.0"],
+        ["transform", "--builtin", "bump:inf:1.0"],
+        ["factorize", "--builtin", "heat:inf"],
+        ["factorize", "--builtin", "poisson:1.0", "--h", "nan"],
+        ["factorize", "--builtin", "poisson:1.0", "--h", "inf"],
+        ["factorize", "--builtin", "poisson:1.0", "--h-prime", "nan"],
+        ["factorize", "--builtin", "poisson:1.0", "--h-prime", "inf"],
+        ["factorize", "--builtin", "poisson:1.0", "--supported", "--support-delta", "nan"],
+        ["factorize", "--builtin", "poisson:1.0", "--supported", "--support-delta", "nan",
+         "--pieces", "8"],
+        ["factorize", "--builtin", "poisson:1.0", "--supported", "--pieces", "8",
+         "--bump-order", "nan"],
+    ], ids=" ".join)
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        weight = ["--weight", "gevrey:s=0.5"] if argv[0] == "factorize" else []
+        code = run(argv + weight + ["--group", "t1", "--bandlimit", "16", "--out", str(out)])
+        assert code == 2
+        assert "cannot convert" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_parameters_exit_2(self, tmp_path):
         code = run(["factorize", "--group", "t1", "--bandlimit", "8",
@@ -237,6 +274,23 @@ class TestReadme:
                             for p in sorted(run_dir.rglob("*")) if p.is_file()})
         assert len(outputs[0]) >= 2 * len(commands)
         assert outputs[0] == outputs[1]
+
+
+class TestSinglePath:
+    def test_library_never_reads_the_entries_view(self, tmp_path, monkeypatch):
+        # the packed blocks are the one coefficient path; ``entries`` is kept
+        # for outside callers only, so every command must run with it disabled
+        def refuse(*args):
+            raise AssertionError("library code went through FourierCoefficients.entries")
+
+        for name in ("__getitem__", "__setitem__", "__iter__"):
+            monkeypatch.setattr(liefact.fourier._BlockEntries, name, refuse)
+        with pytest.raises(AssertionError):
+            next(iter(FourierCoefficients.zeros(Torus(1), 2).entries))
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_commands():
+            assert run(argv) == 0, argv
+        assert all(r.ok for r in run_verification(fast=True))
 
 
 class TestConfig:

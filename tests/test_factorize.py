@@ -6,6 +6,7 @@ from liefact.classify import decay_seminorm, gevrey_order_estimate
 from liefact.errors import (
     ConditioningError,
     CoverageError,
+    DomainError,
     ParameterError,
     QuasianalyticError,
 )
@@ -424,6 +425,21 @@ class TestSupportedFactorization:
         for h, h_prime in ((0.0, 1.0), (0.5, 0.5)):
             with pytest.raises(ParameterError):
                 supported_factorize(f, 2.0, gevrey_weight(0.5), h, h_prime, k=8)
+
+    @pytest.mark.parametrize("h,h_prime,message", [
+        (float("nan"), 1.0, "h must"), (float("inf"), None, "h must"),
+        (0.5, float("nan"), "h' must"), (0.5, float("inf"), "h' must")])
+    def test_non_finite_exponent_rejected(self, t1, h, h_prime, message):
+        f = poisson_function(t1, haar_quadrature(t1, 16), 1.0)
+        with pytest.raises(ParameterError, match=message):
+            strong_factorize(f, gevrey_weight(1.0), h, h_prime)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("k", [None, 8])
+    def test_non_finite_delta_rejected(self, t1, delta, k):
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        with pytest.raises(DomainError, match="delta"):
+            supported_factorize(f, delta, gevrey_weight(0.5), 0.5, 1.0, k=k)
 
     def test_wrong_group_rejected(self, su2, rng):
         grid = haar_quadrature(su2, 2)

@@ -18,7 +18,7 @@ from liefact.fourier import (
     involution,
     parseval_defect,
 )
-from liefact.groups import DualIndex, QuadratureGrid, enumerate_dual, haar_quadrature
+from liefact.groups import SU2, DualIndex, QuadratureGrid, Torus, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_coefficients,
     random_bandlimited,
@@ -170,10 +170,11 @@ class TestInverse:
         # oracle f(x) = sum_xi d_xi Tr[D^xi(x)^* T_xi], with D^xi built from the
         # factorial sum formula and the ZYZ phases, not from liefact._wigner
         entries = {}
+        T = FourierCoefficients.zeros(su2, 2, 2)
         for xi in enumerate_dual(su2, 2):
             shape = (2, xi.dim, xi.dim)
             entries[xi] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        T = FourierCoefficients(su2, 2, 2, entries)
+            T.entries[xi] = entries[xi]
         pts = np.array([su2.random_element(rng) for _ in range(20)])
         for (a, b, g), got in zip(pts, evaluate(T, pts)):
             ref = np.zeros(2, dtype=complex)
@@ -184,6 +185,31 @@ class TestInverse:
                 D = np.exp(-0.5j * two_ms[:, None] * a) * d * np.exp(-0.5j * two_ms * g)
                 ref += xi.dim * np.einsum("ij,vij->v", D.conj(), t)
             assert np.abs(got - ref).max() < 1e-12
+
+
+class TestRandomBandlimited:
+    @staticmethod
+    def per_xi_reference(group, grid, rng, value_dim, decay=0.3):
+        """One draw per dual index in dual order, one entry written at a time."""
+        T = FourierCoefficients.zeros(group, grid.bandlimit, value_dim)
+        for xi in enumerate_dual(group, grid.bandlimit):
+            shape = (value_dim, xi.dim, xi.dim)
+            t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            T.entries[xi] = t * np.exp(-decay * np.sqrt(xi.casimir)) / xi.dim
+        return inverse(T, grid)
+
+    @pytest.mark.parametrize("group,L", [(Torus(1), 16), (Torus(2), 6), (SU2(), 4)],
+                             ids=["t1", "t2", "su2"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_equal_to_per_xi_draws(self, group, L, m):
+        grid = haar_quadrature(group, L)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        got = random_bandlimited(group, grid, rng_a, value_dim=m)
+        ref = self.per_xi_reference(group, grid, rng_b, m)
+        assert np.array_equal(got.values, ref.values)
+        assert got.value_dim == m
+        # the generator is left in the same state
+        assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
 class TestParseval:
@@ -271,7 +297,7 @@ class TestConvolution:
         from liefact.fourier import FourierCoefficients
 
         T = forward(random_bandlimited(t1, haar_quadrature(t1, 4), rng))
-        partial = dict(list(T.entries.items())[:-1])
+        partial = [b[:-1] for b in T.blocks]  # the last dual index missing
         with pytest.raises(DomainError):
             FourierCoefficients(t1, 4, 1, partial)
 
@@ -293,7 +319,8 @@ class TestConvolution:
         fa = random_bandlimited(su2, grid, rng)
         fb = random_bandlimited(su2, grid, rng)
         Ta, Tb = forward(fa), forward(fb)
-        combo = Ta.map_entries(lambda xi, t: 3.0 * t - 2j * Tb.entries[xi])
+        combo = FourierCoefficients(su2, 2, 1, [3.0 * a - 2j * b
+                                                for a, b in zip(Ta.blocks, Tb.blocks)])
         out = inverse(combo, grid)
         ref = 3.0 * fa.values - 2j * fb.values
         assert np.abs(out.values - ref).max() < 1e-12

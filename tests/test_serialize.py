@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,16 @@ from liefact.serialize import (
 from liefact.signals import poisson_coefficients, random_bandlimited
 
 
+def _edited(T, edit):
+    """The JSON text of T after ``edit`` changed its parsed document."""
+    doc = json.loads(coefficients_to_json(T))
+    edit(doc["entries"])
+    return json.dumps(doc)
+
+
 class TestCoefficientJson:
-    def test_roundtrip(self, t1, su2, rng):
-        for g, L in ((t1, 8), (su2, 2)):
+    def test_roundtrip(self, t1, t2, su2, rng):
+        for g, L in ((t1, 8), (t2, 4), (su2, 2)):
             grid = haar_quadrature(g, L)
             T = forward(random_bandlimited(g, grid, rng, value_dim=2))
             back = coefficients_from_json(coefficients_to_json(T))
@@ -24,6 +33,8 @@ class TestCoefficientJson:
             assert back.value_dim == T.value_dim
             for xi in T.entries:
                 assert np.allclose(back.entries[xi], T.entries[xi])
+            assert len(back.blocks) == len(T.blocks)
+            assert all(np.array_equal(a, b) for a, b in zip(back.blocks, T.blocks))
 
     def test_deterministic_bytes(self, t1, rng):
         grid = haar_quadrature(t1, 4)
@@ -36,6 +47,37 @@ class TestCoefficientJson:
         bad = text.replace('"bandlimit": 4', '"bandlimit": 2')
         with pytest.raises(ParameterError):
             coefficients_from_json(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_value_rejected(self, su2, bad, part):
+        def edit(entries):
+            entries[2][part][0][1][2] = bad  # 2l = 2: one 3 x 3 slice
+        text = _edited(poisson_coefficients(su2, 2, 1.0), edit)
+        assert ("NaN" if bad != bad else "Infinity") in text
+        with pytest.raises(ParameterError, match="non-finite"):
+            coefficients_from_json(text)
+
+    @pytest.mark.parametrize("value", [0.5, [[0.5]], [[[0.5, 0.5], [0.5, 0.5]]],
+                                       [[[0.5]], [[0.5]]]])
+    def test_entry_shape_rejected(self, t1, value):
+        # a scalar must not broadcast into the (m, 1, 1) slot
+        def edit(entries):
+            entries[0]["re"] = value
+        with pytest.raises(ParameterError, match="shape"):
+            coefficients_from_json(_edited(poisson_coefficients(t1, 4, 1.0), edit))
+
+    def test_repeated_label_rejected(self, t2):
+        def edit(entries):
+            entries.append(dict(entries[5]))
+        with pytest.raises(ParameterError, match="twice"):
+            coefficients_from_json(_edited(poisson_coefficients(t2, 2, 1.0), edit))
+
+    def test_missing_label_reads_as_zero(self, t1):
+        T = poisson_coefficients(t1, 4, 1.0)
+        back = coefficients_from_json(_edited(T, lambda entries: entries.pop(0)))
+        assert back.hs_norms()[T.layout.wire[0]] == 0.0
+        assert np.count_nonzero(back.hs_norms() != T.hs_norms()) == 1
 
 
 class TestGridCsv:
