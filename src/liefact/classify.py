@@ -39,8 +39,8 @@ def decay_seminorm(T: FourierCoefficients, w: WeightFunction, h: float) -> float
 
     Computed in log space; a sup beyond double range is reported as +inf.
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
+    if not 0 < h < np.inf:
+        raise DomainError("h must be positive and finite")
     norms = T.hs_norms()
     pos = norms > 0.0
     if not pos.any():

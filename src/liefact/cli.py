@@ -23,6 +23,7 @@ from .errors import (
     EstimationError,
     InsufficientDataError,
     LiefactError,
+    ParameterError,
 )
 from .factorize import (
     FiniteRep,
@@ -144,8 +145,11 @@ def cmd_factorize(config: RunConfig) -> int:
         group = parse_group_spec(config.group)
         labels = [tuple(int(v) for v in part.split("/")) if isinstance(group, Torus)
                   else int(part) for part in config.rep.split(",")]
-        rep = FiniteRep.from_labels(group, labels,
-                                    bandlimit_hint=max(config.bandlimit or 8, 8))
+        need = max(group.label_bandlimit(lab) for lab in labels)
+        if need > config.bandlimit:
+            raise ParameterError(f"--rep {config.rep} needs band limit {need} "
+                                 f"> --bandlimit {config.bandlimit}")
+        rep = FiniteRep.from_labels(group, labels)
         rng = np.random.default_rng(config.seed)
         v = rng.standard_normal(rep.total_dim) + 1j * rng.standard_normal(rep.total_dim)
         res = factorize_vector(rep, v, w, config.h, config.h_prime)
@@ -154,7 +158,8 @@ def cmd_factorize(config: RunConfig) -> int:
             "rep": config.rep,
             "action_residual": res.action_residual,
             "orbit_residual": res.orbit_residual,
-            "params": {"weight": w.spec_string(), "h": config.h, "h_prime": config.h_prime},
+            "params": {"weight": w.spec_string(), "h": config.h,
+                       "h_prime": res.factorization.h_prime},
         }
         outputs = [_write(outdir, "bundle.json", json.dumps(bundle, sort_keys=True))]
         _manifest(outdir, config, outputs)
@@ -175,7 +180,7 @@ def cmd_factorize(config: RunConfig) -> int:
             "min_mu_margin": res.min_mu_margin,
             "pieces": res.k,
             "params": {"weight": w.spec_string(), "h": config.h,
-                       "h_prime": config.h_prime, "delta": config.support_delta},
+                       "h_prime": res.h_prime, "delta": config.support_delta},
         }
         outputs = [
             _write(outdir, "bundle.json", json.dumps(bundle, sort_keys=True)),

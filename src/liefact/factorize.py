@@ -58,11 +58,10 @@ from .fourier import (
     FourierCoefficients,
     GridFunction,
     compose,
-    dual_layout,
     forward,
     inverse,
 )
-from .groups import DualIndex, QuadratureGrid, Torus
+from .groups import DualIndex, QuadratureGrid, Torus, dual_layout
 from .weights import WeightFunction, eval_weight
 
 
@@ -73,7 +72,8 @@ from .weights import WeightFunction, eval_weight
 
 class FiniteRep:
     """A finite-dimensional unitary representation: block-diagonal irreps in a
-    fixed unitary basis (identity by default)."""
+    fixed unitary basis (identity by default).  pi(x) is built from the
+    group's matrix coefficients on each call; nothing is cached."""
 
     def __init__(self, group, blocks, basis: np.ndarray | None = None):
         self.group = group
@@ -87,10 +87,12 @@ class FiniteRep:
         self.basis = basis
 
     @classmethod
-    def from_labels(cls, group, labels, bandlimit_hint: int = 64, basis=None) -> "FiniteRep":
-        index = {xi.label: xi for xi in group.enumerate_dual(bandlimit_hint)}
+    def from_labels(cls, group, labels, basis=None) -> "FiniteRep":
+        """The rep with one block per dual label, looked up in the dual at the
+        labels' own band limit (``group.label_bandlimit``)."""
+        layout = dual_layout(group, max([1] + [group.label_bandlimit(lab) for lab in labels]))
         try:
-            blocks = [index[lab] for lab in labels]
+            blocks = [layout.duals[layout.position[lab]] for lab in labels]
         except KeyError as exc:
             raise ParameterError(f"unknown dual label {exc.args[0]!r}") from exc
         return cls(group, blocks, basis=basis)
@@ -98,9 +100,7 @@ class FiniteRep:
     @property
     def bandlimit(self) -> int:
         """Smallest L whose dual contains every block."""
-        if isinstance(self.group, Torus):
-            return max([1] + [max(abs(k) for k in xi.label) for xi in self.blocks])
-        return max([1] + [(xi.label + 1) // 2 for xi in self.blocks])
+        return max([1] + [self.group.label_bandlimit(xi.label) for xi in self.blocks])
 
     def evaluate(self, x) -> np.ndarray:
         """pi(x) as an m x m unitary matrix."""
@@ -121,20 +121,6 @@ class FiniteRep:
             out = np.einsum("ab,nbc,dc->nad", self.basis, out, self.basis.conj())
         return out
 
-    def table(self, grid: QuadratureGrid) -> np.ndarray:
-        """pi at every grid node, (N, m, m), read-only.
-
-        The shared grid keeps one rep table (about 90 MB at SU(2) L=16 with
-        m = 6), replaced when a rep with other labels or another basis asks.
-        """
-        key = (tuple(xi.label for xi in self.blocks), self.basis.tobytes())
-        slot = grid._cache.get("rep_table")
-        if slot is None or slot[0] != key:
-            table = self.evaluate_at(grid.nodes)
-            table.flags.writeable = False
-            slot = grid._cache["rep_table"] = (key, table)
-        return slot[1]
-
 
 def orbit_map(rep: FiniteRep, v, grid: QuadratureGrid | None = None) -> GridFunction:
     """The orbit gamma_v(x) = pi(x) v sampled on a Haar grid."""
@@ -143,7 +129,7 @@ def orbit_map(rep: FiniteRep, v, grid: QuadratureGrid | None = None) -> GridFunc
         raise ParameterError(f"vector must have length {rep.total_dim}")
     if grid is None:
         grid = rep.group.haar_quadrature(rep.bandlimit)
-    values = rep.table(grid) @ v
+    values = rep.evaluate_at(grid.nodes) @ v
     return GridFunction(rep.group, grid, values, value_dim=rep.total_dim,
                         bandlimit=grid.bandlimit)
 
@@ -158,9 +144,8 @@ def induced_action(rep: FiniteRep, chi: GridFunction, v) -> np.ndarray:
         raise ParameterError(f"vector must have length {rep.total_dim}")
     if chi.value_dim != 1:
         raise ParameterError("the acting function must be scalar-valued")
-    table = rep.table(chi.grid)
     wchi = chi.grid.weights * chi.scalar_values
-    return np.einsum("n,nab,b->a", wchi, table, v, optimize=True)
+    return np.einsum("n,nab,b->a", wchi, rep.evaluate_at(chi.grid.nodes), v, optimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +359,8 @@ def build_partition(delta: float, k_pieces: int | None, bump_order: float,
     The pieces sum back to Phi exactly on the grid and each vanishes outside
     its translate of W.
     """
-    if h_prime <= 0:
-        raise ParameterError("h' must be positive")
+    if not 0 < h_prime < np.inf:
+        raise ParameterError("h' must be positive and finite")
     chis = bump_partition_of_unity(delta, k_pieces, bump_order, grid)
     lam = dual_layout(grid.group, grid.bandlimit).casimir
     half_decay = FourierCoefficients.diagonal(

@@ -21,32 +21,27 @@ Wigner-d contraction in beta per degree.  The indices m = l..-l of degree 2l
 are the basic slice [2L+2l : 2L-2l-1 : -2] of the axis 2m = -2L..2L, so a
 degree's plane of the phase-stage array is a strided view that lines up with
 the degree's (d, d, B) Wigner table: ``forward`` is one matmul per degree,
-``inverse`` one broadcast add into the view.  ``evaluate`` builds the phases
-of all 2m once per chunk of points and slices each degree from them, and
-builds its Wigner table on the distinct betas of the chunk only.
+``inverse`` one broadcast add into the view.  ``evaluate`` only contracts:
+the group's ``irrep_blocks`` builds xi(x) block by block, chunk by chunk.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
 per distinct irrep dimension d, so the torus has a single (n_dual, m, 1, 1)
-block and SU(2) one (1, m, 2l+1, 2l+1) block per degree.  A DualLayout,
-cached per (group, band limit), fixes the dual order, the Casimir and
-dimension vectors aligned with it and the positions of each block's members,
-so diagonal multipliers, norms and compositions are array expressions over
-the blocks.  The layout also owns the wire order in which every output format
-lists the dual and a label -> position index that serialization reads.  The
-blocks are the only coefficient path inside the library; ``entries`` is a
-writable xi -> (m, d, d) view of them, kept for outside callers.
+block and SU(2) one (1, m, 2l+1, 2l+1) block per degree, laid out by
+``groups.dual_layout``, so diagonal multipliers, norms and compositions are
+array expressions over the blocks.  The blocks are the only coefficient path
+inside the library; ``entries`` is a writable xi -> (m, d, d) view of them,
+kept for outside callers.
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from functools import lru_cache
 
 import numpy as np
 
 from ._wigner import wigner_d_matrices
 from .errors import BandlimitMismatchError, DomainError, ParameterError
-from .groups import DualIndex, QuadratureGrid, Torus
+from .groups import DualIndex, DualLayout, QuadratureGrid, Torus, _degree_slice, dual_layout
 
 
 class GridFunction:
@@ -76,39 +71,6 @@ class GridFunction:
 
     def l2_norm_sq(self) -> float:
         return float(np.sum(self.grid.weights[:, None] * np.abs(self.values) ** 2))
-
-
-class DualLayout:
-    """Dual order, eigenvalues and block positions of one truncated dual.
-
-    ``labels``, ``casimir`` and ``dim`` are read-only and aligned with
-    ``duals``; block b holds the duals of dimension ``dims[b]`` at positions
-    ``members[b]``.  ``position[label]`` is the position i of a label, whose
-    (block, slot) is ``(block[i], slot[i])``; ``wire`` lists the positions in
-    the order every output format uses (by Casimir, then label text).
-    """
-
-    def __init__(self, duals):
-        self.duals = tuple(duals)
-        self.labels, self.casimir, self.dim = (
-            np.array([getattr(xi, a) for xi in self.duals]) for a in ("label", "casimir", "dim"))
-        self.dims = tuple(dict.fromkeys(self.dim.tolist()))
-        self.members = tuple(np.flatnonzero(self.dim == d) for d in self.dims)
-        self.block, self.slot = np.empty((2, len(self.duals)), dtype=int)
-        for b, idx in enumerate(self.members):
-            self.block[idx], self.slot[idx] = b, np.arange(len(idx))
-        self.wire = np.array(sorted(range(len(self.duals)), key=lambda i: (
-            self.duals[i].casimir, str(self.duals[i].label))), dtype=int)
-        for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, self.wire,
-                    *self.members):
-            arr.flags.writeable = False
-        self.position = {xi.label: i for i, xi in enumerate(self.duals)}
-
-
-@lru_cache(maxsize=None)
-def dual_layout(group, bandlimit: int) -> DualLayout:
-    """The layout of ``group``'s dual at ``bandlimit``, shared by every family."""
-    return DualLayout(group.enumerate_dual(bandlimit))
 
 
 class _BlockEntries(MutableMapping):
@@ -202,12 +164,6 @@ def _torus_bins(grid: QuadratureGrid, layout: DualLayout):
     return n, tuple((layout.labels % n).T)
 
 
-def _degree_slice(two_L: int, two_l: int) -> slice:
-    """Rows m = l..-l of degree 2l on the axis 2m = -2L..2L, as a basic slice."""
-    stop = two_L - two_l - 1
-    return slice(two_L + two_l, stop if stop >= 0 else None, -2)
-
-
 def _su2_plan(grid: QuadratureGrid, bandlimit: int):
     """(E, tables) at ``bandlimit`` L', sliced from the grid's one cached plan.
 
@@ -293,7 +249,8 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     """Evaluate the inverse transform at arbitrary group elements.
 
     Returns an (n_points, m) array.  Exact (up to roundoff) band-limited
-    interpolation, usable off the quadrature grid.
+    interpolation, usable off the quadrature grid: per block of the layout,
+    conj(D_b(x) . conj(d T_b)) with D_b from the group's ``irrep_blocks``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = T.value_dim
@@ -301,28 +258,13 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     # keep the per-chunk tables (chunk x sum d^2 entries) modest
     table_size = int(np.sum(T.layout.dim**2))
     chunk = max(128, 4_000_000 // table_size)
-    if isinstance(T.group, Torus):
-        K = T.layout.labels.astype(float)
-        coef = T.blocks[0][:, :, 0, 0]
-        for start in range(0, len(pts), chunk):
-            sl = slice(start, start + chunk)
-            out[sl] = np.exp(1j * pts[sl] @ K.T) @ coef
-        return out
-    two_L = 2 * T.bandlimit
-    two_ms = np.arange(-two_L, two_L + 1)
-    coefs = [((two_l + 1) * t[0]).reshape(m, -1).T for two_l, t in enumerate(T.blocks)]
+    # (count d d, m): sum_ij D_ij conj(d t_ij) is conj(d Tr[D^* t])
+    coefs = [np.moveaxis((d * b).conj(), 1, -1).reshape(-1, m)
+             for d, b in zip(T.layout.dims, T.blocks)]
     for start in range(0, len(pts), chunk):
         sl = slice(start, start + chunk)
-        p = pts[sl]
-        betas, where = np.unique(p[:, 1], return_inverse=True)
-        dmats = wigner_d_matrices(two_L, betas)
-        left = np.exp(0.5j * np.outer(p[:, 0], two_ms))
-        right = np.exp(0.5j * np.outer(p[:, 2], two_ms))
-        for two_l, c in enumerate(coefs):  # one block per degree
-            s = _degree_slice(two_L, two_l)
-            Dc = left[:, s, None] * dmats[two_l][where]  # conj(D), d real
-            Dc *= right[:, None, s]
-            out[sl] += Dc.reshape(len(p), -1) @ c
+        for D, c in zip(T.group.irrep_blocks(pts[sl], T.bandlimit), coefs):
+            out[sl] += (D.reshape(len(D), -1) @ c).conj()
     return out
 
 

@@ -4,6 +4,11 @@ Each group provides its unitary dual with dimensions and Casimir eigenvalues,
 unitary matrix coefficients, group element arithmetic in explicit coordinates,
 and a Haar quadrature exact on band-limited integrands.
 
+The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
+truncated dual, read by ``enumerate_dual`` and every coefficient family.
+``irrep_blocks`` builds xi(x) over a whole layout, one (n, count, d, d) array
+per block; ``irrep_matrices`` builds one xi.
+
 Coordinates and normalizations
 ------------------------------
 * Torus: angle vectors with period 2*pi per axis.  The character labeled by
@@ -41,6 +46,50 @@ class DualIndex:
     label: tuple[int, ...] | int   # k-vector (torus) or 2l (su2)
     dim: int
     casimir: float
+
+
+class DualLayout:
+    """Dual order, eigenvalues and block positions of one truncated dual.
+
+    ``labels``, ``casimir`` and ``dim`` are read-only and aligned with
+    ``duals``; block b holds the duals of dimension ``dims[b]`` at positions
+    ``members[b]``.  ``position[label]`` is the position i of a label, whose
+    (block, slot) is ``(block[i], slot[i])``; ``wire`` lists the positions in
+    the order every output format uses (by Casimir, then label text).
+    """
+
+    def __init__(self, duals):
+        self.duals = tuple(duals)
+        self.labels, self.casimir, self.dim = (
+            np.array([getattr(xi, a) for xi in self.duals]) for a in ("label", "casimir", "dim"))
+        self.dims = tuple(dict.fromkeys(self.dim.tolist()))
+        self.members = tuple(np.flatnonzero(self.dim == d) for d in self.dims)
+        self.block, self.slot = np.empty((2, len(self.duals)), dtype=int)
+        for b, idx in enumerate(self.members):
+            self.block[idx], self.slot[idx] = b, np.arange(len(idx))
+        self.wire = np.array(sorted(range(len(self.duals)), key=lambda i: (
+            self.duals[i].casimir, str(self.duals[i].label))), dtype=int)
+        for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, self.wire,
+                    *self.members):
+            arr.flags.writeable = False
+        self.position = {xi.label: i for i, xi in enumerate(self.duals)}
+
+
+@lru_cache(maxsize=None)
+def dual_layout(group, bandlimit: int) -> DualLayout:
+    """The layout of ``group``'s dual at ``bandlimit``, shared by every family.
+
+    The only cache of the dual: the group builds it from its labels once.
+    """
+    if bandlimit < 1:
+        raise DomainError("band limit must be >= 1")
+    return DualLayout(group.dual_indices(bandlimit))
+
+
+def _degree_slice(two_L: int, two_l: int) -> slice:
+    """Rows m = l..-l of degree 2l on the axis 2m = -2L..2L, as a basic slice."""
+    stop = two_L - two_l - 1
+    return slice(two_L + two_l, stop if stop >= 0 else None, -2)
 
 
 class QuadratureGrid:
@@ -97,7 +146,18 @@ class Torus:
     # -- dual -----------------------------------------------------------
 
     def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
-        return list(_torus_dual(self, int(bandlimit)))
+        return list(dual_layout(self, int(bandlimit)).duals)
+
+    def dual_indices(self, bandlimit: int) -> tuple[DualIndex, ...]:
+        """The dual up to ``bandlimit``, built from its labels (uncached)."""
+        rng = range(-bandlimit, bandlimit + 1)
+        labels = [(k,) for k in rng] if self.d == 1 else [(k1, k2) for k1 in rng for k2 in rng]
+        return tuple(DualIndex(label=lab, dim=1, casimir=float(sum(k * k for k in lab)))
+                     for lab in labels)
+
+    def label_bandlimit(self, label) -> int:
+        """Smallest L whose dual can hold ``label``: max |k_i|."""
+        return int(np.max(np.abs(label)))
 
     # -- elements ---------------------------------------------------------
 
@@ -135,6 +195,12 @@ class Torus:
         phases = np.exp(-1j * pts @ k)
         return phases[:, None, None]
 
+    def irrep_blocks(self, points: np.ndarray, bandlimit: int):
+        """xi(x) for the whole dual: its one (n, n_dual, 1, 1) layout block."""
+        pts = self.validate_coords(points)
+        K = dual_layout(self, bandlimit).labels.astype(float)
+        yield np.exp(-1j * pts @ K.T)[:, :, None, None]
+
     # -- quadrature ---------------------------------------------------------
 
     def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
@@ -147,21 +213,6 @@ class Torus:
             return neg
         flat = np.arange(n * n)
         return neg[flat // n] * n + neg[flat % n]
-
-
-@lru_cache(maxsize=None)
-def _torus_dual(group: Torus, bandlimit: int) -> tuple[DualIndex, ...]:
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    rng = range(-bandlimit, bandlimit + 1)
-    if group.d == 1:
-        labels = [(k,) for k in rng]
-    else:
-        labels = [(k1, k2) for k1 in rng for k2 in rng]
-    return tuple(
-        DualIndex(label=lab, dim=1, casimir=float(sum(k * k for k in lab)))
-        for lab in labels
-    )
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +244,16 @@ class SU2:
     # -- dual -----------------------------------------------------------
 
     def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
-        return list(_su2_dual(self, int(bandlimit)))
+        return list(dual_layout(self, int(bandlimit)).duals)
+
+    def dual_indices(self, bandlimit: int) -> tuple[DualIndex, ...]:
+        """The degrees 2l = 0..2L, built from their labels (uncached)."""
+        return tuple(DualIndex(label=two_l, dim=two_l + 1, casimir=two_l * (two_l + 2) / 4.0)
+                     for two_l in range(2 * bandlimit + 1))
+
+    def label_bandlimit(self, label) -> int:
+        """Smallest L whose dual can hold degree ``label`` = 2l: ceil(l)."""
+        return (label + 1) // 2
 
     # -- elements ---------------------------------------------------------
 
@@ -285,6 +345,23 @@ class SU2:
         out *= right[:, None, :]
         return out
 
+    def irrep_blocks(self, points: np.ndarray, bandlimit: int):
+        """xi(x) for the whole dual: one (n, 1, d, d) block per degree, built
+        one at a time from the phases of every 2m and one Wigner table on the
+        distinct betas."""
+        pts = self.validate_coords(np.atleast_2d(points))
+        two_L = 2 * int(bandlimit)
+        two_ms = np.arange(-two_L, two_L + 1)
+        betas, where = np.unique(pts[:, 1], return_inverse=True)
+        dmats = wigner_d_matrices(two_L, betas)
+        left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
+        right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
+        for two_l, d in enumerate(dmats):
+            s = _degree_slice(two_L, two_l)
+            block = left[:, s, None] * d[where]
+            block *= right[:, None, s]
+            yield block[:, None]
+
     # -- quadrature ---------------------------------------------------------
 
     def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
@@ -302,16 +379,6 @@ class SU2:
         a_new = (B // 2 - c_idx) % two_b
         c_new = (-B // 2 - a_idx) % two_b
         return ((a_new * B + b_idx) * two_b + c_new).reshape(-1)
-
-
-@lru_cache(maxsize=None)
-def _su2_dual(group: SU2, bandlimit: int) -> tuple[DualIndex, ...]:
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    return tuple(
-        DualIndex(label=two_l, dim=two_l + 1, casimir=two_l * (two_l + 2) / 4.0)
-        for two_l in range(2 * bandlimit + 1)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierCoefficients, GridFunction, dual_layout, inverse
-from .groups import QuadratureGrid
+from .fourier import FourierCoefficients, GridFunction, inverse
+from .groups import QuadratureGrid, dual_layout
 
 
 def synth_coefficients(group, bandlimit: int, hs_norm_fn) -> FourierCoefficients:

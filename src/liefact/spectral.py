@@ -99,8 +99,8 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
     running sup (the weighted sequence eventually decreases for band-limited f
     because phi*(t)/t -> infinity).
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
+    if not 0 < h < np.inf:
+        raise DomainError("h must be positive and finite")
     penalty = young_conjugate(w, h, 2.0 * np.arange(j_max + 1))
     supnorms = []
     weighted = []

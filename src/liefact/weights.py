@@ -195,8 +195,8 @@ def _grid_scaled_conjugate(w: WeightFunction, h: float, t):
 
 def _shaped_conjugate(kernel, w: WeightFunction, h: float, t):
     """Check h > 0 and t >= 0, apply ``kernel(w, h, t)``, return t's shape."""
-    if h <= 0:
-        raise DomainError("h must be positive")
+    if not 0 < h < np.inf:
+        raise DomainError("h must be positive and finite")
     arr = np.asarray(t, dtype=float)
     if not np.all(arr >= 0):
         raise DomainError("the conjugate is evaluated at t >= 0")
@@ -214,8 +214,8 @@ class YoungConjugate:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise DomainError("h must be positive")
+        if not 0 < self.h < np.inf:
+            raise DomainError("h must be positive and finite")
 
     def __call__(self, t):
         return young_conjugate(self.source, self.h, t)
@@ -300,8 +300,8 @@ def young_inequality_witness(
     h' sweeps h * 2^-1, h * 2^-2, ...; the first h' whose required constant
     stays below ``c_cap`` wins.
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
+    if not 0 < h < np.inf:
+        raise DomainError("h must be positive and finite")
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0):
         raise DomainError("the inequality is evaluated at t > 0")

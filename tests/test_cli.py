@@ -8,9 +8,10 @@ import pytest
 
 import liefact.fourier
 from liefact.cli import RunConfig, main
+from liefact.factorize import FiniteRep
 from liefact.serialize import coefficients_from_json, coefficients_to_json
 from liefact.fourier import FourierCoefficients
-from liefact.groups import Torus
+from liefact.groups import SU2, Torus
 from liefact.verify import run_verification
 
 
@@ -174,6 +175,33 @@ class TestFactorize:
         bundle = json.loads((tmp_path / "v" / "bundle.json").read_text())
         assert bundle["action_residual"] <= 1e-9
         assert bundle["orbit_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["supported", "vector"])
+    def test_bundle_records_resolved_h_prime(self, tmp_path, mode):
+        argv = {
+            "supported": ["--group", "t1", "--bandlimit", "64", "--builtin", "poisson:2.0",
+                          "--supported", "--pieces", "8", "--weight", "gevrey:s=0.5"],
+            "vector": ["--group", "su2", "--bandlimit", "2", "--vector", "--rep", "0,1,2",
+                       "--weight", "gevrey:s=1"],
+        }[mode]
+        h = 0.5
+        assert run(["factorize", *argv, "--h", str(h), "--out", str(tmp_path / "o")]) == 0
+        bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
+        assert bundle["params"]["h_prime"] == 2 * h
+
+    def test_vector_rep_above_bandlimit_exits_2_before_any_table(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rep table or grid was built")
+
+        monkeypatch.setattr(FiniteRep, "evaluate_at", refuse)
+        monkeypatch.setattr(SU2, "irrep_matrices", refuse)
+        monkeypatch.setattr(SU2, "haar_quadrature", refuse)
+        code = run(["factorize", "--group", "su2", "--bandlimit", "2", "--vector",
+                    "--rep", "0,1,70", "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "--bandlimit 2" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("argv", [
         ["transform", "--builtin", "poisson:nan"],

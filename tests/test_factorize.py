@@ -24,7 +24,7 @@ from liefact.factorize import (
     supported_factorize,
 )
 from liefact.fourier import GridFunction, convolve, forward, inverse
-from liefact.groups import QuadratureGrid, enumerate_dual, haar_quadrature
+from liefact.groups import SU2, Torus, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_function,
     random_bandlimited,
@@ -64,6 +64,24 @@ class TestOrbitMap:
             orbit_map(rep, np.zeros(5))
 
 
+class TestFromLabels:
+    def test_labels_resolved_at_their_own_band_limit(self, t2, su2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("from_labels built a grid")
+
+        monkeypatch.setattr(SU2, "haar_quadrature", refuse)
+        monkeypatch.setattr(Torus, "haar_quadrature", refuse)
+        rep = FiniteRep.from_labels(su2, [130])
+        assert rep.total_dim == 131 and rep.bandlimit == 65
+        rep = FiniteRep.from_labels(t2, [(70, 0)])
+        assert rep.blocks[0].label == (70, 0) and rep.bandlimit == 70
+
+    def test_unknown_labels_rejected(self, t1, t2, su2):
+        for group, label in ((su2, -1), (t2, (1,)), (t1, (1, 2))):
+            with pytest.raises(ParameterError):
+                FiniteRep.from_labels(group, [label])
+
+
 class TestInducedAction:
     def test_constant_chi_projects_on_trivial_block(self, su2, rng):
         rep = FiniteRep.from_labels(su2, [0, 1])
@@ -97,27 +115,13 @@ class TestInducedAction:
         grid = haar_quadrature(su2, 2)
         chi = random_bandlimited(su2, grid, rng)
         T = forward(chi)
-        table = rep.table(grid)
+        table = rep.evaluate_at(grid.nodes)
         op = np.einsum("n,nab->ab", grid.weights * chi.scalar_values, table)
         offset = 0
         for xi in rep.blocks:
             block = op[offset:offset + xi.dim, offset:offset + xi.dim]
             assert np.abs(block - T.entries[xi][0]).max() < 1e-10
             offset += xi.dim
-
-    def test_table_cache_keeps_one_rep_per_grid(self, su2, rng):
-        shared = haar_quadrature(su2, 1)
-        # a private grid on the same nodes, so no other cache entry counts
-        grid = QuadratureGrid(su2, 1, shared.nodes, shared.weights, shared.axes)
-        reps = []
-        for _ in range(2):
-            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            reps.append(FiniteRep.from_labels(su2, [0, 1], basis=np.linalg.qr(z)[0]))
-        for rep in reps + reps:
-            assert np.array_equal(rep.table(grid), rep.evaluate_at(grid.nodes))
-        assert list(grid._cache) == ["rep_table"]
-        with pytest.raises(ValueError):
-            reps[1].table(grid)[0, 0, 0] = 0.0
 
     def test_intertwining_relation(self, su2, rng):
         # (pi(x) (x) Id)(F gamma_v(xi)) = xi(x)^* o F gamma_v(xi)

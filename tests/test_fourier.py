@@ -147,24 +147,40 @@ class TestInverse:
         assert np.abs(vals - f.values[idx]).max() < 1e-11
 
     def test_evaluate_builds_wigner_on_distinct_betas(self, su2, rng, monkeypatch):
-        import liefact.fourier
+        import liefact.groups
 
         grid = haar_quadrature(su2, 4)
         T = forward(random_bandlimited(su2, grid, rng))
         angles = []
-        wigner = liefact.fourier.wigner_d_matrices
+        wigner = liefact.groups.wigner_d_matrices
 
         def spy(two_l_max, beta):
             angles.append(np.size(beta))
             return wigner(two_l_max, beta)
 
-        monkeypatch.setattr(liefact.fourier, "wigner_d_matrices", spy)
+        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", spy)
         evaluate(T, grid.nodes[rng.choice(grid.size, 40, replace=False)])
         assert angles and max(angles) <= grid.axes["B"]
         grid = haar_quadrature(su2, 16)
         T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
         idx = rng.choice(grid.size, 64, replace=False)
         assert np.abs(evaluate(T, grid.nodes[idx]) - inverse(T, grid).values[idx]).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_evaluate_torus_off_grid_matches_character_sum(self, d, rng):
+        # oracle f(x) = sum_k T_k e^{i k.x}, written out per label
+        group = Torus(d)
+        T = forward(random_bandlimited(group, haar_quadrature(group, 5), rng, value_dim=2))
+        pts = rng.uniform(0.0, 2 * np.pi, (40, d))
+        ref = sum(np.exp(1j * pts @ np.array(xi.label, dtype=float))[:, None]
+                  * T.entries[xi][:, 0, 0] for xi in T.duals)
+        assert np.abs(evaluate(T, pts) - ref).max() < 1e-12
+
+    def test_evaluate_rejects_beta_outside_range(self, su2, rng):
+        T = forward(random_bandlimited(su2, haar_quadrature(su2, 2), rng))
+        for beta in (-0.1, np.pi + 0.1):
+            with pytest.raises(DomainError):
+                evaluate(T, np.array([[0.3, beta, 0.2]]))
 
     def test_evaluate_off_grid_matches_sum_formula(self, su2, rng):
         # oracle f(x) = sum_xi d_xi Tr[D^xi(x)^* T_xi], with D^xi built from the

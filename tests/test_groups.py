@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import liefact.fourier
 from liefact.errors import DomainError
 from liefact.groups import (
     SU2,
     Torus,
+    dual_layout,
     enumerate_dual,
     haar_quadrature,
     matrix_coefficients,
@@ -27,6 +29,16 @@ class TestDualEnumeration:
         assert [xi.label for xi in duals] == [0, 1, 2]
         assert [xi.dim for xi in duals] == [1, 2, 3]
         assert [xi.casimir for xi in duals] == [0.0, 0.75, 2.0]
+
+    def test_enumerate_dual_reads_the_one_layout_cache(self, t2, su2):
+        assert liefact.fourier.dual_layout is dual_layout
+        for g in (t2, su2):
+            layout = dual_layout(g, 3)
+            duals = enumerate_dual(g, 3)
+            assert len(duals) == len(layout.duals)
+            assert all(a is b for a, b in zip(duals, layout.duals))
+            with pytest.raises(DomainError):
+                enumerate_dual(g, 0)
 
     def test_torus2(self, t2):
         duals = enumerate_dual(t2, 1)
@@ -123,6 +135,42 @@ class TestMatrixCoefficients:
             tracemalloc.stop()
         assert mats.shape == (len(grid.nodes), 9, 9)
         assert peak < 2.2 * mats.nbytes
+
+
+class TestIrrepBlocks:
+    """``irrep_blocks`` builds xi(x) over the whole layout; each block must
+    equal the one-xi ``irrep_matrices`` bit for bit."""
+
+    def test_su2_degrees_equal_irrep_matrices(self, su2, rng):
+        L = 4
+        duals = enumerate_dual(su2, L)
+        grid = haar_quadrature(su2, L)
+        random_pts = np.array([su2.random_element(rng) for _ in range(30)])
+        for pts in (random_pts, grid.nodes[::7]):
+            blocks = list(su2.irrep_blocks(pts, L))
+            assert len(blocks) == len(duals)
+            for xi, block in zip(duals, blocks):
+                assert block.shape == (len(pts), 1, xi.dim, xi.dim)
+                assert np.array_equal(block[:, 0], su2.irrep_matrices(xi, pts))
+
+    def test_torus_block_columns_equal_irrep_matrices(self, t1, t2, rng):
+        # the block forms every phase k.x in one matrix product, a single xi
+        # in a vector product; on T^2 the two sums may round apart in the last
+        # bit of k.x (|k.x| < 40 here, so by well under 1e-14)
+        for g in (t1, t2):
+            pts = np.array([g.random_element(rng) for _ in range(30)])
+            (block,) = g.irrep_blocks(pts, 3)
+            duals = enumerate_dual(g, 3)
+            assert block.shape == (len(pts), len(duals), 1, 1)
+            for i, xi in enumerate(duals):
+                mats = g.irrep_matrices(xi, pts)
+                assert np.abs(block[:, i] - mats).max() <= (0.0 if g is t1 else 1e-14)
+
+    def test_coordinates_validated(self, t2, su2):
+        with pytest.raises(DomainError):
+            next(su2.irrep_blocks(np.array([[0.0, -0.5, 0.0]]), 2))
+        with pytest.raises(DomainError):
+            next(t2.irrep_blocks(np.zeros((4, 3)), 2))
 
 
 class TestElements:

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefact.errors import DomainError, WitnessSearchError
+from liefact.classify import decay_seminorm
+from liefact.errors import DomainError, ParameterError, WitnessSearchError
+from liefact.factorize import build_partition
+from liefact.groups import Torus, haar_quadrature
+from liefact.signals import poisson_coefficients, poisson_function
+from liefact.spectral import iterate_seminorm
 from liefact.weights import (
+    YoungConjugate,
     check_weight_axioms,
     eval_weight,
     gevrey_weight,
@@ -261,3 +267,28 @@ class TestParsing:
         assert eval_weight(w, 2.0) == pytest.approx(1.0)
         # linear extrapolation with the final slope
         assert eval_weight(w, 6.0) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    "decay_seminorm", "young_conjugate", "young_conjugate_grid", "YoungConjugate",
+    "iterate_seminorm", "young_inequality_witness", "build_partition",
+])
+def test_non_finite_h_rejected(entry, h):
+    t1, w = Torus(1), gevrey_weight(1.0)
+    grid = haar_quadrature(t1, 16)
+    exc, call = {
+        "decay_seminorm": (DomainError,
+                           lambda: decay_seminorm(poisson_coefficients(t1, 16, 1.0), w, h)),
+        "young_conjugate": (DomainError, lambda: young_conjugate(w, h, [1.0, 2.0])),
+        "young_conjugate_grid": (DomainError, lambda: young_conjugate_grid(w, h, [1.0, 2.0])),
+        "YoungConjugate": (DomainError, lambda: YoungConjugate(w, h)),
+        "iterate_seminorm": (DomainError,
+                             lambda: iterate_seminorm(poisson_function(t1, grid, 1.0), w, h)),
+        "young_inequality_witness": (DomainError,
+                                     lambda: young_inequality_witness(w, h, [1.0, 2.0])),
+        "build_partition": (ParameterError,
+                            lambda: build_partition(2.0, 8, 2.0, gevrey_weight(0.5), h, grid)),
+    }[entry]
+    with pytest.raises(exc):
+        call()
