@@ -142,6 +142,8 @@ def cmd_factorize(config: RunConfig) -> int:
     outdir = Path(config.output_dir)
     w = parse_weight_spec(config.weight)
     if config.vector:
+        if not config.rep:
+            raise ParameterError("--vector needs --rep, e.g. --rep 0,1,2")
         group = parse_group_spec(config.group)
         labels = [tuple(int(v) for v in part.split("/")) if isinstance(group, Torus)
                   else int(part) for part in config.rep.split(",")]

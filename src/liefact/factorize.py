@@ -17,7 +17,8 @@ members are stacked along value_dim and factored as one C^m-valued function.
 The vector form applies this to the orbit map gamma_v(x) = pi(x) v of a
 finite-dimensional representation, where evaluating f'_v at the identity
 yields v_tilde with gamma_{v_tilde} = f'_v and v = Pi(g_check) v_tilde,
-g_check(x) = g(x^-1).
+g_check(x) = g(x^-1).  No table of pi is built: an orbit map is one inverse
+transform and Pi(chi) v one forward transform of chi.
 
 Supported factorization (torus(1), non-quasianalytic weights).  The inverse
 transform Phi of (e^{-w(sqrt(lambda))/(2h')} Id) is split by a bump partition
@@ -58,6 +59,7 @@ from .fourier import (
     FourierCoefficients,
     GridFunction,
     compose,
+    evaluate,
     forward,
     inverse,
 )
@@ -72,18 +74,19 @@ from .weights import WeightFunction, eval_weight
 
 class FiniteRep:
     """A finite-dimensional unitary representation: block-diagonal irreps in a
-    fixed unitary basis (identity by default).  pi(x) is built from the
-    group's matrix coefficients on each call; nothing is cached."""
+    fixed unitary basis (identity by default).  It holds no table of pi."""
 
     def __init__(self, group, blocks, basis: np.ndarray | None = None):
         self.group = group
         self.blocks = list(blocks)
-        self.total_dim = sum(xi.dim for xi in self.blocks)
-        if basis is None:
-            basis = np.eye(self.total_dim, dtype=complex)
-        basis = np.asarray(basis, dtype=complex)
+        ends = np.cumsum([0] + [xi.dim for xi in self.blocks]).tolist()
+        self.total_dim = ends[-1]
+        self._rows = [slice(a, b) for a, b in zip(ends, ends[1:])]  # block j's rows
+        basis = np.asarray(np.eye(self.total_dim) if basis is None else basis, dtype=complex)
         if basis.shape != (self.total_dim, self.total_dim):
             raise ParameterError("basis must be m x m with m the total block dimension")
+        if not np.abs(basis.conj().T @ basis - np.eye(self.total_dim)).max(initial=0) <= 1e-10:
+            raise ParameterError("basis must be unitary: |basis^dagger basis - Id| > 1e-10")
         self.basis = basis
 
     @classmethod
@@ -102,50 +105,52 @@ class FiniteRep:
         """Smallest L whose dual contains every block."""
         return max([1] + [self.group.label_bandlimit(xi.label) for xi in self.blocks])
 
+    def coordinates(self, v) -> np.ndarray:
+        """u = basis^dagger v, the block coordinates of a vector of length m."""
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.total_dim,):
+            raise ParameterError(f"vector must have length {self.total_dim}")
+        return self.basis.conj().T @ v
+
+    def block_slots(self, T: FourierCoefficients):
+        """(T's (m, d, d) slot at xi_j, the rows of block j) for each block j."""
+        if T.group != self.group:
+            raise ParameterError(f"a family on {T.group} cannot act on a rep of {self.group}")
+        for xi, rows in zip(self.blocks, self._rows):
+            i = T.layout.position[xi.label]
+            yield T.blocks[T.layout.block[i]][T.layout.slot[i]], rows
+
     def evaluate(self, x) -> np.ndarray:
         """pi(x) as an m x m unitary matrix."""
-        return self.evaluate_at(np.asarray(x, float)[None, :])[0]
-
-    def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """pi at a batch of elements: (n, m, m)."""
-        pts = np.atleast_2d(points)
-        n = len(pts)
-        out = np.zeros((n, self.total_dim, self.total_dim), dtype=complex)
-        offset = 0
-        for xi in self.blocks:
-            out[:, offset:offset + xi.dim, offset:offset + xi.dim] = (
-                self.group.irrep_matrices(xi, pts)
-            )
-            offset += xi.dim
-        if not np.allclose(self.basis, np.eye(self.total_dim)):
-            out = np.einsum("ab,nbc,dc->nad", self.basis, out, self.basis.conj())
-        return out
+        pi = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        for xi, rows in zip(self.blocks, self._rows):
+            pi[rows, rows] = self.group.irrep_matrix(xi, x)
+        return self.basis @ pi @ self.basis.conj().T
 
 
 def orbit_map(rep: FiniteRep, v, grid: QuadratureGrid | None = None) -> GridFunction:
-    """The orbit gamma_v(x) = pi(x) v sampled on a Haar grid."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (rep.total_dim,):
-        raise ParameterError(f"vector must have length {rep.total_dim}")
-    if grid is None:
-        grid = rep.group.haar_quadrature(rep.bandlimit)
-    values = rep.evaluate_at(grid.nodes) @ v
-    return GridFunction(rep.group, grid, values, value_dim=rep.total_dim,
-                        bandlimit=grid.bandlimit)
+    """The orbit gamma_v(x) = pi(x) v on a grid exact to ``rep.bandlimit``: one inverse
+    of the family with slot a = e_a conj(u_j)^T / d_j at xi_j, conjugated (u = basis^dagger v)."""
+    u = rep.coordinates(v)
+    grid = rep.group.haar_quadrature(rep.bandlimit) if grid is None else grid
+    T = FourierCoefficients.zeros(grid.group, rep.bandlimit, rep.total_dim)
+    for slot, rows in rep.block_slots(T):
+        d = slot.shape[-1]
+        slot[rows] = np.eye(d)[:, :, None] * u[rows].conj() / d
+    values = inverse(T, grid).values.conj() @ rep.basis.T
+    return GridFunction(rep.group, grid, values, bandlimit=grid.bandlimit)
 
 
 def induced_action(rep: FiniteRep, chi: GridFunction, v) -> np.ndarray:
-    """Pi(chi) v = sum_nodes weight chi(x) pi(x) v.
-
-    The block restriction of Pi(chi) equals F(chi)(xi) in the rep's basis.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (rep.total_dim,):
-        raise ParameterError(f"vector must have length {rep.total_dim}")
+    """Pi(chi) v = sum_nodes weight chi(x) pi(x) v = basis (+)_j F(chi)(xi_j) u_j:
+    one forward on chi's grid, exact to ``rep.bandlimit`` (u = basis^dagger v)."""
+    u = rep.coordinates(v)
     if chi.value_dim != 1:
         raise ParameterError("the acting function must be scalar-valued")
-    wchi = chi.grid.weights * chi.scalar_values
-    return np.einsum("n,nab,b->a", wchi, rep.evaluate_at(chi.grid.nodes), v, optimize=True)
+    out = np.empty(rep.total_dim, dtype=complex)
+    for slot, rows in rep.block_slots(forward(chi, rep.bandlimit)):
+        out[rows] = slot[0] @ u[rows]
+    return rep.basis @ out
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +266,12 @@ class VectorFactorizationResult:
     factorization: FactorizationResult
 
 
-def _value_at_identity(T: FourierCoefficients) -> np.ndarray:
-    """f(e) = sum_xi d_xi Tr[T_xi] per slice (xi(e) = Id)."""
-    return sum(d * np.trace(b, axis1=2, axis2=3).sum(axis=0)
-               for d, b in zip(T.layout.dims, T.blocks))
-
-
 def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
                      h_prime: float | None = None) -> VectorFactorizationResult:
     """Factor v = Pi(g_check) v_tilde through the orbit map of a finite rep."""
-    v = np.asarray(v, dtype=complex)
     gamma = orbit_map(rep, v)  # checks the length of v
     res = strong_factorize(gamma, w, h, h_prime)
-    v_tilde = _value_at_identity(res.f_prime)
+    v_tilde = evaluate(res.f_prime, rep.group.identity())[0]
     g_grid = inverse(res.g, gamma.grid)
     g_check = GridFunction(rep.group, gamma.grid,
                            g_grid.values[gamma.grid.inversion_permutation],
@@ -335,6 +333,8 @@ def bump_partition_of_unity(delta: float, k_pieces: int | None, bump_order: floa
         raise DomainError("the support parameter delta must lie in (0, pi)")
     if k_pieces is None:
         k_pieces = default_piece_count(delta)
+    if k_pieces < 1:
+        raise ParameterError(f"the piece count k must be at least 1, got {k_pieces}")
     spacing = 2 * np.pi / k_pieces
     if spacing >= delta:
         raise CoverageError(

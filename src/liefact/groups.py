@@ -432,11 +432,9 @@ def weyl_summability(group, alpha: float, bandlimit: int) -> np.ndarray:
     """Partial sums S(L') = sum_{dual up to L'} d^2 (1+lambda)^(-alpha), L' = 1..L.
 
     For alpha = dim G the increments shrink geometrically; at alpha = dim G / 2
-    they do not (the Weyl-law summability threshold).
+    they do not (the Weyl-law summability threshold).  Read off one layout.
     """
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    return np.array([
-        sum(xi.dim**2 * (1.0 + xi.casimir) ** (-alpha) for xi in group.enumerate_dual(lprime))
-        for lprime in range(1, bandlimit + 1)
-    ])
+    layout = dual_layout(group, int(bandlimit))
+    terms = layout.dim**2 * (1.0 + layout.casimir) ** (-alpha)
+    bins = [group.label_bandlimit(lab) for lab in layout.labels]  # the first L' holding it
+    return np.cumsum(np.bincount(bins, terms, minlength=bandlimit + 1))[1:]

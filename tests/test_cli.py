@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liefact.factorize
 import liefact.fourier
 from liefact.cli import RunConfig, main
-from liefact.factorize import FiniteRep
+from liefact.errors import ParameterError
+from liefact.factorize import bump_partition_of_unity
 from liefact.serialize import coefficients_from_json, coefficients_to_json
 from liefact.fourier import FourierCoefficients
 from liefact.groups import SU2, Torus
@@ -189,12 +191,35 @@ class TestFactorize:
         bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
         assert bundle["params"]["h_prime"] == 2 * h
 
+    def test_vector_without_rep_exits_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(SU2, "haar_quadrature", refuse)
+        code = run(["factorize", "--group", "su2", "--bandlimit", "2", "--vector",
+                    "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "--rep" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_piece_count_below_one_exits_2(self, tmp_path, capsys):
+        with pytest.raises(ParameterError, match="at least 1"):
+            bump_partition_of_unity(2.0, 0, 2.0, Torus(1).haar_quadrature(16))
+        for k in ("0", "-3"):
+            code = run(["factorize", "--group", "t1", "--bandlimit", "16",
+                        "--builtin", "poisson:1.0", "--weight", "gevrey:s=0.5", "--supported",
+                        "--pieces", k, "--out", str(tmp_path / k)])
+            assert code == 2
+            assert "at least 1" in capsys.readouterr().err
+            assert not (tmp_path / k).exists()
+
     def test_vector_rep_above_bandlimit_exits_2_before_any_table(self, tmp_path, capsys,
                                                                  monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a rep table or grid was built")
 
-        monkeypatch.setattr(FiniteRep, "evaluate_at", refuse)
+        monkeypatch.setattr(liefact.factorize, "inverse", refuse)
+        monkeypatch.setattr(liefact.factorize, "forward", refuse)
         monkeypatch.setattr(SU2, "irrep_matrices", refuse)
         monkeypatch.setattr(SU2, "haar_quadrature", refuse)
         code = run(["factorize", "--group", "su2", "--bandlimit", "2", "--vector",

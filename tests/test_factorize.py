@@ -4,6 +4,7 @@ import pytest
 from liefact import factorize
 from liefact.classify import decay_seminorm, gevrey_order_estimate
 from liefact.errors import (
+    BandlimitMismatchError,
     ConditioningError,
     CoverageError,
     DomainError,
@@ -32,6 +33,31 @@ from liefact.signals import (
     synth_coefficients,
 )
 from liefact.weights import eval_weight, gevrey_weight
+
+
+REPS = [  # (group, labels): T^1, T^2, SU(2) with a repeated label
+    (Torus(1), [(1,), (-2,), (1,)]),
+    (Torus(2), [(0, 1), (1, -1), (2, 0)]),
+    (SU2(), [1, 1, 4]),
+]
+
+
+def _rep(group, labels, rng):
+    """The rep with a random unitary basis."""
+    m = FiniteRep.from_labels(group, labels).total_dim
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return FiniteRep.from_labels(group, labels, basis=q)
+
+
+def _pi_table(rep, nodes):
+    """Dense pi on the nodes, block by block (reference for the transform path)."""
+    table = np.zeros((len(nodes), rep.total_dim, rep.total_dim), dtype=complex)
+    offset = 0
+    for xi in rep.blocks:
+        rows = slice(offset, offset + xi.dim)
+        table[:, rows, rows] = rep.group.irrep_matrices(xi, nodes)
+        offset += xi.dim
+    return rep.basis @ table @ rep.basis.conj().T
 
 
 class TestOrbitMap:
@@ -63,6 +89,34 @@ class TestOrbitMap:
         with pytest.raises(ParameterError):
             orbit_map(rep, np.zeros(5))
 
+    @pytest.mark.parametrize("group, labels", REPS, ids=["t1", "t2", "su2"])
+    def test_values_equal_pi_times_v(self, group, labels, rng):
+        rep = _rep(group, labels, rng)
+        v = rng.standard_normal(rep.total_dim) + 1j * rng.standard_normal(rep.total_dim)
+        f = orbit_map(rep, v, group.haar_quadrature(rep.bandlimit + 1))
+        for i in rng.integers(f.grid.size, size=16):
+            assert np.abs(f.values[i] - rep.evaluate(f.grid.nodes[i]) @ v).max() < 1e-12
+
+    @pytest.mark.parametrize("group, labels", REPS, ids=["t1", "t2", "su2"])
+    def test_grid_below_rep_bandlimit_rejected(self, group, labels, rng):
+        rep = _rep(group, labels, rng)
+        grid = group.haar_quadrature(rep.bandlimit - 1)
+        v = np.ones(rep.total_dim)
+        with pytest.raises(BandlimitMismatchError):
+            orbit_map(rep, v, grid)
+        with pytest.raises(BandlimitMismatchError):
+            induced_action(rep, random_bandlimited(group, grid, rng), v)
+
+    def test_other_groups_grid_rejected(self, t1, t2, su2, rng):
+        for group, label, other in ((t1, (1,), t2), (t2, (1, 0), su2), (su2, 1, t1)):
+            rep = FiniteRep.from_labels(group, [label])
+            grid = other.haar_quadrature(2)
+            v = np.ones(rep.total_dim)
+            with pytest.raises(ParameterError, match="cannot act"):
+                orbit_map(rep, v, grid)
+            with pytest.raises(ParameterError, match="cannot act"):
+                induced_action(rep, random_bandlimited(other, grid, rng), v)
+
 
 class TestFromLabels:
     def test_labels_resolved_at_their_own_band_limit(self, t2, su2, monkeypatch):
@@ -80,6 +134,12 @@ class TestFromLabels:
         for group, label in ((su2, -1), (t2, (1,)), (t1, (1, 2))):
             with pytest.raises(ParameterError):
                 FiniteRep.from_labels(group, [label])
+
+    def test_non_unitary_basis_rejected(self, su2, rng):
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for basis in (2.0 * np.eye(3), z):
+            with pytest.raises(ParameterError, match="unitary"):
+                FiniteRep.from_labels(su2, [0, 1], basis=basis)
 
 
 class TestInducedAction:
@@ -110,18 +170,25 @@ class TestInducedAction:
         v = rng.standard_normal(rep.total_dim) + 1j * rng.standard_normal(rep.total_dim)
         assert np.abs(induced_action(rep, chi, v) - v).max() < 1e-9
 
+    @pytest.mark.parametrize("group, labels", REPS, ids=["t1", "t2", "su2"])
+    def test_equals_explicit_quadrature_sum(self, group, labels, rng):
+        rep = _rep(group, labels, rng)
+        grid = group.haar_quadrature(rep.bandlimit + 1)
+        chi = random_bandlimited(group, grid, rng)
+        v = rng.standard_normal(rep.total_dim) + 1j * rng.standard_normal(rep.total_dim)
+        explicit = np.einsum("n,nab,b->a", grid.weights * chi.scalar_values,
+                             _pi_table(rep, grid.nodes), v)
+        assert np.abs(induced_action(rep, chi, v) - explicit).max() < 1e-12
+
     def test_block_restriction_equals_coefficients(self, su2, rng):
         rep = FiniteRep.from_labels(su2, [0, 1, 2])
         grid = haar_quadrature(su2, 2)
         chi = random_bandlimited(su2, grid, rng)
         T = forward(chi)
-        table = rep.evaluate_at(grid.nodes)
-        op = np.einsum("n,nab->ab", grid.weights * chi.scalar_values, table)
-        offset = 0
+        wchi = grid.weights * chi.scalar_values
         for xi in rep.blocks:
-            block = op[offset:offset + xi.dim, offset:offset + xi.dim]
+            block = np.einsum("n,nab->ab", wchi, su2.irrep_matrices(xi, grid.nodes))
             assert np.abs(block - T.entries[xi][0]).max() < 1e-10
-            offset += xi.dim
 
     def test_intertwining_relation(self, su2, rng):
         # (pi(x) (x) Id)(F gamma_v(xi)) = xi(x)^* o F gamma_v(xi)
@@ -297,6 +364,23 @@ class TestVectorFactorization:
         res = factorize_vector(rep, v, gevrey_weight(1.0), 1.0, 2.0)
         assert res.action_residual < 1e-10
         assert res.orbit_residual < 1e-10
+
+
+    def test_su2_peak_below_one_dense_table(self, su2, rng):
+        # a dense (N, m, m) complex table of pi on the L = 8 grid is 142 MB
+        import tracemalloc
+
+        rep = FiniteRep.from_labels(su2, [0, 1, 16])
+        N, m = su2.haar_quadrature(rep.bandlimit).size, rep.total_dim
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        tracemalloc.start()
+        try:
+            res = factorize_vector(rep, v, gevrey_weight(1.0), 1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.action_residual < 1e-9 and res.orbit_residual < 1e-9
+        assert peak < N * m * m * 16
 
 
 class TestBumps:
