@@ -65,7 +65,6 @@ from .groups import (
     Torus,
     enumerate_dual,
     haar_quadrature,
-    matrix_coefficients,
     parse_group_spec,
     weyl_summability,
 )

@@ -39,20 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_LOG_FACT_CACHE = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    global _LOG_FACT_CACHE
-    if len(_LOG_FACT_CACHE) <= n:
-        m = max(n + 1, 2 * len(_LOG_FACT_CACHE))
-        _LOG_FACT_CACHE = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, m, dtype=float)))])
-    return _LOG_FACT_CACHE
-
-
-def _fill_borders(mat: np.ndarray, two_l: int, pow_c: np.ndarray, pow_s: np.ndarray) -> None:
-    """Rows and columns |m'| = l or |m| = l of level two_l, by the closed forms."""
-    lf = _log_factorials(two_l + 1)
+def _fill_borders(mat: np.ndarray, two_l: int, pow_c: np.ndarray, pow_s: np.ndarray,
+                  lf: np.ndarray) -> None:
+    """Rows and columns |m'| = l or |m| = l of level two_l, by the closed forms;
+    lf[n] = log(n!)."""
     k = np.arange(two_l + 1)  # row or column index: m = l - k
     binom = np.exp(0.5 * (lf[two_l] - lf[two_l - k] - lf[k]))
     alt = np.where(k % 2 == 0, 1.0, -1.0) * binom  # (-1)^k sqrt(C(2l, k))
@@ -84,11 +74,12 @@ def wigner_d_matrices(two_l_max: int, beta) -> list[np.ndarray]:
     # (angle, exponent); scalar exponents keep numpy's exact x**2 path
     pow_c = np.stack([np.power(ch, p) for p in range(two_l_max + 1)], axis=1)
     pow_s = np.stack([np.power(sh, p) for p in range(two_l_max + 1)], axis=1)
+    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, two_l_max + 2, dtype=float)))])
     # every level up front, so the per-level temporaries do not interleave
     # with the tables on the heap (that raised peak RSS in SU(2) evaluate)
     mats = [np.zeros((nb, two_l + 1, two_l + 1)) for two_l in range(two_l_max + 1)]
     for two_l, mat in enumerate(mats):
-        _fill_borders(mat, two_l, pow_c, pow_s)
+        _fill_borders(mat, two_l, pow_c, pow_s, lf)
         if two_l == 2:
             mat[:, 1, 1] = u  # d^1_00 = u d^0_00
         elif two_l > 2:

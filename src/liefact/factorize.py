@@ -138,7 +138,7 @@ def orbit_map(rep: FiniteRep, v, grid: QuadratureGrid | None = None) -> GridFunc
         d = slot.shape[-1]
         slot[rows] = np.eye(d)[:, :, None] * u[rows].conj() / d
     values = inverse(T, grid).values.conj() @ rep.basis.T
-    return GridFunction(rep.group, grid, values, bandlimit=grid.bandlimit)
+    return GridFunction(rep.group, grid, values)
 
 
 def induced_action(rep: FiniteRep, chi: GridFunction, v) -> np.ndarray:
@@ -234,20 +234,21 @@ def bounded_factorize_set(fs, w: WeightFunction, h: float,
                           h_prime: float | None = None) -> BoundedFactorizationResult:
     """One g factors every member of the family: f_i = g * f'_i.
 
-    The members are factored stacked along value_dim; f' is split back by
-    each member's width.
+    The members share one grid, so they share its band limit; they are
+    factored stacked along value_dim and f' is split back by each member's
+    width.
     """
     fs = list(fs)
     if not fs:
         raise ParameterError("the family must be non-empty")
-    grid, L = fs[0].grid, fs[0].bandlimit
-    if any(f.grid is not grid or f.bandlimit != L for f in fs):
-        raise ParameterError("family members must share one grid and band limit")
+    grid = fs[0].grid
+    if any(f.grid is not grid for f in fs):
+        raise ParameterError("family members must share one grid")
     stacked = np.concatenate([f.values for f in fs], axis=1)
-    res = strong_factorize(GridFunction(fs[0].group, grid, stacked, bandlimit=L), w, h, h_prime)
+    res = strong_factorize(GridFunction(fs[0].group, grid, stacked), w, h, h_prime)
     fp, cuts = res.f_prime, np.cumsum([f.value_dim for f in fs])[:-1]
-    f_primes = [FourierCoefficients(fp.group, fp.bandlimit, f.value_dim, blocks)
-                for f, blocks in zip(fs, zip(*(np.split(b, cuts, axis=1) for b in fp.blocks)))]
+    f_primes = [FourierCoefficients(fp.group, fp.bandlimit, blocks)
+                for blocks in zip(*(np.split(b, cuts, axis=1) for b in fp.blocks))]
     # hs_norms maximizes over slices, so the stacked seminorm is the max over members
     return BoundedFactorizationResult(
         g=res.g, f_primes=f_primes, multipliers=res.multipliers,
@@ -273,9 +274,7 @@ def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
     res = strong_factorize(gamma, w, h, h_prime)
     v_tilde = evaluate(res.f_prime, rep.group.identity())[0]
     g_grid = inverse(res.g, gamma.grid)
-    g_check = GridFunction(rep.group, gamma.grid,
-                           g_grid.values[gamma.grid.inversion_permutation],
-                           value_dim=1, bandlimit=g_grid.bandlimit)
+    g_check = GridFunction(rep.group, gamma.grid, g_grid.values[gamma.grid.inversion_permutation])
     recovered = induced_action(rep, g_check, v_tilde)
     action_residual = float(np.max(np.abs(recovered - v)))
     orbit_tilde = orbit_map(rep, v_tilde, gamma.grid)
@@ -316,7 +315,7 @@ def gevrey_bump(s: float, center: float, halfwidth: float,
     inside = r < 1.0
     with np.errstate(over="ignore", divide="ignore"):
         vals[inside] = np.exp(-((1.0 - r[inside] ** 2) ** (-1.0 / (s - 1.0))))
-    return GridFunction(grid.group, grid, vals.astype(complex), value_dim=1)
+    return GridFunction(grid.group, grid, vals)
 
 
 def default_piece_count(delta: float) -> int:
@@ -422,9 +421,8 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
         )
     T = forward(f)
     fprime_hat = FourierCoefficients(
-        f.group, grid.bandlimit, f.value_dim,
-        [np.einsum("nab,nvbc->nvac", np.linalg.inv(S), T.blocks[0])])
-    S_hat = FourierCoefficients(f.group, grid.bandlimit, 1, [S[:, None]])
+        f.group, grid.bandlimit, [np.einsum("nab,nvbc->nvac", np.linalg.inv(S), T.blocks[0])])
+    S_hat = FourierCoefficients(f.group, grid.bandlimit, [S[:, None]])
     g_grid = inverse(S_hat, grid)
     recombined = inverse(compose(S_hat, fprime_hat), grid)
     residual = float(np.max(np.abs(recombined.values - f.values)))

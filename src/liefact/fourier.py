@@ -1,6 +1,8 @@
 """Group Fourier transform, inversion, Parseval, convolution, involution.
 
-Forward transform of f : G -> C^m on a truncated dual (band limit L):
+A function f : G -> C^m is held by its samples on a Haar quadrature grid
+exact to a band limit L; samples and grid fix both m and L, so neither is
+a separate parameter.  Its forward transform lives on the dual truncated at L:
 
     F f(xi) = sum_nodes weight * f(x) (x) xi(x)      in C^m (x) L(H_xi),
 
@@ -45,23 +47,21 @@ from .groups import DualIndex, DualLayout, QuadratureGrid, Torus, _degree_slice,
 
 
 class GridFunction:
-    """Samples of f : G -> C^m on a Haar quadrature grid."""
+    """Samples of f : G -> C^m on a Haar quadrature grid.
 
-    def __init__(self, group, grid: QuadratureGrid, values, value_dim: int | None = None,
-                 bandlimit: int | None = None):
+    The samples and the grid fix everything else: ``value_dim`` is the
+    number of value columns and the band limit is the grid's, since the
+    grid's quadrature is exact exactly there.
+    """
+
+    def __init__(self, group, grid: QuadratureGrid, values):
         values = np.asarray(values, dtype=complex)
         if values.ndim == 1:
             values = values[:, None]
-        if values.shape[0] != grid.size:
-            raise DomainError("value count must equal node count")
-        self.group = group
-        self.grid = grid
-        self.values = values
-        self.value_dim = value_dim if value_dim is not None else values.shape[1]
-        if values.shape[1] != self.value_dim:
-            raise DomainError("value_dim inconsistent with values array")
-        # declared content band limit; defaults to what the grid can represent
-        self.bandlimit = grid.bandlimit if bandlimit is None else int(bandlimit)
+        if values.ndim != 2 or values.shape[0] != grid.size:
+            raise DomainError("values must be one row of C^m per grid node")
+        self.group, self.grid, self.values = group, grid, values
+        self.value_dim = values.shape[1]
 
     @property
     def scalar_values(self) -> np.ndarray:
@@ -109,13 +109,14 @@ class FourierCoefficients:
     Every dual index within the band limit is present (zero tensors are
     fine); transforms rely on the family being complete.  ``blocks`` holds
     one (count, m, d, d) array per dimension, laid out by
-    ``dual_layout(group, bandlimit)``.
+    ``dual_layout(group, bandlimit)``; ``value_dim`` is read from them.
     """
 
-    def __init__(self, group, bandlimit: int, value_dim: int, blocks):
-        self.group, self.bandlimit, self.value_dim = group, int(bandlimit), int(value_dim)
+    def __init__(self, group, bandlimit: int, blocks):
+        self.group, self.bandlimit = group, int(bandlimit)
         self.layout = dual_layout(group, self.bandlimit)
         self.blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        self.value_dim = self.blocks[0].shape[1] if self.blocks and self.blocks[0].ndim == 4 else 0
         if [b.shape for b in self.blocks] != [(len(idx), self.value_dim, d, d) for d, idx
                                               in zip(self.layout.dims, self.layout.members)]:
             raise DomainError("coefficient blocks do not match the dual layout")
@@ -124,7 +125,7 @@ class FourierCoefficients:
     @classmethod
     def zeros(cls, group, bandlimit: int, value_dim: int = 1) -> "FourierCoefficients":
         layout = dual_layout(group, int(bandlimit))
-        return cls(group, bandlimit, value_dim, [
+        return cls(group, bandlimit, [
             np.zeros((len(idx), value_dim, d, d), dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
 
@@ -132,7 +133,7 @@ class FourierCoefficients:
     def diagonal(cls, group, bandlimit: int, c) -> "FourierCoefficients":
         """The scalar family T_xi = c_xi Id, c an array aligned with the dual order."""
         layout = dual_layout(group, int(bandlimit))
-        return cls(group, bandlimit, 1, [
+        return cls(group, bandlimit, [
             c[idx, None, None, None] * np.eye(d, dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
 
@@ -142,7 +143,7 @@ class FourierCoefficients:
 
     def scaled(self, c) -> "FourierCoefficients":
         """The family c_xi T_xi, c an array aligned with the dual order."""
-        return FourierCoefficients(self.group, self.bandlimit, self.value_dim, [
+        return FourierCoefficients(self.group, self.bandlimit, [
             c[idx, None, None, None] * b for idx, b in zip(self.layout.members, self.blocks)])
 
     def hs_norms(self) -> np.ndarray:
@@ -203,7 +204,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         d = f.group.d
         samples = f.values.reshape((n,) * d + (f.value_dim,))
         coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
-        return FourierCoefficients(f.group, L, f.value_dim, [coef[:, :, None, None]])
+        return FourierCoefficients(f.group, L, [coef[:, :, None, None]])
     E, tables = _su2_plan(f.grid, L)
     B, m = f.grid.axes["B"], f.value_dim
     EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
@@ -215,7 +216,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         s = _degree_slice(2 * L, two_l)
         t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
         blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
-    return FourierCoefficients(f.group, L, m, blocks)
+    return FourierCoefficients(f.group, L, blocks)
 
 
 def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridFunction:
@@ -230,8 +231,7 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
         spec = np.zeros((n,) * d + (m,), dtype=complex)
         spec[bins] = T.blocks[0][:, :, 0, 0]
         vals = np.fft.ifftn(spec, axes=tuple(range(d))) * n**d
-        return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
-                            bandlimit=T.bandlimit)
+        return GridFunction(T.group, grid, vals.reshape(-1, m))
     E, tables = _su2_plan(grid, T.bandlimit)
     B, M, m = grid.axes["B"], E.shape[1], T.value_dim
     H = np.zeros((M, M, m, B), dtype=complex)  # (N, M, v, b): beta last, long inner loops
@@ -241,8 +241,7 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
     Ec = E.conj()  # e^{+i mu alpha}
     tmp = np.einsum("aM,NMvb->aNvb", Ec, H, optimize=True)
     vals = np.einsum("aNvb,cN->abcv", tmp, Ec, optimize=True)
-    return GridFunction(T.group, grid, vals.reshape(-1, m), value_dim=m,
-                        bandlimit=T.bandlimit)
+    return GridFunction(T.group, grid, vals.reshape(-1, m))
 
 
 def evaluate(T: FourierCoefficients, points) -> np.ndarray:
@@ -289,16 +288,17 @@ def compose(A: FourierCoefficients, Bc: FourierCoefficients) -> FourierCoefficie
         raise BandlimitMismatchError(
             f"composition factors have band limits {A.bandlimit} and {Bc.bandlimit}")
     blocks = [np.einsum("nab,nvbc->nvac", a[:, 0], b) for a, b in zip(A.blocks, Bc.blocks)]
-    return FourierCoefficients(A.group, A.bandlimit, Bc.value_dim, blocks)
+    return FourierCoefficients(A.group, A.bandlimit, blocks)
 
 
 def convolve(chi: GridFunction, f: GridFunction) -> GridFunction:
-    """(chi * f)(x) = int chi(y) f(y^-1 x) dy via coefficient composition."""
+    """(chi * f)(x) = int chi(y) f(y^-1 x) dy via coefficient composition,
+    at the band limit of the coarser of the two grids, sampled on f's grid."""
     if chi.group != f.group:
         raise ParameterError("convolution factors must live on the same group")
     if chi.value_dim != 1:
         raise ParameterError("the left convolution factor must be scalar-valued")
-    L = min(chi.bandlimit, f.bandlimit)
+    L = min(chi.grid.bandlimit, f.grid.bandlimit)
     prod = compose(forward(chi, L), forward(f, L))
     return inverse(prod, f.grid)
 
@@ -325,16 +325,15 @@ def convolve_by_quadrature(chi: GridFunction, f: GridFunction) -> GridFunction:
             pts = group.coords_from_matrices(prod)
         vals = evaluate(Tf, pts).reshape(len(ys), nx, -1)
         out += np.einsum("y,yxv->xv", wchi[start:start + block], vals)
-    return GridFunction(group, grid, out, value_dim=f.value_dim, bandlimit=f.bandlimit)
+    return GridFunction(group, grid, out)
 
 
 def conv_theorem_defect(chi: GridFunction, f: GridFunction) -> float:
     """Max HS distance between F(chi *_quad f)(xi) and F(chi)(xi) o F(f)(xi)."""
     direct = forward(convolve_by_quadrature(chi, f))
     composed = compose(forward(chi, direct.bandlimit), forward(f, direct.bandlimit))
-    diff = FourierCoefficients(
-        direct.group, direct.bandlimit, direct.value_dim,
-        [a - b for a, b in zip(direct.blocks, composed.blocks)])
+    diff = FourierCoefficients(direct.group, direct.bandlimit,
+                               [a - b for a, b in zip(direct.blocks, composed.blocks)])
     return float(np.max(diff.hs_norms()))
 
 
@@ -343,6 +342,5 @@ def involution(psi: GridFunction) -> GridFunction:
     if psi.value_dim != 1:
         raise ParameterError("the involution acts on scalar functions")
     perm = psi.grid.inversion_permutation
-    return GridFunction(psi.group, psi.grid, psi.values[perm].conj(),
-                        value_dim=1, bandlimit=psi.bandlimit)
+    return GridFunction(psi.group, psi.grid, psi.values[perm].conj())
 

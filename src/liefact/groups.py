@@ -419,11 +419,6 @@ def enumerate_dual(group, bandlimit: int) -> list[DualIndex]:
     return group.enumerate_dual(bandlimit)
 
 
-def matrix_coefficients(group, xi: DualIndex, x) -> np.ndarray:
-    """The unitary matrix xi(x)."""
-    return group.irrep_matrix(xi, x)
-
-
 def haar_quadrature(group, bandlimit: int) -> QuadratureGrid:
     return group.haar_quadrature(bandlimit)
 

@@ -5,10 +5,12 @@ Coefficient JSON schema:
     {"group": "t1" | "t2" | "su2", "bandlimit": L, "value_dim": m,
      "entries": [{"xi": label, "re": [...], "im": [...]}, ...]}
 
-where label is an int (su2: 2l) or a list of ints (torus: k) and re/im are
-nested (m, d, d) lists of finite numbers, each label at most once.  Entries
-are written in the layout's wire order straight from the packed blocks and
-read back into their block slots; a label the file omits reads as zero.
+where L, m and the label are JSON integers (the label a list of d of them on
+T^d, the integer 2l on SU(2); no floats or booleans) and re/im are nested
+(m, d, d) lists of finite numbers, each label at most once; the reader
+raises ParameterError otherwise.  Entries are written in the layout's wire
+order straight from the packed blocks and read back into their block slots;
+a label the file omits reads as zero.
 Grid-function CSV: one header line, then node coordinates followed by
 interleaved re/im columns per value slot.  All float formatting goes through
 repr, so identical data serializes byte-identically.
@@ -34,7 +36,14 @@ def label_to_json(group, label):
 
 
 def _label_from_json(group, obj):
-    return tuple(int(v) for v in obj) if isinstance(group, Torus) else int(obj)
+    """The label of a JSON ``xi``: exact ints only (bool and float are not labels)."""
+    if isinstance(group, Torus):
+        if type(obj) is list and len(obj) == group.d and all(type(v) is int for v in obj):
+            return tuple(obj)
+        raise ParameterError(f"torus label {obj!r} is not a list of {group.d} integers")
+    if type(obj) is not int:
+        raise ParameterError(f"SU(2) label {obj!r} is not an integer")
+    return obj
 
 
 def coefficients_to_json(T: FourierCoefficients) -> str:
@@ -47,11 +56,18 @@ def coefficients_to_json(T: FourierCoefficients) -> str:
                        "value_dim": T.value_dim, "entries": entries}, sort_keys=True)
 
 
+_KEYS = {"group", "bandlimit", "value_dim", "entries"}
+
+
 def coefficients_from_json(text: str) -> FourierCoefficients:
     doc = json.loads(text)
-    group = parse_group_spec(doc["group"])
-    bandlimit = int(doc["bandlimit"])
-    m = int(doc["value_dim"])
+    if type(doc) is not dict or not _KEYS <= doc.keys():
+        raise ParameterError(f"coefficient JSON must be an object with keys {sorted(_KEYS)}")
+    group, bandlimit, m = parse_group_spec(doc["group"]), doc["bandlimit"], doc["value_dim"]
+    if type(bandlimit) is not int or type(m) is not int:
+        raise ParameterError("bandlimit and value_dim must be JSON integers")
+    if type(doc["entries"]) is not list or not all(type(e) is dict for e in doc["entries"]):
+        raise ParameterError("coefficient JSON entries must be a list of objects")
     T = FourierCoefficients.zeros(group, bandlimit, m)
     layout, seen = T.layout, set()
     for item in doc["entries"]:
@@ -100,8 +116,9 @@ def gridfunction_from_csv(text: str, group, grid: QuadratureGrid) -> GridFunctio
     ncols = len(header)
     if (ncols - cdim) <= 0 or (ncols - cdim) % 2 != 0:
         raise ParameterError("grid CSV header must be coords plus re/im pairs")
-    m = (ncols - cdim) // 2
     data = np.array([[float(v) for v in r] for r in rows[1:]])
+    if data.shape[1] != ncols:
+        raise ParameterError("every grid CSV row must have the header's column count")
     if not np.all(np.isfinite(data)):
         raise ParameterError("grid CSV holds a non-finite value (nan or inf)")
     if data.shape[0] != grid.size:
@@ -111,7 +128,7 @@ def gridfunction_from_csv(text: str, group, grid: QuadratureGrid) -> GridFunctio
     if not np.allclose(data[:, :cdim], grid.nodes, atol=1e-9):
         raise ParameterError("node coordinates do not match the quadrature grid")
     values = data[:, cdim::2] + 1j * data[:, cdim + 1::2]
-    return GridFunction(group, grid, values, value_dim=m)
+    return GridFunction(group, grid, values)
 
 
 def decay_table_csv(T: FourierCoefficients) -> str:

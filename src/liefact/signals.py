@@ -65,7 +65,7 @@ def random_bandlimited(group, grid: QuadratureGrid, rng, value_dim: int = 1,
     for d, idx in zip(layout.dims, layout.members):
         z = rng.standard_normal((len(idx), 2, value_dim, d, d))
         blocks.append((z[:, 0] + 1j * z[:, 1]) * damp[idx, None, None, None] / d)
-    return inverse(FourierCoefficients(group, grid.bandlimit, value_dim, blocks), grid)
+    return inverse(FourierCoefficients(group, grid.bandlimit, blocks), grid)
 
 
 def parse_builtin_spec(spec: str):

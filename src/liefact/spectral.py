@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import decay_seminorm
 from .errors import DomainError
 from .fourier import FourierCoefficients, GridFunction, forward, inverse
 from .groups import DualIndex
@@ -143,8 +144,6 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
                             j_max: int = 24) -> IteratesDecayReport:
     """Empirical constants for the iterate/decay inequalities plus the
     weighted-seminorm shadow on both sides of the transform."""
-    from .classify import decay_seminorm  # local import avoids a cycle
-
     n = f.group.dim
     T = forward(f)
     sup = iterate_supnorms(f, j_max)

@@ -131,7 +131,7 @@ def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
     fb = random_bandlimited(su2, grid, rng)
     Ta, Tb = forward(fa), forward(fb)
     lin = inverse(fourier.FourierCoefficients(
-        su2, 2, 1, [2.0 * a + 1j * b for a, b in zip(Ta.blocks, Tb.blocks)]), grid)
+        su2, 2, [2.0 * a + 1j * b for a, b in zip(Ta.blocks, Tb.blocks)]), grid)
     ref = 2.0 * fa.values + 1j * fb.values
     check("fourier/linearity", float(np.max(np.abs(lin.values - ref))), 1e-12)
 

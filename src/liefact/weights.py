@@ -93,6 +93,8 @@ def tabulated_weight(knots, satisfies_beta0: bool = False) -> WeightFunction:
         raise DomainError("tabulated weight needs at least two knots")
     ts = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
+    if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+        raise DomainError("tabulated knots must be finite (no nan or inf)")
     if np.any(np.diff(ts) <= 0):
         raise DomainError("tabulated knots must have strictly increasing t")
     if np.any(np.diff(vs) < 0) or np.any(vs < 0):
@@ -106,8 +108,6 @@ def parse_weight_spec(spec: str) -> WeightFunction:
         return log1p_weight()
     if spec.startswith("gevrey:s="):
         return gevrey_weight(float(spec[len("gevrey:s="):]))
-    if spec.startswith("gevrey:"):
-        return gevrey_weight(float(spec[len("gevrey:"):]))
     if spec.startswith("table:"):
         path = spec[len("table:"):]
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

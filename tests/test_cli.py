@@ -87,6 +87,11 @@ class TestTransform:
         assert (out1 / "decay.csv").read_bytes() == (out2 / "decay.csv").read_bytes()
 
 
+def _relabel(doc, xi):
+    doc["entries"][0]["xi"] = xi
+    return doc
+
+
 class TestClassify:
     def _poisson_coeff_file(self, tmp_path, t):
         out = tmp_path / "t"
@@ -121,6 +126,38 @@ class TestClassify:
                     "--weight", "gevrey:s=1", "--out", str(tmp_path / "c")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "decay_report.json").exists()
+
+    @pytest.mark.parametrize("group, edit, message", [
+        ("t1", lambda doc: [doc], "object with keys"),
+        ("t1", lambda doc: {k: v for k, v in doc.items() if k != "entries"}, "object with keys"),
+        ("t1", lambda doc: {**doc, "bandlimit": 3.9}, "JSON integers"),
+        ("t1", lambda doc: {**doc, "value_dim": "1"}, "JSON integers"),
+        ("t1", lambda doc: _relabel(doc, 3), "not a list of 1 integers"),
+        ("t1", lambda doc: _relabel(doc, [2.5]), "not a list of 1 integers"),
+        ("su2", lambda doc: _relabel(doc, 2.0), "not an integer"),
+    ])
+    def test_malformed_coefficient_json_exits_2(self, tmp_path, capsys, group, edit, message):
+        out = tmp_path / "t"
+        run(["transform", "--group", group, "--bandlimit", "4",
+             "--builtin", "poisson:1.0", "--out", str(out)])
+        path = out / "coefficients.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code = run(["classify", "--coefficients", str(path),
+                    "--weight", "gevrey:s=1", "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c" / "decay_report.json").exists()
+
+    @pytest.mark.parametrize("row", ["1,nan", "inf,3"])
+    def test_non_finite_weight_table_exits_2(self, tmp_path, capsys, row):
+        table = tmp_path / "w.csv"
+        table.write_text(f"t,omega\n0,0\n{row}\n5,4\n")
+        path = self._poisson_coeff_file(tmp_path, 2.0)
+        code = run(["classify", "--coefficients", str(path),
+                    "--weight", f"table:{table}", "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "c" / "decay_report.json").exists()
 
     def test_heat_flags_super_omega(self, tmp_path, capsys):

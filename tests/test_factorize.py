@@ -27,6 +27,7 @@ from liefact.factorize import (
 from liefact.fourier import GridFunction, convolve, forward, inverse
 from liefact.groups import SU2, Torus, enumerate_dual, haar_quadrature
 from liefact.signals import (
+    poisson_coefficients,
     poisson_function,
     random_bandlimited,
     reproducing_kernel,
@@ -299,12 +300,24 @@ class TestBoundedFamily:
         assert all(np.abs(t).max() == 0.0 for t in res.f_primes[1].entries.values())
 
     def test_members_on_different_grids_rejected(self, t1, rng):
-        # equal declared band limits, but g could not act on both grids
+        # g could not act on both grids
         f1 = random_bandlimited(t1, haar_quadrature(t1, 8), rng)
         grid16 = haar_quadrature(t1, 16)
-        f2 = GridFunction(t1, grid16, random_bandlimited(t1, grid16, rng).values, bandlimit=8)
+        f2 = GridFunction(t1, grid16, random_bandlimited(t1, grid16, rng).values)
         with pytest.raises(ParameterError):
             bounded_factorize_set([f1, f2], gevrey_weight(1.0), 1.0, 2.0)
+
+    def test_members_from_lower_bandlimits_on_one_grid(self, t1, rng):
+        # an inverse from L=4 coefficients lives on the L=8 grid like any other member
+        grid = haar_quadrature(t1, 8)
+        fam = [inverse(poisson_coefficients(t1, 4, 1.0), grid), random_bandlimited(t1, grid, rng)]
+        w = gevrey_weight(1.0)
+        res = bounded_factorize_set(fam, w, 1.0, 2.0)
+        assert max(res.residuals) < 1e-12
+        for fp, f in zip(res.f_primes, fam):
+            single = strong_factorize(f, w, 1.0, 2.0).f_prime
+            assert fp.bandlimit == 8
+            assert all(np.array_equal(a, b) for a, b in zip(fp.blocks, single.blocks))
 
     def test_one_transform_for_the_family(self, t1, rng, monkeypatch):
         calls = []

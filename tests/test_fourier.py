@@ -308,6 +308,14 @@ class TestConvolution:
         out = convolve(chi, f)
         assert np.abs(out.values - f.values).max() < 1e-9
 
+    def test_band_limit_is_the_coarser_grid(self, t1, rng):
+        # the L=4 truncated delta low-passes an L=8 function to its L=4 part
+        grid4, grid8 = haar_quadrature(t1, 4), haar_quadrature(t1, 8)
+        f = random_bandlimited(t1, grid8, rng, value_dim=2)
+        out = convolve(inverse(reproducing_kernel(t1, 4), grid4), f)
+        assert out.grid is grid8
+        assert np.abs(out.values - inverse(forward(f, 4), grid8).values).max() < 1e-12
+
     def test_incomplete_coefficient_family_rejected(self, t1, rng):
         from liefact.errors import DomainError
         from liefact.fourier import FourierCoefficients
@@ -315,7 +323,7 @@ class TestConvolution:
         T = forward(random_bandlimited(t1, haar_quadrature(t1, 4), rng))
         partial = [b[:-1] for b in T.blocks]  # the last dual index missing
         with pytest.raises(DomainError):
-            FourierCoefficients(t1, 4, 1, partial)
+            FourierCoefficients(t1, 4, partial)
 
     def test_associativity_through_coefficients(self, t1, rng):
         grid = haar_quadrature(t1, 12)
@@ -335,8 +343,8 @@ class TestConvolution:
         fa = random_bandlimited(su2, grid, rng)
         fb = random_bandlimited(su2, grid, rng)
         Ta, Tb = forward(fa), forward(fb)
-        combo = FourierCoefficients(su2, 2, 1, [3.0 * a - 2j * b
-                                                for a, b in zip(Ta.blocks, Tb.blocks)])
+        combo = FourierCoefficients(su2, 2, [3.0 * a - 2j * b
+                                             for a, b in zip(Ta.blocks, Tb.blocks)])
         out = inverse(combo, grid)
         ref = 3.0 * fa.values - 2j * fb.values
         assert np.abs(out.values - ref).max() < 1e-12
@@ -383,6 +391,22 @@ class TestPackedCoefficients:
             t = T.entries[xi]
             assert T.hs_norms()[T.duals.index(xi)] == np.max(
                 np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2))))
+
+    def test_sizes_are_read_from_the_data(self, t2, su2, rng):
+        grid = haar_quadrature(su2, 2)
+        f = GridFunction(su2, grid, rng.standard_normal((grid.size, 3)))
+        assert f.value_dim == 3 and not hasattr(f, "bandlimit")
+        assert GridFunction(su2, grid, np.ones(grid.size)).value_dim == 1
+        with pytest.raises(DomainError):
+            GridFunction(su2, grid, np.ones((grid.size, 2, 2)))
+        with pytest.raises(DomainError):
+            GridFunction(su2, grid, np.ones(grid.size + 1))
+        T = forward(f)
+        assert FourierCoefficients(su2, 2, T.blocks).value_dim == 3
+        with pytest.raises(DomainError):
+            FourierCoefficients(su2, 2, [b[:, :1] for b in T.blocks[:-1]] + [T.blocks[-1]])
+        with pytest.raises(DomainError):
+            FourierCoefficients(t2, 2, [np.zeros(13)])
 
     def test_entries_keep_the_family_complete_and_shaped(self, su2):
         T = FourierCoefficients.zeros(su2, 2, value_dim=2)

@@ -9,7 +9,6 @@ from liefact.groups import (
     dual_layout,
     enumerate_dual,
     haar_quadrature,
-    matrix_coefficients,
     parse_group_spec,
     weyl_summability,
 )
@@ -50,7 +49,7 @@ class TestMatrixCoefficients:
     def test_identity_element(self, t1, t2, su2, rng):
         for g in (t1, t2, su2):
             for xi in enumerate_dual(g, 2):
-                mat = matrix_coefficients(g, xi, g.identity())
+                mat = g.irrep_matrix(xi, g.identity())
                 assert np.allclose(mat, np.eye(xi.dim), atol=1e-14)
 
     def test_defining_rep_is_the_element(self, su2, rng):
@@ -58,7 +57,7 @@ class TestMatrixCoefficients:
         for _ in range(10):
             x = su2.random_element(rng)
             assert np.allclose(
-                matrix_coefficients(su2, xi, x), su2.defining_matrix(x), atol=1e-13
+                su2.irrep_matrix(xi, x), su2.defining_matrix(x), atol=1e-13
             )
 
     def test_unitarity_at_quadrature_nodes(self, t1, su2, rng):
@@ -76,8 +75,8 @@ class TestMatrixCoefficients:
                 x, y = g.random_element(rng), g.random_element(rng)
                 xy = g.multiply(x, y)
                 for xi in enumerate_dual(g, 3):
-                    lhs = matrix_coefficients(g, xi, xy)
-                    rhs = matrix_coefficients(g, xi, x) @ matrix_coefficients(g, xi, y)
+                    lhs = g.irrep_matrix(xi, xy)
+                    rhs = g.irrep_matrix(xi, x) @ g.irrep_matrix(xi, y)
                     assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_su2_character_formula(self, su2, rng):
@@ -88,7 +87,7 @@ class TestMatrixCoefficients:
             u = su2.defining_matrix(x)
             half_theta = np.arccos(np.clip(u.trace().real / 2.0, -1.0, 1.0))
             for xi in enumerate_dual(su2, 4):
-                got = matrix_coefficients(su2, xi, x).trace()
+                got = su2.irrep_matrix(xi, x).trace()
                 if half_theta < 1e-8:
                     ref = xi.dim
                 else:
@@ -99,7 +98,7 @@ class TestMatrixCoefficients:
     def test_invalid_beta_rejected(self, su2):
         xi = enumerate_dual(su2, 1)[1]
         with pytest.raises(DomainError):
-            matrix_coefficients(su2, xi, np.array([0.0, 3.5, 0.0]))
+            su2.irrep_matrix(xi, np.array([0.0, 3.5, 0.0]))
 
 
     def test_su2_grid_table_built_on_distinct_betas(self, su2, monkeypatch):
@@ -181,7 +180,7 @@ class TestElements:
                 e = g.multiply(x, g.inverse_element(x))
                 for xi in enumerate_dual(g, 2):
                     assert np.allclose(
-                        matrix_coefficients(g, xi, e), np.eye(xi.dim), atol=1e-12
+                        g.irrep_matrix(xi, e), np.eye(xi.dim), atol=1e-12
                     )
 
     def test_zyz_extraction_degenerate_beta(self, su2):

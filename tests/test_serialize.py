@@ -79,6 +79,43 @@ class TestCoefficientJson:
         assert back.hs_norms()[T.layout.wire[0]] == 0.0
         assert np.count_nonzero(back.hs_norms() != T.hs_norms()) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[]", "3", '"t1"', "null",
+        '{"group": "t1", "bandlimit": 2, "value_dim": 1}',
+        '{"group": "t1", "bandlimit": 2, "entries": []}',
+        '{"bandlimit": 2, "value_dim": 1, "entries": []}',
+    ])
+    def test_not_a_coefficient_document_rejected(self, text):
+        with pytest.raises(ParameterError, match="object with keys"):
+            coefficients_from_json(text)
+
+    @pytest.mark.parametrize("entries", [{}, "x", [3], [[]], [{"xi": [0], "re": [[[1.0]]],
+                                                             "im": [[[0.0]]]}, None]])
+    def test_entries_not_a_list_of_objects_rejected(self, entries):
+        text = json.dumps({"group": "t1", "bandlimit": 2, "value_dim": 1, "entries": entries})
+        with pytest.raises(ParameterError, match="list of objects"):
+            coefficients_from_json(text)
+
+    @pytest.mark.parametrize("key", ["bandlimit", "value_dim"])
+    @pytest.mark.parametrize("value", [4.9, 1.0, "4", True, None, [4]])
+    def test_non_integer_header_rejected(self, t1, key, value):
+        doc = json.loads(coefficients_to_json(poisson_coefficients(t1, 4, 1.0)))
+        doc[key] = value
+        with pytest.raises(ParameterError, match="JSON integers"):
+            coefficients_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("group, xi", [
+        ("t1", 3), ("t1", [2.5]), ("t1", [1.0]), ("t1", [True]), ("t1", [1, 2]),
+        ("t1", "1"), ("t1", None), ("t2", [1]), ("t2", [1, 2, 3]), ("t2", [1, False]),
+        ("su2", 2.0), ("su2", 2.5), ("su2", True), ("su2", [2]), ("su2", "2"), ("su2", None),
+    ])
+    def test_malformed_label_rejected(self, group, xi, request):
+        def edit(entries):
+            entries[0]["xi"] = xi
+        text = _edited(poisson_coefficients(request.getfixturevalue(group), 2, 1.0), edit)
+        with pytest.raises(ParameterError, match="is not (a list of|an integer)"):
+            coefficients_from_json(text)
+
 
 class TestGridCsv:
     def test_roundtrip(self, t2, rng):
@@ -98,6 +135,12 @@ class TestGridCsv:
         grid = haar_quadrature(t1, 4)
         with pytest.raises(ParameterError):
             gridfunction_from_csv("x0,re0\n", t1, grid)
+
+    def test_row_wider_than_header_rejected(self, t1):
+        grid = haar_quadrature(t1, 1)
+        rows = "".join(f"{x!r},1.0,0.0,2.0,0.0\n" for x in grid.nodes[:, 0].tolist())
+        with pytest.raises(ParameterError, match="column count"):
+            gridfunction_from_csv("x0,re0,im0\n" + rows, t1, grid)
 
 
 class TestDecayTable:

@@ -260,6 +260,19 @@ class TestParsing:
         assert parse_weight_spec("gevrey:s=0.5").gevrey_s == 0.5
         assert parse_weight_spec("log1p").kind == "log1p"
 
+    def test_undocumented_gevrey_spelling_rejected(self):
+        with pytest.raises(ParameterError):
+            parse_weight_spec("gevrey:0.5")
+
+    @pytest.mark.parametrize("row", ["1,nan", "nan,1", "inf,3", "3,inf", "-inf,0"])
+    def test_non_finite_table_knot_rejected(self, tmp_path, row):
+        p = tmp_path / "w.csv"
+        p.write_text(f"t,omega\n0.0,0.0\n{row}\n5.0,4.0\n")
+        with pytest.raises(DomainError, match="finite"):
+            parse_weight_spec(f"table:{p}")
+        with pytest.raises(DomainError, match="finite"):
+            tabulated_weight([(0.0, 0.0), tuple(float(v) for v in row.split(",")), (5.0, 4.0)])
+
     def test_table_spec(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("t,omega\n0.0,0.0\n1.0,0.0\n2.0,1.0\n4.0,3.0\n")
