@@ -113,7 +113,7 @@ def cmd_transform(config: RunConfig) -> int:
         _write(outdir, "decay.csv", serialize.decay_table_csv(T)),
     ]
     _manifest(outdir, config, outputs)
-    print(f"transform: {len(T.duals)} dual blocks, roundtrip sup error {err:.3e}, "
+    print(f"transform: {len(T.layout.labels)} dual blocks, roundtrip sup error {err:.3e}, "
           f"discarded-tail mass (relative Parseval gap) {tail:.3e}")
     return 0
 
@@ -168,7 +168,7 @@ def cmd_factorize(config: RunConfig) -> int:
         print(f"factorize(vector): action residual {res.action_residual:.3e}, "
               f"orbit residual {res.orbit_residual:.3e}")
         return 0
-    group, grid, f = _resolve_input(config)
+    f = _resolve_input(config)[2]
     if config.supported:
         res = supported_factorize(
             f, config.support_delta, w, config.h, config.h_prime,
@@ -196,14 +196,14 @@ def cmd_factorize(config: RunConfig) -> int:
               f"min mu margin {res.min_mu_margin:.3e}")
         return 0
     res = strong_factorize(f, w, config.h, config.h_prime)
+    labels = res.g.layout.labels.tolist()
     bundle = {
         "mode": "global",
         "residual": res.residual,
         "min_transfer_margin": res.min_transfer_margin,
         "min_transfer_margin_relative": res.min_transfer_margin_relative,
         "source_seminorm": res.source_seminorm,
-        "multipliers": [{"xi": serialize.label_to_json(group, res.g.duals[i].label),
-                         "c": float(res.multipliers[i])}
+        "multipliers": [{"xi": labels[i], "c": float(res.multipliers[i])}
                         for i in res.g.layout.wire.tolist()],
         "params": {"weight": w.spec_string(), "h": config.h, "h_prime": res.h_prime},
     }

@@ -49,6 +49,7 @@ import numpy as np
 
 from .classify import decay_seminorm
 from .errors import (
+    BandlimitMismatchError,
     ConditioningError,
     CoverageError,
     DomainError,
@@ -94,11 +95,11 @@ class FiniteRep:
         """The rep with one block per dual label, looked up in the dual at the
         labels' own band limit (``group.label_bandlimit``)."""
         layout = dual_layout(group, max([1] + [group.label_bandlimit(lab) for lab in labels]))
-        try:
-            blocks = [layout.duals[layout.position[lab]] for lab in labels]
-        except KeyError as exc:
-            raise ParameterError(f"unknown dual label {exc.args[0]!r}") from exc
-        return cls(group, blocks, basis=basis)
+        pos = [layout.index([lab])[0] for lab in labels]  # one at a time: shapes may differ
+        for lab, i in zip(labels, pos):
+            if i < 0:
+                raise ParameterError(f"unknown dual label {lab!r}")
+        return cls(group, [layout.duals[i] for i in pos], basis=basis)
 
     @property
     def bandlimit(self) -> int:
@@ -116,8 +117,10 @@ class FiniteRep:
         """(T's (m, d, d) slot at xi_j, the rows of block j) for each block j."""
         if T.group != self.group:
             raise ParameterError(f"a family on {T.group} cannot act on a rep of {self.group}")
-        for xi, rows in zip(self.blocks, self._rows):
-            i = T.layout.position[xi.label]
+        pos = T.layout.index([xi.label for xi in self.blocks])
+        if np.any(pos < 0):
+            raise BandlimitMismatchError(f"a family at L = {T.bandlimit} misses a block of the rep")
+        for i, rows in zip(pos.tolist(), self._rows):
             yield T.blocks[T.layout.block[i]][T.layout.slot[i]], rows
 
     def evaluate(self, x) -> np.ndarray:

@@ -49,9 +49,9 @@ from .groups import DualIndex, DualLayout, QuadratureGrid, Torus, _degree_slice,
 class GridFunction:
     """Samples of f : G -> C^m on a Haar quadrature grid.
 
-    The samples and the grid fix everything else: ``value_dim`` is the
-    number of value columns and the band limit is the grid's, since the
-    grid's quadrature is exact exactly there.
+    The samples and the grid fix everything else: ``group`` must be the
+    grid's, ``value_dim`` is the number of value columns and the band limit
+    is the grid's, since the grid's quadrature is exact exactly there.
     """
 
     def __init__(self, group, grid: QuadratureGrid, values):
@@ -60,6 +60,8 @@ class GridFunction:
             values = values[:, None]
         if values.ndim != 2 or values.shape[0] != grid.size:
             raise DomainError("values must be one row of C^m per grid node")
+        if group != grid.group:
+            raise ParameterError(f"a grid on {grid.group} cannot carry a function on {group}")
         self.group, self.grid, self.values = group, grid, values
         self.value_dim = values.shape[1]
 
@@ -84,7 +86,9 @@ class _BlockEntries(MutableMapping):
         self._blocks, self._layout = blocks, layout
 
     def __getitem__(self, xi: DualIndex) -> np.ndarray:
-        i = self._layout.position[xi.label]
+        i = self._layout.index([xi.label])[0]
+        if i < 0:
+            raise KeyError(xi)
         return self._blocks[self._layout.block[i]][self._layout.slot[i]]
 
     def __setitem__(self, xi: DualIndex, value) -> None:
@@ -148,7 +152,7 @@ class FourierCoefficients:
 
     def hs_norms(self) -> np.ndarray:
         """Hilbert-Schmidt norm per dual index, maximized over the m slices."""
-        out = np.empty(len(self.duals))
+        out = np.empty(len(self.layout.labels))
         for idx, b in zip(self.layout.members, self.blocks):
             out[idx] = np.max(np.sqrt(np.sum(np.abs(b) ** 2, axis=(2, 3))), axis=1)
         return out

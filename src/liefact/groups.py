@@ -30,7 +30,7 @@ this down.  Haar quadratures are normalized to total mass 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -51,39 +51,60 @@ class DualIndex:
 class DualLayout:
     """Dual order, eigenvalues and block positions of one truncated dual.
 
-    ``labels``, ``casimir`` and ``dim`` are read-only and aligned with
-    ``duals``; block b holds the duals of dimension ``dims[b]`` at positions
-    ``members[b]``.  ``position[label]`` is the position i of a label, whose
-    (block, slot) is ``(block[i], slot[i])``; ``wire`` lists the positions in
-    the order every output format uses (by Casimir, then label text).
+    Built from the group's arrays: ``labels`` (an (n, d) int array on T^d,
+    the degrees 2l on SU(2)), ``dim`` and ``casimir``, all read-only and in
+    dual order.  The labels fill an integer box row-major (k + L on T^d, 2l
+    on SU(2)), so ``index`` finds positions by arithmetic.  Block b holds the
+    duals of dimension ``dims[b]`` at positions ``members[b]``; position i
+    sits at ``(block[i], slot[i])``.  ``wire`` lists the positions in the
+    order every output format uses (by Casimir, then label text).  ``duals``,
+    the ``DualIndex`` objects, is built on first access.
     """
 
-    def __init__(self, duals):
-        self.duals = tuple(duals)
-        self.labels, self.casimir, self.dim = (
-            np.array([getattr(xi, a) for xi in self.duals]) for a in ("label", "casimir", "dim"))
-        self.dims = tuple(dict.fromkeys(self.dim.tolist()))
-        self.members = tuple(np.flatnonzero(self.dim == d) for d in self.dims)
-        self.block, self.slot = np.empty((2, len(self.duals)), dtype=int)
+    def __init__(self, labels: np.ndarray, dim: np.ndarray, casimir: np.ndarray):
+        self.labels, self.dim, self.casimir = labels, dim, casimir
+        self._lo, self._side = labels[0], tuple(np.atleast_1d(labels[-1] - labels[0] + 1))
+        firsts = np.unique(dim, return_index=True)[1]
+        self.dims = tuple(dim[np.sort(firsts)].tolist())
+        self.members = tuple(np.flatnonzero(dim == d) for d in self.dims)
+        self.block, self.slot = np.empty((2, len(dim)), dtype=int)
         for b, idx in enumerate(self.members):
             self.block[idx], self.slot[idx] = b, np.arange(len(idx))
-        self.wire = np.array(sorted(range(len(self.duals)), key=lambda i: (
-            self.duals[i].casimir, str(self.duals[i].label))), dtype=int)
+        self.wire = np.lexsort((np.array([str(lab) for lab in self._label_objects()]), casimir))
         for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, self.wire,
                     *self.members):
             arr.flags.writeable = False
-        self.position = {xi.label: i for i, xi in enumerate(self.duals)}
+
+    def _label_objects(self) -> list:
+        """The labels as ``DualIndex`` holds them: int tuples on T^d, ints on SU(2)."""
+        labels = self.labels.tolist()
+        return list(map(tuple, labels)) if self.labels.ndim == 2 else labels
+
+    @cached_property
+    def duals(self) -> tuple[DualIndex, ...]:
+        return tuple(map(DualIndex, self._label_objects(), self.dim.tolist(),
+                         self.casimir.tolist()))
+
+    def index(self, labels) -> np.ndarray:
+        """The positions of an array of labels, -1 for a label outside this dual."""
+        lab = np.asarray(labels)
+        if lab.dtype.kind != "i" or lab.shape[1:] != self.labels.shape[1:]:
+            return np.full(len(lab), -1)
+        off = (lab - self._lo).reshape(len(lab), -1)
+        inside = np.all((off >= 0) & (off < self._side), axis=1)
+        pos = np.ravel_multi_index(tuple(np.where(inside[:, None], off, 0).T), self._side)
+        return np.where(inside, pos, -1)
 
 
 @lru_cache(maxsize=None)
 def dual_layout(group, bandlimit: int) -> DualLayout:
     """The layout of ``group``'s dual at ``bandlimit``, shared by every family.
 
-    The only cache of the dual: the group builds it from its labels once.
+    The only cache of the dual: the group builds its arrays once.
     """
     if bandlimit < 1:
         raise DomainError("band limit must be >= 1")
-    return DualLayout(group.dual_indices(bandlimit))
+    return DualLayout(*group.dual_arrays(bandlimit))
 
 
 def _degree_slice(two_L: int, two_l: int) -> slice:
@@ -148,12 +169,12 @@ class Torus:
     def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
         return list(dual_layout(self, int(bandlimit)).duals)
 
-    def dual_indices(self, bandlimit: int) -> tuple[DualIndex, ...]:
-        """The dual up to ``bandlimit``, built from its labels (uncached)."""
-        rng = range(-bandlimit, bandlimit + 1)
-        labels = [(k,) for k in rng] if self.d == 1 else [(k1, k2) for k1 in rng for k2 in rng]
-        return tuple(DualIndex(label=lab, dim=1, casimir=float(sum(k * k for k in lab)))
-                     for lab in labels)
+    def dual_arrays(self, bandlimit: int):
+        """(labels, dim, casimir) up to ``bandlimit``: k in [-L, L]^d row-major,
+        dimension 1, |k|^2 (uncached)."""
+        rng = np.arange(-bandlimit, bandlimit + 1)
+        labels = np.stack(np.meshgrid(*[rng] * self.d, indexing="ij"), axis=-1).reshape(-1, self.d)
+        return labels, np.ones(len(labels), dtype=int), np.sum(labels**2, axis=1).astype(float)
 
     def label_bandlimit(self, label) -> int:
         """Smallest L whose dual can hold ``label``: max |k_i|."""
@@ -246,10 +267,11 @@ class SU2:
     def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
         return list(dual_layout(self, int(bandlimit)).duals)
 
-    def dual_indices(self, bandlimit: int) -> tuple[DualIndex, ...]:
-        """The degrees 2l = 0..2L, built from their labels (uncached)."""
-        return tuple(DualIndex(label=two_l, dim=two_l + 1, casimir=two_l * (two_l + 2) / 4.0)
-                     for two_l in range(2 * bandlimit + 1))
+    def dual_arrays(self, bandlimit: int):
+        """(labels, dim, casimir) up to ``bandlimit``: the degrees 2l = 0..2L,
+        dimension 2l+1, l(l+1) (uncached)."""
+        two_l = np.arange(2 * bandlimit + 1)
+        return two_l, two_l + 1, two_l * (two_l + 2) / 4.0
 
     def label_bandlimit(self, label) -> int:
         """Smallest L whose dual can hold degree ``label`` = 2l: ceil(l)."""

@@ -5,12 +5,19 @@ Coefficient JSON schema:
     {"group": "t1" | "t2" | "su2", "bandlimit": L, "value_dim": m,
      "entries": [{"xi": label, "re": [...], "im": [...]}, ...]}
 
-where L, m and the label are JSON integers (the label a list of d of them on
-T^d, the integer 2l on SU(2); no floats or booleans) and re/im are nested
-(m, d, d) lists of finite numbers, each label at most once; the reader
-raises ParameterError otherwise.  Entries are written in the layout's wire
-order straight from the packed blocks and read back into their block slots;
-a label the file omits reads as zero.
+where L, m >= 1 and the label are JSON integers (the label a list of d of
+them on T^d, the integer 2l on SU(2); no floats or booleans), every entry
+has all three keys, and re/im are nested (m, d, d) lists of finite JSON
+numbers (no strings, booleans or null), each label at most once; the reader
+raises ParameterError otherwise.  The text is exactly what
+``json.dumps(doc, sort_keys=True)`` gives, with entries in the layout's wire
+order, but it is written block by block: one encoder call spells every
+number of a block and a %s template per block nests them.  The reader calls
+``json.loads`` once, checks labels, shapes and leaf types a whole level at a
+time, finds positions by arithmetic (``DualLayout.index``) and fills each
+block's re and im from one array; only after one of those checks fails does
+it walk the entries, to name the first faulty one.  A label the file omits
+reads as zero.
 Grid-function CSV: one header line, then node coordinates followed by
 interleaved re/im columns per value slot.  All float formatting goes through
 repr, so identical data serializes byte-identically.
@@ -19,8 +26,11 @@ repr, so identical data serializes byte-identically.
 from __future__ import annotations
 
 import csv
-import json
 import io
+import itertools
+import json
+from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,10 +39,6 @@ from .errors import ParameterError
 from .fourier import FourierCoefficients, GridFunction
 from .groups import QuadratureGrid, Torus, parse_group_spec
 from .spectral import SeminormReport
-
-
-def label_to_json(group, label):
-    return list(label) if isinstance(group, Torus) else int(label)
 
 
 def _label_from_json(group, obj):
@@ -46,46 +52,119 @@ def _label_from_json(group, obj):
     return obj
 
 
+_ENCODE = json.JSONEncoder().encode  # json.dumps's C encoder: its float and int spelling
+
+
+def _texts(a: np.ndarray) -> list[str]:
+    """The JSON text of each number of ``a`` in C order, from one encoder call."""
+    return _ENCODE(a.ravel().tolist())[1:-1].split(", ") if a.size else []
+
+
+def _nesting(shape) -> str:
+    """A %s template of the nested JSON lists of an array of ``shape``."""
+    t = "%s"
+    for n in reversed(shape):
+        t = "[" + ", ".join([t] * n) + "]"
+    return t
+
+
 def coefficients_to_json(T: FourierCoefficients) -> str:
+    """The JSON text ``json.dumps(doc, sort_keys=True)`` gives, written per block."""
     layout = T.layout
-    re, im = [b.real.tolist() for b in T.blocks], [b.imag.tolist() for b in T.blocks]
-    entries = [{"xi": label_to_json(T.group, layout.duals[i].label),
-                "re": re[layout.block[i]][layout.slot[i]],
-                "im": im[layout.block[i]][layout.slot[i]]} for i in layout.wire.tolist()]
-    return json.dumps({"group": T.group.spec_string(), "bandlimit": T.bandlimit,
-                       "value_dim": T.value_dim, "entries": entries}, sort_keys=True)
+    label_nest, label_size = _nesting(layout.labels.shape[1:]), layout.labels[0].size
+    entries = np.empty(len(layout.labels), dtype=object)
+    for idx, b in zip(layout.members, T.blocks):
+        nest = _nesting(b.shape[1:])
+        template = '{"im": ' + nest + ', "re": ' + nest + ', "xi": ' + label_nest + "}"
+        values = iter(_texts(np.stack([b.imag, b.real], axis=1)))  # per entry: im, then re
+        labels = iter(_texts(layout.labels[idx]))
+        entries[idx] = list(map(template.__mod__,
+                                zip(*[values] * (2 * b[0].size), *[labels] * label_size)))
+    return '{"bandlimit": %d, "entries": [%s], "group": %s, "value_dim": %d}' % (
+        T.bandlimit, ", ".join(entries[layout.wire].tolist()), _ENCODE(T.group.spec_string()),
+        T.value_dim)
 
 
 _KEYS = {"group", "bandlimit", "value_dim", "entries"}
+_NON_FINITE = "coefficient JSON holds a non-finite value (nan or inf)"
+
+
+def _leaves(rows: list, shape: tuple, types: set) -> list:
+    """The leaves of ``rows``, each lists nested to ``shape``, in one flat list.
+
+    Checked a whole level at a time with C-level passes (no per-leaf Python):
+    ValueError if a level is not lists of the right length or a leaf's type
+    is not in ``types`` (so a bool is caught where ``float()`` would take it).
+    """
+    level = rows
+    for n in shape:
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {n}):
+            raise ValueError(f"must have shape {shape}")
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= types:
+        raise ValueError("holds a value that is not a number")
+    return level
+
+
+def _raise_first_fault(group, layout, m: int, entries) -> NoReturn:
+    """Raise ParameterError naming the first faulty entry in file order: the
+    slow path, taken only once a vectorized check failed."""
+    seen = set()
+    for item in entries:
+        label = _label_from_json(group, item["xi"])
+        i = layout.index(np.array([label]))[0]
+        if i < 0:
+            raise ParameterError(f"label {label!r} outside the declared band limit")
+        if i in seen:
+            raise ParameterError(f"label {label!r} is listed twice")
+        seen.add(i)
+        shape = (m, int(layout.dim[i]), int(layout.dim[i]))
+        for part in (item["re"], item["im"]):
+            try:
+                np.array(_leaves([part], shape, {float, int}), dtype=float)
+            except ValueError as exc:
+                raise ParameterError(f"entry for {label!r} {exc}") from None
+            except OverflowError:  # an int past the float range
+                raise ParameterError(_NON_FINITE) from None
+    raise ParameterError("coefficient JSON entries are malformed")
 
 
 def coefficients_from_json(text: str) -> FourierCoefficients:
+    """Read coefficient JSON: one ``json.loads``, then one array per block part."""
     doc = json.loads(text)
     if type(doc) is not dict or not _KEYS <= doc.keys():
         raise ParameterError(f"coefficient JSON must be an object with keys {sorted(_KEYS)}")
     group, bandlimit, m = parse_group_spec(doc["group"]), doc["bandlimit"], doc["value_dim"]
     if type(bandlimit) is not int or type(m) is not int:
         raise ParameterError("bandlimit and value_dim must be JSON integers")
-    if type(doc["entries"]) is not list or not all(type(e) is dict for e in doc["entries"]):
+    if bandlimit < 1 or m < 1:
+        raise ParameterError(f"bandlimit and value_dim must be >= 1, got {bandlimit} and {m}")
+    entries = doc["entries"]
+    if type(entries) is not list or not set(map(type, entries)) <= {dict}:
         raise ParameterError("coefficient JSON entries must be a list of objects")
+    try:
+        xis, re, im = (list(map(itemgetter(key), entries)) for key in ("xi", "re", "im"))
+    except KeyError:
+        raise ParameterError("every coefficient JSON entry needs the keys im, re and xi") from None
     T = FourierCoefficients.zeros(group, bandlimit, m)
-    layout, seen = T.layout, set()
-    for item in doc["entries"]:
-        label = _label_from_json(group, item["xi"])
-        i = layout.position.get(label)
-        if i is None:
-            raise ParameterError(f"label {label!r} outside the declared band limit")
-        if i in seen:
-            raise ParameterError(f"label {label!r} is listed twice")
-        seen.add(i)
-        shape = (m, int(layout.dim[i]), int(layout.dim[i]))
-        re, im = np.asarray(item["re"], dtype=float), np.asarray(item["im"], dtype=float)
-        if re.shape != shape or im.shape != shape:
-            raise ParameterError(f"entry for {label!r} must have shape {shape}")
-        slot = T.blocks[layout.block[i]][layout.slot[i]]
-        slot.real, slot.imag = re, im
+    layout, label_shape = T.layout, T.layout.labels.shape[1:]
+    try:
+        labels = np.array(_leaves(xis, label_shape, {int})).reshape(len(xis), *label_shape)
+        pos = layout.index(labels)  # -1 off the dual, also for ints past 64 bits
+        if np.any(pos < 0) or np.bincount(pos).max(initial=0) > 1:
+            raise ValueError("a label outside the dual or listed twice")
+        block = layout.block[pos]
+        for b, (d, out) in enumerate(zip(layout.dims, T.blocks)):
+            sel = np.flatnonzero(block == b)
+            slots = layout.slot[pos[sel]]
+            for part, view in ((re, out.real), (im, out.imag)):
+                rows = [part[k] for k in sel.tolist()]
+                view[slots] = np.array(_leaves(rows, (m, d, d), {float, int}),
+                                       dtype=float).reshape(len(sel), m, d, d)
+    except (ValueError, OverflowError):
+        _raise_first_fault(group, layout, m, entries)
     if not all(np.isfinite(b).all() for b in T.blocks):
-        raise ParameterError("coefficient JSON holds a non-finite value (nan or inf)")
+        raise ParameterError(_NON_FINITE)
     return T
 
 

@@ -44,7 +44,7 @@ def heat_coefficients(group, bandlimit: int, t: float) -> FourierCoefficients:
 def reproducing_kernel(group, bandlimit: int) -> FourierCoefficients:
     """T_xi = Id for every xi within the band limit (truncated delta)."""
     return FourierCoefficients.diagonal(group, bandlimit,
-                                        np.ones(len(dual_layout(group, bandlimit).duals)))
+                                        np.ones(len(dual_layout(group, bandlimit).labels)))
 
 
 def poisson_function(group, grid: QuadratureGrid, t: float) -> GridFunction:

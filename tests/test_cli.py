@@ -297,6 +297,20 @@ class TestFactorize:
         assert code == 2
 
 
+class TestDeskScale:
+    def test_t2_factorize_at_the_desk_limit(self, tmp_path):
+        # the README's T^2 desk limit: 16,641 dual indices per coefficient file
+        out = tmp_path / "fac"
+        assert run(["factorize", "--group", "t2", "--bandlimit", "64", "--builtin",
+                    "poisson:2.0", "--weight", "gevrey:s=1", "--h", "0.5", "--h-prime", "1.0",
+                    "--out", str(out)]) == 0
+        for name in ("g_coefficients.json", "f_prime_coefficients.json"):
+            text = (out / name).read_text()
+            T = coefficients_from_json(text)
+            assert T.bandlimit == 64 and len(T.layout.labels) == 129 ** 2
+            assert coefficients_to_json(T) == text
+
+
 class TestVerify:
     def test_default_passes(self, tmp_path, capsys):
         assert run(["verify", "--fast", "--out", str(tmp_path / "v")]) == 0

@@ -392,6 +392,13 @@ class TestPackedCoefficients:
             assert T.hs_norms()[T.duals.index(xi)] == np.max(
                 np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2))))
 
+    @pytest.mark.parametrize("group, other", [("t1", "su2"), ("su2", "t1"), ("t1", "t2")])
+    def test_group_must_be_the_grids(self, group, other, request):
+        # forward on such a pair failed with a bare KeyError from the other group's axes
+        grid = haar_quadrature(request.getfixturevalue(other), 2)
+        with pytest.raises(ParameterError, match="cannot carry"):
+            GridFunction(request.getfixturevalue(group), grid, np.ones(grid.size))
+
     def test_sizes_are_read_from_the_data(self, t2, su2, rng):
         grid = haar_quadrature(su2, 2)
         f = GridFunction(su2, grid, rng.standard_normal((grid.size, 3)))

@@ -5,6 +5,8 @@ import liefact.fourier
 from liefact.errors import DomainError
 from liefact.groups import (
     SU2,
+    DualIndex,
+    DualLayout,
     Torus,
     dual_layout,
     enumerate_dual,
@@ -43,6 +45,54 @@ class TestDualEnumeration:
         duals = enumerate_dual(t2, 1)
         assert len(duals) == 9
         assert sorted({xi.casimir for xi in duals}) == [0.0, 1.0, 2.0]
+
+
+def _duals_oracle(group, L):
+    """The dual as DualIndex objects, built label by label in Python."""
+    if isinstance(group, Torus):
+        rng = range(-L, L + 1)
+        labels = [(k,) for k in rng] if group.d == 1 else [(a, b) for a in rng for b in rng]
+        return tuple(DualIndex(lab, 1, float(sum(k * k for k in lab))) for lab in labels)
+    return tuple(DualIndex(two_l, two_l + 1, two_l * (two_l + 2) / 4.0)
+                 for two_l in range(2 * L + 1))
+
+
+class TestDualLayout:
+    @pytest.mark.parametrize("spec, L", [("t1", 1), ("t1", 7), ("t1", 256), ("t2", 1),
+                                         ("t2", 9), ("t2", 64), ("su2", 1), ("su2", 6),
+                                         ("su2", 16)])
+    def test_arrays_equal_the_dual_index_build(self, spec, L):
+        group = parse_group_spec(spec)
+        duals = _duals_oracle(group, L)
+        layout = DualLayout(*group.dual_arrays(L))
+        assert "duals" not in vars(layout)  # built on first access only
+        assert layout.duals == duals
+        for name in ("label", "casimir", "dim"):
+            want = np.array([getattr(xi, name) for xi in duals])
+            got = getattr(layout, name + "s" if name == "label" else name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert layout.dims == tuple(dict.fromkeys(xi.dim for xi in duals))
+        for d, idx in zip(layout.dims, layout.members):
+            want = [i for i, xi in enumerate(duals) if xi.dim == d]
+            assert idx.tolist() == want
+            assert (layout.block[idx] == layout.dims.index(d)).all()
+            assert layout.slot[idx].tolist() == list(range(len(want)))
+        wire = sorted(range(len(duals)), key=lambda i: (duals[i].casimir, str(duals[i].label)))
+        assert layout.wire.tolist() == wire
+        position = {xi.label: i for i, xi in enumerate(duals)}
+        assert layout.index(layout.labels).tolist() == list(range(len(duals)))
+        assert layout.index([xi.label for xi in duals[::7]]).tolist() == [
+            position[xi.label] for xi in duals[::7]]
+
+    def test_index_is_minus_one_off_the_dual(self, t1, t2, su2):
+        assert dual_layout(t1, 3).index([(4,), (-4,), (3,), (-3,)]).tolist() == [-1, -1, 6, 0]
+        assert dual_layout(t2, 2).index([(0, 3), (-3, 0), (2, -2)]).tolist() == [-1, -1, 20]
+        assert dual_layout(su2, 2).index([-1, 5, 4, 0]).tolist() == [-1, -1, 4, 0]
+        # another group's label shape, non-integer labels and no labels
+        assert dual_layout(t2, 2).index([(1,)]).tolist() == [-1]
+        assert dual_layout(t1, 2).index([(1, 0)]).tolist() == [-1]
+        assert dual_layout(su2, 2).index([1.0, 2.5]).tolist() == [-1, -1]
+        assert dual_layout(su2, 2).index([]).tolist() == []
 
 
 class TestMatrixCoefficients:

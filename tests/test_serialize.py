@@ -16,6 +16,16 @@ from liefact.serialize import (
 from liefact.signals import poisson_coefficients, random_bandlimited
 
 
+def _dumps_oracle(T):
+    """The dict form the writer replaced: nested tolist() entries through json.dumps."""
+    layout = T.layout
+    entries = [{"xi": list(xi.label) if isinstance(xi.label, tuple) else xi.label,
+                "re": T.entries[xi].real.tolist(), "im": T.entries[xi].imag.tolist()}
+               for xi in (layout.duals[i] for i in layout.wire.tolist())]
+    return json.dumps({"group": T.group.spec_string(), "bandlimit": T.bandlimit,
+                       "value_dim": T.value_dim, "entries": entries}, sort_keys=True)
+
+
 def _edited(T, edit):
     """The JSON text of T after ``edit`` changed its parsed document."""
     doc = json.loads(coefficients_to_json(T))
@@ -115,6 +125,95 @@ class TestCoefficientJson:
         text = _edited(poisson_coefficients(request.getfixturevalue(group), 2, 1.0), edit)
         with pytest.raises(ParameterError, match="is not (a list of|an integer)"):
             coefficients_from_json(text)
+
+
+class TestBlockWriter:
+    SPECIALS = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.0, 0.1, -2.5])
+
+    @pytest.mark.parametrize("group, L", [("t1", 1), ("t1", 5), ("t1", 33), ("t2", 1),
+                                          ("t2", 3), ("t2", 8), ("su2", 1), ("su2", 2),
+                                          ("su2", 5)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_the_dict_form(self, group, L, m, request, rng):
+        T = FourierCoefficients.zeros(request.getfixturevalue(group), L, m)
+        for b in T.blocks:
+            b.real[...] = np.resize(np.roll(self.SPECIALS, rng.integers(9)), b.shape)
+            b.imag[...] = rng.standard_normal(b.shape) * 10.0 ** rng.integers(-300, 300, b.shape)
+        assert coefficients_to_json(T) == _dumps_oracle(T)
+
+    def test_special_values_spelled_as_json_dumps(self, t1):
+        T = FourierCoefficients(t1, 4, [np.resize(self.SPECIALS, (9, 1, 1, 1)).astype(complex)])
+        text = coefficients_to_json(T)
+        assert text == _dumps_oracle(T)
+        for word in ("[[[-0.0]]]", "[[[5e-324]]]", "[[[1e+300]]]", "[[[NaN]]]", "[[[Infinity]]]",
+                     "[[[-Infinity]]]", "[[[0.1]]]"):
+            assert word in text
+
+    def test_read_back_writes_the_same_bytes(self, t1, t2, su2, rng):
+        for g, L, m in ((t1, 16, 3), (t2, 6, 2), (su2, 4, 2)):
+            T = forward(random_bandlimited(g, haar_quadrature(g, L), rng, value_dim=m))
+            text = coefficients_to_json(T)
+            assert coefficients_to_json(coefficients_from_json(text)) == text
+
+
+class TestReaderRejections:
+    @pytest.mark.parametrize("key", ["bandlimit", "value_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, t1, key, value):
+        doc = json.loads(coefficients_to_json(poisson_coefficients(t1, 2, 1.0)))
+        doc[key] = value
+        with pytest.raises(ParameterError, match="must be >= 1"):
+            coefficients_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["xi", "re", "im"])
+    def test_entry_without_key_rejected(self, t2, key):
+        def edit(entries):
+            del entries[3][key]
+        with pytest.raises(ParameterError, match="needs the keys"):
+            coefficients_from_json(_edited(poisson_coefficients(t2, 2, 1.0), edit))
+
+    @pytest.mark.parametrize("group", ["t1", "su2"])
+    @pytest.mark.parametrize("leaf", ["0.25", True, False, None, {}])
+    def test_non_number_leaf_rejected(self, group, leaf, request):
+        # a bool among floats: numpy would read it as 1.0 or 0.0
+        T = poisson_coefficients(request.getfixturevalue(group), 2, 1.0)
+        def edit(entries):
+            entries[1]["im"][0][0][0] = leaf
+        with pytest.raises(ParameterError, match="is not a number"):
+            coefficients_from_json(_edited(T, edit))
+
+    def test_all_bool_entry_rejected(self, t1):
+        def edit(entries):
+            entries[2]["re"] = [[[True]]]
+        with pytest.raises(ParameterError, match=r"entry for \(.*\) holds a value that is not"):
+            coefficients_from_json(_edited(poisson_coefficients(t1, 2, 1.0), edit))
+
+    def test_integer_leaves_are_numbers(self, su2):
+        T = poisson_coefficients(su2, 2, 1.0)
+        def edit(entries):
+            entries[1]["re"] = [[[2, 0], [0, 2 ** 70]]]
+        back = coefficients_from_json(_edited(T, edit))
+        assert np.array_equal(back.blocks[1][0, 0].real, [[2.0, 0.0], [0.0, 2.0 ** 70]])
+
+    def test_int_past_float_range_is_non_finite(self, t1):
+        def edit(entries):
+            entries[0]["im"] = [[[10 ** 400]]]
+        with pytest.raises(ParameterError, match="non-finite"):
+            coefficients_from_json(_edited(poisson_coefficients(t1, 2, 1.0), edit))
+
+    def test_label_past_64_bits_outside_the_band(self, t2):
+        def edit(entries):
+            entries[4]["xi"] = [2 ** 70, 0]
+        with pytest.raises(ParameterError, match=r"\(1180591620717411303424, 0\) outside"):
+            coefficients_from_json(_edited(poisson_coefficients(t2, 2, 1.0), edit))
+
+    def test_first_fault_in_file_order_is_named(self, t2):
+        # a vectorized check fails; the scan names the earliest faulty entry
+        def edit(entries):
+            entries[6]["xi"] = [9, 9]
+            entries[3]["re"] = [[[0.5, 0.5]]]
+        with pytest.raises(ParameterError, match=r"entry for \(.*\) must have shape \(1, 1, 1\)"):
+            coefficients_from_json(_edited(poisson_coefficients(t2, 2, 1.0), edit))
 
 
 class TestGridCsv:
