@@ -1,7 +1,8 @@
 """Command-line driver: transform | classify | factorize | verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parameter error,
-3 insufficient data, 4 conditioning failure.  Every command writes a
+3 insufficient data, 4 conditioning failure.  Every command formats all its
+artifacts, then hands them to one ``_emit``, which writes them and a
 manifest.json echoing the resolved configuration; identical configuration and
 seed produce byte-identical JSON artifacts.
 """
@@ -70,16 +71,15 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
-def _write(outdir: Path, name: str, text: str) -> str:
+def _emit(config: RunConfig, texts: dict[str, str]) -> None:
+    """Write each artifact ``{name: text}``, then manifest.json, to --out; the texts
+    arrive formatted, so a formatter that raises has left no file behind."""
+    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(text)
-    return name
-
-
-def _manifest(outdir: Path, config: RunConfig, outputs: list[str]):
-    doc = {"command": config.command, "config": json.loads(config.to_json()),
-           "outputs": sorted(outputs)}
-    _write(outdir, "manifest.json", json.dumps(doc, sort_keys=True))
+    manifest = {"command": config.command, "config": dataclasses.asdict(config),
+                "outputs": sorted(texts)}
+    for name, text in [*texts.items(), ("manifest.json", json.dumps(manifest, sort_keys=True))]:
+        (outdir / name).write_text(text)
 
 
 def _resolve_input(config: RunConfig):
@@ -107,12 +107,8 @@ def cmd_transform(config: RunConfig) -> int:
     err = float(np.max(np.abs(roundtrip.values - f.values)))
     # Parseval gap on the grid = mass the band limit could not represent
     tail = parseval_defect(f)
-    outdir = Path(config.output_dir)
-    outputs = [
-        _write(outdir, "coefficients.json", serialize.coefficients_to_json(T)),
-        _write(outdir, "decay.csv", serialize.decay_table_csv(T)),
-    ]
-    _manifest(outdir, config, outputs)
+    _emit(config, {"coefficients.json": serialize.coefficients_to_json(T),
+                   "decay.csv": serialize.decay_table_csv(T)})
     print(f"transform: {len(T.layout.labels)} dual blocks, roundtrip sup error {err:.3e}, "
           f"discarded-tail mass (relative Parseval gap) {tail:.3e}")
     return 0
@@ -123,12 +119,8 @@ def cmd_classify(config: RunConfig) -> int:
     T = serialize.coefficients_from_json(text)
     w = parse_weight_spec(config.weight)
     report = estimate_critical_h(T, w)
-    outdir = Path(config.output_dir)
-    outputs = [
-        _write(outdir, "decay_report.json", serialize.decay_report_json(report)),
-        _write(outdir, "decay_report.csv", serialize.decay_report_csv(report)),
-    ]
-    _manifest(outdir, config, outputs)
+    _emit(config, {"decay_report.json": serialize.decay_report_json(report),
+                   "decay_report.csv": serialize.decay_report_csv(report)})
     h_star = "inf" if not np.isfinite(report.h_star) else f"{report.h_star:.6g}"
     print(f"classify: h* = {h_star}, slope = {report.slope:.6g}, "
           f"residual = {report.residual:.3e}")
@@ -139,7 +131,6 @@ def cmd_classify(config: RunConfig) -> int:
 
 
 def cmd_factorize(config: RunConfig) -> int:
-    outdir = Path(config.output_dir)
     w = parse_weight_spec(config.weight)
     if config.vector:
         if not config.rep:
@@ -163,8 +154,7 @@ def cmd_factorize(config: RunConfig) -> int:
             "params": {"weight": w.spec_string(), "h": config.h,
                        "h_prime": res.factorization.h_prime},
         }
-        outputs = [_write(outdir, "bundle.json", json.dumps(bundle, sort_keys=True))]
-        _manifest(outdir, config, outputs)
+        _emit(config, {"bundle.json": json.dumps(bundle, sort_keys=True)})
         print(f"factorize(vector): action residual {res.action_residual:.3e}, "
               f"orbit residual {res.orbit_residual:.3e}")
         return 0
@@ -184,13 +174,9 @@ def cmd_factorize(config: RunConfig) -> int:
             "params": {"weight": w.spec_string(), "h": config.h,
                        "h_prime": res.h_prime, "delta": config.support_delta},
         }
-        outputs = [
-            _write(outdir, "bundle.json", json.dumps(bundle, sort_keys=True)),
-            _write(outdir, "f_prime_coefficients.json",
-                   serialize.coefficients_to_json(res.f_prime)),
-            _write(outdir, "g_grid.csv", serialize.gridfunction_to_csv(res.g)),
-        ]
-        _manifest(outdir, config, outputs)
+        _emit(config, {"bundle.json": json.dumps(bundle, sort_keys=True),
+                       "f_prime_coefficients.json": serialize.coefficients_to_json(res.f_prime),
+                       "g_grid.csv": serialize.gridfunction_to_csv(res.g)})
         print(f"factorize(supported): residual {res.residual:.3e}, "
               f"outside-support mass {res.outside_support_mass:.3e}, "
               f"min mu margin {res.min_mu_margin:.3e}")
@@ -207,13 +193,9 @@ def cmd_factorize(config: RunConfig) -> int:
                         for i in res.g.layout.wire.tolist()],
         "params": {"weight": w.spec_string(), "h": config.h, "h_prime": res.h_prime},
     }
-    outputs = [
-        _write(outdir, "bundle.json", json.dumps(bundle, sort_keys=True)),
-        _write(outdir, "g_coefficients.json", serialize.coefficients_to_json(res.g)),
-        _write(outdir, "f_prime_coefficients.json",
-               serialize.coefficients_to_json(res.f_prime)),
-    ]
-    _manifest(outdir, config, outputs)
+    _emit(config, {"bundle.json": json.dumps(bundle, sort_keys=True),
+                   "g_coefficients.json": serialize.coefficients_to_json(res.g),
+                   "f_prime_coefficients.json": serialize.coefficients_to_json(res.f_prime)})
     print(f"factorize: residual {res.residual:.3e}, "
           f"min decay-transfer margin {res.min_transfer_margin:.3e} "
           f"({res.min_transfer_margin_relative:.3e} relative)")
@@ -230,10 +212,8 @@ def cmd_verify(config: RunConfig) -> int:
         print(f"{r.name:<{width}}  measured {r.measured:>12.4e}  "
               f"bound {r.bound:>10.2e}  margin {r.margin:>11.4e}  {status}")
     if config.output_dir:
-        outdir = Path(config.output_dir)
         doc = [dataclasses.asdict(r) for r in results]
-        outputs = [_write(outdir, "verify.json", json.dumps(doc, sort_keys=True))]
-        _manifest(outdir, config, outputs)
+        _emit(config, {"verify.json": json.dumps(doc, sort_keys=True)})
     print(f"verify: {'all properties pass' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1
 

@@ -140,7 +140,8 @@ class QuadratureGrid:
     def inversion_permutation(self) -> np.ndarray:
         """Permutation p with nodes[p[i]] = nodes[i]^-1 (exact on these grids)."""
         if "inv_perm" not in self._cache:
-            self._cache["inv_perm"] = self.group._inversion_permutation(self)
+            perm = self._cache["inv_perm"] = self.group._inversion_permutation(self)
+            perm.flags.writeable = False  # shared like nodes and weights
         return self._cache["inv_perm"]
 
     def __repr__(self):
@@ -176,9 +177,11 @@ class Torus:
         labels = np.stack(np.meshgrid(*[rng] * self.d, indexing="ij"), axis=-1).reshape(-1, self.d)
         return labels, np.ones(len(labels), dtype=int), np.sum(labels**2, axis=1).astype(float)
 
-    def label_bandlimit(self, label) -> int:
-        """Smallest L whose dual can hold ``label``: max |k_i|."""
-        return int(np.max(np.abs(label)))
+    def label_bandlimit(self, label):
+        """Smallest L whose dual can hold ``label``: max |k_i| (an int; an array
+        of them for an array of labels, taken over the last axis)."""
+        need = np.abs(label).max(axis=-1)
+        return need if need.ndim else int(need)
 
     # -- elements ---------------------------------------------------------
 
@@ -273,8 +276,9 @@ class SU2:
         two_l = np.arange(2 * bandlimit + 1)
         return two_l, two_l + 1, two_l * (two_l + 2) / 4.0
 
-    def label_bandlimit(self, label) -> int:
-        """Smallest L whose dual can hold degree ``label`` = 2l: ceil(l)."""
+    def label_bandlimit(self, label):
+        """Smallest L whose dual can hold degree ``label`` = 2l: ceil(l)
+        (elementwise on an array of degrees)."""
         return (label + 1) // 2
 
     # -- elements ---------------------------------------------------------
@@ -453,5 +457,5 @@ def weyl_summability(group, alpha: float, bandlimit: int) -> np.ndarray:
     """
     layout = dual_layout(group, int(bandlimit))
     terms = layout.dim**2 * (1.0 + layout.casimir) ** (-alpha)
-    bins = [group.label_bandlimit(lab) for lab in layout.labels]  # the first L' holding it
+    bins = group.label_bandlimit(layout.labels)  # the first L' holding each label
     return np.cumsum(np.bincount(bins, terms, minlength=bandlimit + 1))[1:]

@@ -8,6 +8,7 @@ import pytest
 
 import liefact.factorize
 import liefact.fourier
+import liefact.serialize
 from liefact.cli import RunConfig, main
 from liefact.errors import ParameterError
 from liefact.factorize import bump_partition_of_unity
@@ -127,6 +128,15 @@ class TestClassify:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "c" / "decay_report.json").exists()
+
+    def test_oversized_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"group": "t2", "bandlimit": 100000, "value_dim": 1,
+                                    "entries": []}))
+        code = run(["classify", "--coefficients", str(path), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "40000400001 slots" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("group, edit, message", [
         ("t1", lambda doc: [doc], "object with keys"),
@@ -295,6 +305,30 @@ class TestFactorize:
                     "--builtin", "poisson:1.0", "--weight", "gevrey:s=1",
                     "--h", "1.0", "--h-prime", "0.5", "--out", str(tmp_path / "f")])
         assert code == 2
+
+
+    def test_conditioning_failure_exits_4_with_no_output(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        code = run(["factorize", "--group", "t1", "--bandlimit", "256",
+                    "--builtin", "poisson:1.0", "--supported", "--support-delta", "2.0",
+                    "--pieces", "8", "--weight", "gevrey:s=0.9", "--h", "0.5",
+                    "--h-prime", "1.0", "--out", str(out)])
+        assert code == 4
+        assert "S block at xi = (-256,) is numerically singular" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_formatter_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(f):
+            raise ParameterError("grid CSV formatter failed")
+
+        monkeypatch.setattr(liefact.serialize, "gridfunction_to_csv", refuse)
+        out = tmp_path / "f"
+        code = run(["factorize", "--group", "t1", "--bandlimit", "64", "--builtin", "poisson:2.0",
+                    "--supported", "--pieces", "8", "--weight", "gevrey:s=0.5",
+                    "--h", "0.5", "--h-prime", "1.0", "--out", str(out)])
+        assert code == 2
+        assert "formatter failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeskScale:

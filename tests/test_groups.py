@@ -94,6 +94,14 @@ class TestDualLayout:
         assert dual_layout(su2, 2).index([1.0, 2.5]).tolist() == [-1, -1]
         assert dual_layout(su2, 2).index([]).tolist() == []
 
+    def test_label_bandlimit_of_an_array_is_per_label(self, t1, t2, su2):
+        for g, L in ((t1, 9), (t2, 6), (su2, 5)):
+            labels = dual_layout(g, L).labels
+            scalars = [g.label_bandlimit(tuple(lab) if g != su2 else int(lab)) for lab in labels]
+            assert all(type(n) is int for n in scalars)
+            assert g.label_bandlimit(labels).tolist() == scalars
+            assert max(scalars) == L
+
 
 class TestMatrixCoefficients:
     def test_identity_element(self, t1, t2, su2, rng):
@@ -251,7 +259,7 @@ class TestQuadrature:
         for g in (t1, t2, su2):
             grid = haar_quadrature(g, 3)
             before = grid.nodes.copy()
-            arrays = [grid.nodes, grid.weights]
+            arrays = [grid.nodes, grid.weights, grid.inversion_permutation]
             arrays += [a for a in grid.axes.values() if isinstance(a, np.ndarray)]
             for arr in arrays:
                 with pytest.raises(ValueError):

@@ -1,19 +1,30 @@
+import csv
+import dataclasses
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import liefact.serialize
+from liefact.classify import estimate_critical_h
 from liefact.errors import ParameterError
-from liefact.fourier import FourierCoefficients, forward
-from liefact.groups import haar_quadrature
+from liefact.fourier import FourierCoefficients, GridFunction, forward
+from liefact.groups import dual_layout, haar_quadrature
 from liefact.serialize import (
     coefficients_from_json,
     coefficients_to_json,
+    decay_report_csv,
+    decay_report_json,
     decay_table_csv,
     gridfunction_from_csv,
     gridfunction_to_csv,
+    seminorm_report_csv,
 )
-from liefact.signals import poisson_coefficients, random_bandlimited
+from liefact.signals import poisson_coefficients, poisson_function, random_bandlimited
+from liefact.spectral import iterate_seminorm
+from liefact.weights import gevrey_weight
 
 
 def _dumps_oracle(T):
@@ -24,6 +35,55 @@ def _dumps_oracle(T):
                for xi in (layout.duals[i] for i in layout.wire.tolist())]
     return json.dumps({"group": T.group.spec_string(), "bandlimit": T.bandlimit,
                        "value_dim": T.value_dim, "entries": entries}, sort_keys=True)
+
+
+def _csv_oracle(kind, obj):
+    """The csv.writer forms the shared ``_csv`` formatter replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if kind == "grid":
+        header = [f"x{i}" for i in range(obj.grid.nodes.shape[1])]
+        for v in range(obj.value_dim):
+            header += [f"re{v}", f"im{v}"]
+        writer.writerow(header)
+        for node, row in zip(obj.grid.nodes, obj.values):
+            out = [repr(float(c)) for c in node]
+            for v in range(obj.value_dim):
+                out += [repr(float(row[v].real)), repr(float(row[v].imag))]
+            writer.writerow(out)
+    elif kind == "decay_table":
+        writer.writerow(["sqrt_lambda", "hsnorm"])
+        wire = obj.layout.wire
+        for lam, norm in zip(np.sqrt(obj.layout.casimir)[wire].tolist(),
+                             obj.hs_norms()[wire].tolist()):
+            writer.writerow([repr(lam), repr(norm)])
+    elif kind == "decay_report":
+        writer.writerow(["sqrt_lambda", "log_hsnorm", "fitted"])
+        for i in np.argsort(obj.sqrt_lambda):
+            writer.writerow([repr(float(obj.sqrt_lambda[i])), repr(float(obj.log_hsnorm[i])),
+                             repr(float(obj.fitted[i]))])
+    else:
+        writer.writerow(["j", "supnorm", "weighted_term"])
+        for j, sup, term in zip(obj.js, obj.supnorms, obj.weighted_terms):
+            writer.writerow([int(j), repr(float(sup)), repr(float(term))])
+    return buf.getvalue()
+
+
+def _report_json_oracle(report):
+    """The form ``decay_report_json`` replaced: each infinity spelled "inf" inline."""
+    doc = {
+        "weight": report.weight.spec_string(),
+        "h_star": report.h_star if np.isfinite(report.h_star) else "inf",
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "residual": report.residual,
+        "h_star_low": report.h_star_low if np.isfinite(report.h_star_low) else "inf",
+        "h_star_high": report.h_star_high if np.isfinite(report.h_star_high) else "inf",
+        "super_omega": report.super_omega,
+        "h_values": report.h_values.tolist(),
+        "seminorm_values": [v if np.isfinite(v) else "inf" for v in report.seminorm_values],
+    }
+    return json.dumps(doc, sort_keys=True)
 
 
 def _edited(T, edit):
@@ -214,6 +274,98 @@ class TestReaderRejections:
             entries[3]["re"] = [[[0.5, 0.5]]]
         with pytest.raises(ParameterError, match=r"entry for \(.*\) must have shape \(1, 1, 1\)"):
             coefficients_from_json(_edited(poisson_coefficients(t2, 2, 1.0), edit))
+
+
+class TestCsvWriters:
+    """Each CSV writer is byte-identical to its csv.writer oracle."""
+
+    SPECIALS = TestBlockWriter.SPECIALS
+
+    @pytest.mark.parametrize("group, L", [("t1", 4), ("t2", 3), ("su2", 2)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_grid_function(self, group, L, m, request, rng):
+        g = request.getfixturevalue(group)
+        grid = haar_quadrature(g, L)
+        f = random_bandlimited(g, grid, rng, value_dim=m)
+        values = f.values.copy()
+        values.real.flat[:9] = self.SPECIALS
+        values.imag.flat[-9:] = self.SPECIALS[::-1]
+        for f in (f, GridFunction(g, grid, values)):
+            text = gridfunction_to_csv(f)
+            assert text == _csv_oracle("grid", f)
+        assert "nan" in text and "-inf" in text and "5e-324" in text and "\r\n" in text
+
+    def test_grid_function_with_transposed_values(self, su2, rng):
+        grid = haar_quadrature(su2, 2)
+        values = (rng.standard_normal((2, grid.size)) + 1j * rng.standard_normal((2, grid.size)))
+        values[0, :9] = self.SPECIALS
+        f = GridFunction(su2, grid, values.T)
+        assert not f.values.flags.c_contiguous
+        assert gridfunction_to_csv(f) == _csv_oracle("grid", f)
+
+    def test_decay_table(self, t1, t2, su2, rng):
+        tables = [poisson_coefficients(g, L, 1.0) for g, L in ((t1, 16), (t2, 4), (su2, 3))]
+        tables.append(FourierCoefficients(t1, 4, [np.resize(self.SPECIALS, (9, 1, 1, 1)) + 0j]))
+        tables.append(forward(random_bandlimited(su2, haar_quadrature(su2, 2), rng, value_dim=2)))
+        with np.errstate(over="ignore"):  # |1e300|^2 in the HS norm
+            for T in tables:
+                assert decay_table_csv(T) == _csv_oracle("decay_table", T)
+
+    def test_decay_reports(self, t1, t2):
+        for T in (poisson_coefficients(t1, 16, 1.0), poisson_coefficients(t2, 6, 0.5)):
+            report = estimate_critical_h(T, gevrey_weight(1.0))
+            n = len(report.sqrt_lambda)
+            special = dataclasses.replace(
+                report, fitted=np.resize(self.SPECIALS, n),
+                log_hsnorm=np.resize(self.SPECIALS[::-1], n), h_star=np.inf, h_star_high=-np.inf,
+                seminorm_values=np.array([np.inf, -0.0, 5e-324, 1e300, np.nan]))
+            for r in (report, special):
+                assert decay_report_csv(r) == _csv_oracle("decay_report", r)
+                assert decay_report_json(r) == _report_json_oracle(r)
+        assert '"h_star": "inf"' in decay_report_json(special)
+
+    def test_seminorm_reports(self, t1):
+        report = iterate_seminorm(poisson_function(t1, haar_quadrature(t1, 16), 1.0),
+                                  gevrey_weight(1.0), 1.5)
+        n = len(report.js)
+        special = dataclasses.replace(report, supnorms=np.resize(self.SPECIALS, n),
+                                      weighted_terms=np.resize(self.SPECIALS[::-1], n))
+        for r in (report, special):
+            assert seminorm_report_csv(r) == _csv_oracle("seminorm", r)
+
+
+class TestDeclaredSize:
+    """The reader bounds the family a header declares before building anything."""
+
+    @pytest.mark.parametrize("header", [
+        {"group": "t2", "bandlimit": 100000, "value_dim": 1},
+        {"group": "t1", "bandlimit": 4, "value_dim": 10**12},
+        {"group": "su2", "bandlimit": 10**6, "value_dim": 1},
+    ])
+    def test_oversized_header_rejected_without_allocating(self, header):
+        text = json.dumps({**header, "entries": []})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="slots"):
+                coefficients_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("group, L, m", [("t1", 256, 1), ("t2", 64, 1), ("t2", 5, 3),
+                                             ("su2", 16, 2), ("su2", 3, 1)])
+    def test_limit_is_the_exact_slot_count(self, group, L, m, request, monkeypatch):
+        layout = dual_layout(request.getfixturevalue(group), L)
+        slots = m * int(np.sum(layout.dim**2))
+        text = json.dumps({"group": group, "bandlimit": L, "value_dim": m, "entries": []})
+        assert slots <= liefact.serialize.MAX_COEFFICIENT_SLOTS
+        monkeypatch.setattr(liefact.serialize, "MAX_COEFFICIENT_SLOTS", slots)
+        T = coefficients_from_json(text)
+        assert not any(b.any() for b in T.blocks)
+        monkeypatch.setattr(liefact.serialize, "MAX_COEFFICIENT_SLOTS", slots - 1)
+        with pytest.raises(ParameterError, match=f"{slots} slots"):
+            coefficients_from_json(text)
 
 
 class TestGridCsv:
