@@ -33,9 +33,14 @@ coefficient vanishes on the ring |m'| = l or |m| = l).  Level 2 is the
 degenerate first step d^1_00 = u.  Each interior is written in place into its
 slice of the output, so a level allocates one (angles, d, d) temporary, the
 product with d^{l-1}.  The recursion is stable upward in l well past l = 128.
+The levels are streamed, as in SOFT (Kostelec & Rockmore, FFTs on the
+Rotation Group, 2008): each is yielded when done, and only the four below it
+are kept.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -60,14 +65,14 @@ def _fill_borders(mat: np.ndarray, two_l: int, pow_c: np.ndarray, pow_s: np.ndar
     mat[:, 1:-1, two_l] *= pow_s[:, two_l - i]
 
 
-def wigner_d_matrices(two_l_max: int, beta) -> list[np.ndarray]:
-    """All small-d matrices up to 2l = two_l_max on a batch of angles.
+def wigner_d_matrices(two_l_max: int, beta):
+    """The small-d matrices of 2l = 0..two_l_max on a batch of angles, in order.
 
-    Returns a list indexed by two_l; entry two_l has shape (len(beta), 2l+1, 2l+1)
-    with axes ordered (angle, row m' = l..-l, column m = l..-l).
+    Yields level two_l, read-only, of shape (len(beta), 2l+1, 2l+1) with axes
+    ordered (angle, row m' = l..-l, column m = l..-l); only levels 2l-1..2l-4,
+    which the recursion still needs, are kept alive.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    nb = len(beta)
     u = np.cos(beta)
     ch = np.cos(beta / 2.0)
     sh = np.sin(beta / 2.0)
@@ -75,10 +80,9 @@ def wigner_d_matrices(two_l_max: int, beta) -> list[np.ndarray]:
     pow_c = np.stack([np.power(ch, p) for p in range(two_l_max + 1)], axis=1)
     pow_s = np.stack([np.power(sh, p) for p in range(two_l_max + 1)], axis=1)
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, two_l_max + 2, dtype=float)))])
-    # every level up front, so the per-level temporaries do not interleave
-    # with the tables on the heap (that raised peak RSS in SU(2) evaluate)
-    mats = [np.zeros((nb, two_l + 1, two_l + 1)) for two_l in range(two_l_max + 1)]
-    for two_l, mat in enumerate(mats):
+    below = deque(maxlen=4)  # levels two_l-4 .. two_l-1
+    for two_l in range(two_l_max + 1):
+        mat = np.zeros((len(beta), two_l + 1, two_l + 1))
         _fill_borders(mat, two_l, pow_c, pow_s, lf)
         if two_l == 2:
             mat[:, 1, 1] = u  # d^1_00 = u d^0_00
@@ -90,12 +94,13 @@ def wigner_d_matrices(two_l_max: int, beta) -> list[np.ndarray]:
             np.subtract((l * (l + 1) * u)[:, None, None], np.multiply.outer(ms, ms),
                         out=interior)
             interior *= 2 * l + 1
-            interior *= mats[two_l - 2]
+            interior *= below[-2]
             if two_l > 3:
                 drop = l * l - ms[1:-1] ** 2
                 b = (l + 1) * np.sqrt(np.multiply.outer(drop, drop))
-                interior[:, 1:-1, 1:-1] -= b * mats[two_l - 4]
+                interior[:, 1:-1, 1:-1] -= b * below[-4]
             lift = (l + 1) ** 2 - ms ** 2
             interior /= l * np.sqrt(np.multiply.outer(lift, lift))
-    return mats
-
+        mat.flags.writeable = False
+        below.append(mat)
+        yield mat

@@ -151,10 +151,16 @@ class FourierCoefficients:
             c[idx, None, None, None] * b for idx, b in zip(self.layout.members, self.blocks)])
 
     def hs_norms(self) -> np.ndarray:
-        """Hilbert-Schmidt norm per dual index, maximized over the m slices."""
+        """Hilbert-Schmidt norm per dual index, maximized over the m slices; a
+        slice whose squares pass the float range is summed by ``hypot``."""
         out = np.empty(len(self.layout.labels))
         for idx, b in zip(self.layout.members, self.blocks):
-            out[idx] = np.max(np.sqrt(np.sum(np.abs(b) ** 2, axis=(2, 3))), axis=1)
+            a = np.abs(b)
+            with np.errstate(over="ignore"):
+                norms = np.sqrt(np.sum(a ** 2, axis=(2, 3)))
+            over = np.isinf(norms)
+            norms[over] = np.hypot.reduce(a[over].reshape(-1, a.shape[-1] ** 2), axis=1)
+            out[idx] = np.max(norms, axis=1)
         return out
 
 
@@ -179,9 +185,8 @@ def _su2_plan(grid: QuadratureGrid, bandlimit: int):
     if "su2_plan" not in grid._cache:
         two_L = 2 * grid.bandlimit
         E = np.exp(-0.5j * np.outer(grid.axes["alphas"], np.arange(-two_L, two_L + 1)))
-        tables = wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"]))
-        for two_l, d in enumerate(tables):  # one degree's copy alive at a time
-            tables[two_l] = np.ascontiguousarray(d.transpose(2, 1, 0))
+        tables = [np.ascontiguousarray(d.transpose(2, 1, 0))
+                  for d in wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"]))]
         grid._cache["su2_plan"] = (E, tables)
     E, tables = grid._cache["su2_plan"]
     cut = 2 * (grid.bandlimit - bandlimit)
@@ -258,7 +263,7 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = T.value_dim
     out = np.zeros((len(pts), m), dtype=complex)
-    # keep the per-chunk tables (chunk x sum d^2 entries) modest
+    # chunk x sum d^2 entries bounds the blocks and Wigner levels one chunk holds
     table_size = int(np.sum(T.layout.dim**2))
     chunk = max(128, 4_000_000 // table_size)
     # (count d d, m): sum_ij D_ij conj(d t_ij) is conj(d Tr[D^* t])

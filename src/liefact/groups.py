@@ -7,7 +7,8 @@ and a Haar quadrature exact on band-limited integrands.
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family.
 ``irrep_blocks`` builds xi(x) over a whole layout, one (n, count, d, d) array
-per block; ``irrep_matrices`` builds one xi.
+per block; ``irrep_matrices`` builds one xi (``DomainError`` off the dual).
+On SU(2) both run one per-degree builder over the streamed Wigner levels.
 
 Coordinates and normalizations
 ------------------------------
@@ -113,6 +114,31 @@ def _degree_slice(two_L: int, two_l: int) -> slice:
     return slice(two_L + two_l, stop if stop >= 0 else None, -2)
 
 
+class _Group:
+    """What T^d and SU(2) share: the dual and the grids read from their one
+    cache each, and one xi(x) read from ``irrep_matrices``."""
+
+    def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
+        return list(dual_layout(self, int(bandlimit)).duals)
+
+    def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
+        return _haar_quadrature(self, int(bandlimit))
+
+    def identity(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    def irrep_matrix(self, xi: DualIndex, x) -> np.ndarray:
+        return self.irrep_matrices(xi, np.asarray(x, float)[None, :])[0]
+
+
+@lru_cache(maxsize=None)
+def _haar_quadrature(group, bandlimit: int) -> QuadratureGrid:
+    """The only cache of the grids: the group builds its rule once."""
+    if bandlimit < 1:
+        raise DomainError("band limit must be >= 1")
+    return QuadratureGrid(group, bandlimit, *group._quadrature_rule(bandlimit))
+
+
 class QuadratureGrid:
     """Nodes and weights of a Haar quadrature, exact to a declared band limit.
 
@@ -149,7 +175,7 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True)
-class Torus:
+class Torus(_Group):
     """The d-torus, d in {1, 2}."""
 
     d: int
@@ -167,9 +193,6 @@ class Torus:
 
     # -- dual -----------------------------------------------------------
 
-    def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
-        return list(dual_layout(self, int(bandlimit)).duals)
-
     def dual_arrays(self, bandlimit: int):
         """(labels, dim, casimir) up to ``bandlimit``: k in [-L, L]^d row-major,
         dimension 1, |k|^2 (uncached)."""
@@ -184,9 +207,6 @@ class Torus:
         return need if need.ndim else int(need)
 
     # -- elements ---------------------------------------------------------
-
-    def identity(self) -> np.ndarray:
-        return np.zeros(self.d)
 
     def multiply(self, x, y) -> np.ndarray:
         return np.mod(np.asarray(x, float) + np.asarray(y, float), 2 * np.pi)
@@ -210,13 +230,11 @@ class Torus:
 
     # -- matrix coefficients ----------------------------------------------
 
-    def irrep_matrix(self, xi: DualIndex, x) -> np.ndarray:
-        return self.irrep_matrices(xi, np.asarray(x, float)[None, :])[0]
-
     def irrep_matrices(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
-        pts = self.validate_coords(points)
-        k = np.asarray(xi.label, dtype=float)
-        phases = np.exp(-1j * pts @ k)
+        k = np.asarray(xi.label)
+        if k.dtype.kind not in "iu" or k.shape != (self.d,):
+            raise DomainError(f"{xi.label!r} is not a label of the t{self.d} dual")
+        phases = np.exp(-1j * self.validate_coords(points) @ k)
         return phases[:, None, None]
 
     def irrep_blocks(self, points: np.ndarray, bandlimit: int):
@@ -227,8 +245,16 @@ class Torus:
 
     # -- quadrature ---------------------------------------------------------
 
-    def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
-        return _torus_quadrature(self, int(bandlimit))
+    def _quadrature_rule(self, bandlimit: int):
+        """(nodes, weights, axes): n = 2L+2 uniform points per axis."""
+        n = 2 * bandlimit + 2
+        axis = 2 * np.pi * np.arange(n) / n
+        if self.d == 1:
+            nodes = axis[:, None]
+        else:
+            a, b = np.meshgrid(axis, axis, indexing="ij")
+            nodes = np.stack([a.ravel(), b.ravel()], axis=1)
+        return nodes, np.full(len(nodes), 1.0 / n**self.d), {"points_per_axis": n, "axis": axis}
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         n = grid.axes["points_per_axis"]
@@ -239,23 +265,8 @@ class Torus:
         return neg[flat // n] * n + neg[flat % n]
 
 
-@lru_cache(maxsize=None)
-def _torus_quadrature(group: Torus, bandlimit: int) -> QuadratureGrid:
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    n = 2 * bandlimit + 2
-    axis = 2 * np.pi * np.arange(n) / n
-    if group.d == 1:
-        nodes = axis[:, None]
-    else:
-        a, b = np.meshgrid(axis, axis, indexing="ij")
-        nodes = np.stack([a.ravel(), b.ravel()], axis=1)
-    weights = np.full(len(nodes), 1.0 / n**group.d)
-    return QuadratureGrid(group, bandlimit, nodes, weights, {"points_per_axis": n, "axis": axis})
-
-
 @dataclass(frozen=True)
-class SU2:
+class SU2(_Group):
     """The group SU(2) in ZYZ Euler coordinates."""
 
     @property
@@ -266,9 +277,6 @@ class SU2:
         return "su2"
 
     # -- dual -----------------------------------------------------------
-
-    def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
-        return list(dual_layout(self, int(bandlimit)).duals)
 
     def dual_arrays(self, bandlimit: int):
         """(labels, dim, casimir) up to ``bandlimit``: the degrees 2l = 0..2L,
@@ -282,9 +290,6 @@ class SU2:
         return (label + 1) // 2
 
     # -- elements ---------------------------------------------------------
-
-    def identity(self) -> np.ndarray:
-        return np.zeros(3)
 
     def defining_matrix(self, x) -> np.ndarray:
         """The element as its defining 2x2 unitary (the unit quaternion)."""
@@ -355,43 +360,48 @@ class SU2:
 
     # -- matrix coefficients ----------------------------------------------
 
-    def irrep_matrix(self, xi: DualIndex, x) -> np.ndarray:
-        return self.irrep_matrices(xi, np.asarray(x, float)[None, :])[0]
-
     def irrep_matrices(self, xi: DualIndex, points: np.ndarray) -> np.ndarray:
-        pts = self.validate_coords(np.atleast_2d(points))
         two_l = xi.label
-        # a product grid repeats few betas: one table per distinct angle
-        betas, where = np.unique(pts[:, 1], return_inverse=True)
-        d = wigner_d_matrices(two_l, betas)[two_l][where]
-        two_ms = np.arange(two_l, -two_l - 1, -2)
-        left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
-        right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
-        out = left[:, :, None] * d
-        out *= right[:, None, :]
-        return out
+        if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
+            raise DomainError(f"{two_l!r} is not a label of the su2 dual")
+        return next(self._degree_blocks(points, int(two_l), first=int(two_l)))
 
     def irrep_blocks(self, points: np.ndarray, bandlimit: int):
-        """xi(x) for the whole dual: one (n, 1, d, d) block per degree, built
-        one at a time from the phases of every 2m and one Wigner table on the
-        distinct betas."""
+        """xi(x) for the whole dual: one (n, 1, d, d) block per degree."""
+        return (block[:, None] for block in self._degree_blocks(points, 2 * int(bandlimit)))
+
+    def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0):
+        """xi(x) for the degrees 2l = first..two_L, one (n, d, d) array at a
+        time: the phases of every 2m, made once, times each streamed Wigner
+        level on the distinct betas (a product grid repeats few)."""
         pts = self.validate_coords(np.atleast_2d(points))
-        two_L = 2 * int(bandlimit)
         two_ms = np.arange(-two_L, two_L + 1)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
-        dmats = wigner_d_matrices(two_L, betas)
         left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
         right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
-        for two_l, d in enumerate(dmats):
-            s = _degree_slice(two_L, two_l)
-            block = left[:, s, None] * d[where]
-            block *= right[:, None, s]
-            yield block[:, None]
+        for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
+            if two_l >= first:
+                s = _degree_slice(two_L, two_l)
+                block = left[:, s, None] * d[where]
+                block *= right[:, None, s]
+                yield block
 
     # -- quadrature ---------------------------------------------------------
 
-    def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
-        return _su2_quadrature(self, int(bandlimit))
+    def _quadrature_rule(self, bandlimit: int):
+        """(nodes, weights, axes): 2B uniform alphas and gammas, B = 2L+2 Gauss-Legendre betas."""
+        B = 2 * bandlimit + 2
+        # alpha, gamma uniform over [0, 4pi) so half-integer phases are resolved;
+        # the grid double-covers the group, which the normalized weights absorb
+        phases = 2 * np.pi * np.arange(2 * B) / B
+        u, w = np.polynomial.legendre.leggauss(B)
+        betas = np.arccos(u)
+        a = np.repeat(phases, B * 2 * B)
+        b = np.tile(np.repeat(betas, 2 * B), 2 * B)
+        g = np.tile(phases, 2 * B * B)
+        nodes = np.stack([a, b, g], axis=1)
+        weights = np.tile(np.repeat(w / 2.0, 2 * B), 2 * B) / (2 * B) ** 2
+        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, gammas=phases, B=B)
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         # (alpha_a, beta_b, gamma_c)^-1 = (pi - gamma_c, beta_b, -pi - alpha_a);
@@ -407,38 +417,16 @@ class SU2:
         return ((a_new * B + b_idx) * two_b + c_new).reshape(-1)
 
 
-@lru_cache(maxsize=None)
-def _su2_quadrature(group: SU2, bandlimit: int) -> QuadratureGrid:
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    B = 2 * bandlimit + 2
-    # alpha, gamma uniform over [0, 4pi) so half-integer phases are resolved;
-    # the grid double-covers the group, which the normalized weights absorb
-    phases = 2 * np.pi * np.arange(2 * B) / B
-    u, w = np.polynomial.legendre.leggauss(B)
-    betas = np.arccos(u)
-    a = np.repeat(phases, B * 2 * B)
-    b = np.tile(np.repeat(betas, 2 * B), 2 * B)
-    g = np.tile(phases, 2 * B * B)
-    nodes = np.stack([a, b, g], axis=1)
-    weights = np.tile(np.repeat(w / 2.0, 2 * B), 2 * B) / (2 * B) ** 2
-    axes = {"alphas": phases, "beta_u": u, "beta_w": w, "gammas": phases, "B": B}
-    return QuadratureGrid(group, bandlimit, nodes, weights, axes)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
 
 
 def parse_group_spec(spec: str):
-    if spec == "t1":
-        return Torus(1)
-    if spec == "t2":
-        return Torus(2)
-    if spec == "su2":
-        return SU2()
-    raise ParameterError(f"unrecognized group spec {spec!r} (expected t1, t2 or su2)")
+    groups = {"t1": Torus(1), "t2": Torus(2), "su2": SU2()}
+    if spec not in groups:
+        raise ParameterError(f"unrecognized group spec {spec!r} (expected t1, t2 or su2)")
+    return groups[spec]
 
 
 def enumerate_dual(group, bandlimit: int) -> list[DualIndex]:

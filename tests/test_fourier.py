@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -25,6 +26,7 @@ from liefact.signals import (
     reproducing_kernel,
     synth_coefficients,
 )
+from liefact.serialize import decay_table_csv
 from liefact.spectral import apply_laplacian
 from test_wigner import wigner_d_sum
 
@@ -444,6 +446,27 @@ class TestPackedCoefficients:
         B = forward(random_bandlimited(t1, haar_quadrature(t1, 6), rng))
         with pytest.raises(BandlimitMismatchError):
             compose(A, B)
+
+    def test_hs_norms_finite_past_the_square_range(self, t1, su2, rng):
+        # entries of 1e300 square past the float range; their norms are still
+        # finite, and every norm whose squares fit keeps the plain formula's bits
+        T = FourierCoefficients.diagonal(t1, 4, np.full(9, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = T.hs_norms()
+            table = decay_table_csv(T)
+        assert np.all(norms == 1e300)
+        assert "inf" not in table and table.count("1e+300") == 9
+        T = forward(random_bandlimited(su2, haar_quadrature(su2, 2), rng, value_dim=2))
+        T.blocks[3][0, 1] = 1e300 + 1e300j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = T.hs_norms()
+        assert norms[3] == pytest.approx(4 * np.sqrt(2) * 1e300, rel=1e-15)  # 16 entries
+        for i, xi in enumerate(T.duals):
+            if i != 3:
+                t = T.entries[xi]
+                assert norms[i] == np.max(np.sqrt(np.sum(np.abs(t) ** 2, axis=(1, 2))))
 
     def test_block_algebra_matches_per_dual_loops(self, t2, su2, rng):
         # the packed expressions do the per-xi arithmetic of the loops they

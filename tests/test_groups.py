@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,17 @@ class TestMatrixCoefficients:
             su2.irrep_matrix(xi, np.array([0.0, 3.5, 0.0]))
 
 
+    @pytest.mark.parametrize("spec, label", [
+        ("su2", -1), ("su2", 2.5), ("su2", True), ("su2", (2,)), ("su2", "2"),
+        ("t1", (1.5,)), ("t1", 3), ("t1", (1, 2)), ("t2", (1,)), ("t2", (1.0, 2.0))])
+    def test_label_outside_the_dual_rejected(self, spec, label):
+        g = parse_group_spec(spec)
+        xi = DualIndex(label=label, dim=1, casimir=0.0)
+        with pytest.raises(DomainError, match=re.escape(repr(label))):
+            g.irrep_matrix(xi, g.identity())
+        with pytest.raises(DomainError, match=re.escape(repr(label))):
+            g.irrep_matrices(xi, np.stack([g.identity()] * 3))
+
     def test_su2_grid_table_built_on_distinct_betas(self, su2, monkeypatch):
         # a product grid repeats B betas, so the Wigner table needs only those
         import liefact.groups
@@ -222,6 +236,20 @@ class TestIrrepBlocks:
             for i, xi in enumerate(duals):
                 mats = g.irrep_matrices(xi, pts)
                 assert np.abs(block[:, i] - mats).max() <= (0.0 if g is t1 else 1e-14)
+
+    def test_su2_blocks_stream_in_bounded_memory(self, su2, rng):
+        # one degree's Wigner level and block at a time: a table of every
+        # level on the 256 distinct betas would alone take every_level bytes
+        pts = np.array([su2.random_element(rng) for _ in range(256)])
+        every_level = sum(256 * d * d * 8 for d in range(1, 34))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in su2.irrep_blocks(pts, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 33
+        assert peak < 0.9 * every_level
 
     def test_coordinates_validated(self, t2, su2):
         with pytest.raises(DomainError):

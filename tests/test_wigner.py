@@ -1,6 +1,7 @@
 """The small-d recursion against the explicit factorial sum formula."""
 
 from math import cos, factorial, sin, sqrt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def wigner_d_sum(two_j, two_mp, two_m, beta):
 def test_recursion_matches_sum_formula():
     rng = np.random.default_rng(5)
     betas = rng.uniform(0.01, np.pi - 0.01, 6)
-    mats = wigner_d_matrices(8, betas)
+    mats = list(wigner_d_matrices(8, betas))
     for two_l in range(9):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -52,7 +53,7 @@ def test_wide_batch_matches_sum_formula_and_symmetries():
     # check a wide batch that includes both endpoints
     rng = np.random.default_rng(11)
     betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 62)])
-    mats = wigner_d_matrices(64, betas)
+    mats = list(wigner_d_matrices(64, betas))
     for two_l in range(13):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -71,14 +72,14 @@ def test_wide_batch_matches_sum_formula_and_symmetries():
 
 def test_half_spin_matrix():
     beta = 0.8
-    d = wigner_d_matrices(1, np.array([beta]))[1][0]
+    d = list(wigner_d_matrices(1, np.array([beta])))[1][0]
     c, s = cos(beta / 2), sin(beta / 2)
     assert np.allclose(d, [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_spin_one_closed_form():
     beta = 1.3
-    d = wigner_d_matrices(2, np.array([beta]))[2][0]
+    d = list(wigner_d_matrices(2, np.array([beta])))[2][0]
     c, s = cos(beta), sin(beta)
     ref = np.array(
         [
@@ -91,14 +92,14 @@ def test_spin_one_closed_form():
 
 
 def test_orthogonality_stable_to_high_degree():
-    mats = wigner_d_matrices(256, np.array([0.3, 1.1, 2.8]))
+    mats = list(wigner_d_matrices(256, np.array([0.3, 1.1, 2.8])))
     for two_l in (64, 128, 256):
         for d in mats[two_l]:
             assert np.abs(d @ d.T - np.eye(two_l + 1)).max() < 1e-11
 
 
 def test_identity_angle():
-    mats = wigner_d_matrices(6, np.array([0.0]))
+    mats = list(wigner_d_matrices(6, np.array([0.0])))
     for two_l in range(7):
         assert np.allclose(mats[two_l][0], np.eye(two_l + 1), atol=1e-14)
 
@@ -107,7 +108,48 @@ def test_full_matrix_phases():
     # D^l = diag(e^{-i m' a}) d^l(b) diag(e^{-i m g}) with m decreasing
     a, b, g = 0.7, 1.2, 2.9
     D = SU2().irrep_matrix(DualIndex(label=2, dim=3, casimir=2.0), [a, b, g])
-    d = wigner_d_matrices(2, np.array([b]))[2][0]
+    d = list(wigner_d_matrices(2, np.array([b])))[2][0]
     ms = np.array([1.0, 0.0, -1.0])
     ref = np.exp(-1j * ms[:, None] * a) * d * np.exp(-1j * ms[None, :] * g)
     assert np.allclose(D, ref, atol=1e-14)
+
+
+def test_levels_stream_in_bounded_memory():
+    # the generator keeps only the four levels the recursion still needs, so
+    # consuming it level by level peaks near six top levels (the four kept,
+    # the one being built and one temporary); the list of every level is
+    # more than twice that
+    betas = np.random.default_rng(3).uniform(0.0, np.pi, 256)
+    top = 256 * 33 * 33 * 8
+    every_level = sum(256 * d * d * 8 for d in range(1, 34))
+    tracemalloc.start()
+    try:
+        for two_l, d in enumerate(wigner_d_matrices(32, betas)):
+            assert d.shape == (256, two_l + 1, two_l + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert two_l == 32
+    assert peak < 6 * top < every_level
+
+
+def test_yielded_levels_are_read_only():
+    for d in wigner_d_matrices(5, np.array([0.4, 2.0])):
+        with pytest.raises(ValueError):
+            d[0, 0, 0] = 1.0
+
+
+def test_irrep_matrices_match_sum_formula_with_phases():
+    # D^l = diag(e^{-i m' a}) d_sum(b) diag(e^{-i m g}) with d from the factorial
+    # sum formula: an oracle that shares no code with SU2.irrep_matrices
+    rng = np.random.default_rng(17)
+    su2 = SU2()
+    pts = np.array([su2.random_element(rng) for _ in range(8)]
+                   + [[0.4, 0.0, 2.1], [1.7, np.pi, 0.3], [5.0, np.pi, 11.0]])
+    for two_l in range(9):
+        xi = DualIndex(label=two_l, dim=two_l + 1, casimir=two_l * (two_l + 2) / 4.0)
+        two_ms = np.arange(two_l, -two_l - 1, -2)
+        for (a, b, g), got in zip(pts, su2.irrep_matrices(xi, pts)):
+            d = np.array([[wigner_d_sum(two_l, mp, m, b) for m in two_ms] for mp in two_ms])
+            ref = np.exp(-0.5j * two_ms[:, None] * a) * d * np.exp(-0.5j * two_ms * g)
+            assert np.abs(got - ref).max() < 1e-12
