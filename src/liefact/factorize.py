@@ -95,7 +95,7 @@ class FiniteRep:
         """The rep with one block per dual label, looked up in the dual at the
         labels' own band limit (``group.label_bandlimit``)."""
         layout = dual_layout(group, max([1] + [group.label_bandlimit(lab) for lab in labels]))
-        pos = [layout.index([lab])[0] for lab in labels]  # one at a time: shapes may differ
+        pos = [layout.position(lab) for lab in labels]
         for lab, i in zip(labels, pos):
             if i < 0:
                 raise ParameterError(f"unknown dual label {lab!r}")

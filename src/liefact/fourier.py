@@ -23,8 +23,11 @@ Wigner-d contraction in beta per degree.  The indices m = l..-l of degree 2l
 are the basic slice [2L+2l : 2L-2l-1 : -2] of the axis 2m = -2L..2L, so a
 degree's plane of the phase-stage array is a strided view that lines up with
 the degree's (d, d, B) Wigner table: ``forward`` is one matmul per degree,
-``inverse`` one broadcast add into the view.  ``evaluate`` only contracts:
-the group's ``irrep_blocks`` builds xi(x) block by block, chunk by chunk.
+``inverse`` one broadcast add into the view.  ``evaluate`` only contracts,
+one real matrix product per block: the group's ``irrep_blocks`` builds the
+rows of xi(x) it needs (on SU(2) the rows m' >= 0) chunk by chunk, and its
+``fold_coefficients`` carries the other rows' terms over by the mirror
+identity, so ``evaluate`` has no group branch.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
 per distinct irrep dimension d, so the torus has a single (n_dual, m, 1, 1)
@@ -41,7 +44,7 @@ from collections.abc import MutableMapping
 
 import numpy as np
 
-from ._wigner import wigner_d_matrices
+from ._wigner import complete_level, wigner_d_matrices
 from .errors import BandlimitMismatchError, DomainError, ParameterError
 from .groups import DualIndex, DualLayout, QuadratureGrid, Torus, _degree_slice, dual_layout
 
@@ -86,7 +89,7 @@ class _BlockEntries(MutableMapping):
         self._blocks, self._layout = blocks, layout
 
     def __getitem__(self, xi: DualIndex) -> np.ndarray:
-        i = self._layout.index([xi.label])[0]
+        i = self._layout.position(xi.label)
         if i < 0:
             raise KeyError(xi)
         return self._blocks[self._layout.block[i]][self._layout.slot[i]]
@@ -185,8 +188,12 @@ def _su2_plan(grid: QuadratureGrid, bandlimit: int):
     if "su2_plan" not in grid._cache:
         two_L = 2 * grid.bandlimit
         E = np.exp(-0.5j * np.outer(grid.axes["alphas"], np.arange(-two_L, two_L + 1)))
-        tables = [np.ascontiguousarray(d.transpose(2, 1, 0))
-                  for d in wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"]))]
+        tables = []
+        for upper in wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"])):
+            B, _, d = upper.shape
+            # filled through a transposed view, so no full level is a temporary
+            tables.append(np.empty((d, d, B)))
+            complete_level(upper, out=tables[-1].transpose(2, 1, 0))
         grid._cache["su2_plan"] = (E, tables)
     E, tables = grid._cache["su2_plan"]
     cut = 2 * (grid.bandlimit - bandlimit)
@@ -258,7 +265,9 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
 
     Returns an (n_points, m) array.  Exact (up to roundoff) band-limited
     interpolation, usable off the quadrature grid: per block of the layout,
-    conj(D_b(x) . conj(d T_b)) with D_b from the group's ``irrep_blocks``.
+    sum conj(D) a + D (p - a) over the rows D = X + iY of the group's
+    ``irrep_blocks``, a = d T and p its ``fold_coefficients``, taken as one
+    real product [X | Y] @ [p; i(p - 2a)] per block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = T.value_dim
@@ -266,13 +275,16 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     # chunk x sum d^2 entries bounds the blocks and Wigner levels one chunk holds
     table_size = int(np.sum(T.layout.dim**2))
     chunk = max(128, 4_000_000 // table_size)
-    # (count d d, m): sum_ij D_ij conj(d t_ij) is conj(d Tr[D^* t])
-    coefs = [np.moveaxis((d * b).conj(), 1, -1).reshape(-1, m)
-             for d, b in zip(T.layout.dims, T.blocks)]
+    coefs = []  # (count h d re/im, re/im of m): rows interleaved like D.view(float)
+    for d, b in zip(T.layout.dims, T.blocks):
+        a = np.multiply(np.moveaxis(b, 1, -1), d, order="C")  # (count, d, d, m)
+        p = T.group.fold_coefficients(a)
+        pq = np.stack([p, 1j * (p - 2 * a[:, :p.shape[1]])], axis=-2)  # (count, h, d, 2, m)
+        coefs.append(pq.reshape(-1, m).view(float))
     for start in range(0, len(pts), chunk):
         sl = slice(start, start + chunk)
         for D, c in zip(T.group.irrep_blocks(pts[sl], T.bandlimit), coefs):
-            out[sl] += (D.reshape(len(D), -1) @ c).conj()
+            out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
     return out
 
 

@@ -6,9 +6,14 @@ and a Haar quadrature exact on band-limited integrands.
 
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family.
-``irrep_blocks`` builds xi(x) over a whole layout, one (n, count, d, d) array
-per block; ``irrep_matrices`` builds one xi (``DomainError`` off the dual).
-On SU(2) both run one per-degree builder over the streamed Wigner levels.
+``irrep_blocks`` builds xi(x) over a whole layout, one (n, count, h, d) array
+per block, and ``fold_coefficients`` puts coefficients in the form that
+contracts with those rows; ``irrep_matrices`` builds one whole xi
+(``DomainError`` off the dual).  On the torus h = d = 1 and the fold is the
+identity.  On SU(2) one per-degree builder over the streamed Wigner levels
+makes the rows m' >= 0 only (h = 2l//2 + 1): ``irrep_matrices`` completes
+them by the mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), and the fold
+adds each coefficient row -m', reversed and signed, to row m'.
 
 Coordinates and normalizations
 ------------------------------
@@ -36,7 +41,7 @@ import math
 
 import numpy as np
 
-from ._wigner import wigner_d_matrices
+from ._wigner import complete_level, wigner_d_matrices
 from .errors import DomainError, ParameterError
 
 
@@ -55,16 +60,18 @@ class DualLayout:
     Built from the group's arrays: ``labels`` (an (n, d) int array on T^d,
     the degrees 2l on SU(2)), ``dim`` and ``casimir``, all read-only and in
     dual order.  The labels fill an integer box row-major (k + L on T^d, 2l
-    on SU(2)), so ``index`` finds positions by arithmetic.  Block b holds the
-    duals of dimension ``dims[b]`` at positions ``members[b]``; position i
-    sits at ``(block[i], slot[i])``.  ``wire`` lists the positions in the
+    on SU(2)), so ``index`` (an array of labels) and ``position`` (one label)
+    find positions by arithmetic.  Block b holds the duals of dimension
+    ``dims[b]`` at positions ``members[b]``; position i sits at
+    ``(block[i], slot[i])``.  ``wire`` lists the positions in the
     order every output format uses (by Casimir, then label text).  ``duals``,
     the ``DualIndex`` objects, is built on first access.
     """
 
     def __init__(self, labels: np.ndarray, dim: np.ndarray, casimir: np.ndarray):
         self.labels, self.dim, self.casimir = labels, dim, casimir
-        self._lo, self._side = labels[0], tuple(np.atleast_1d(labels[-1] - labels[0] + 1))
+        self._lo = tuple(np.atleast_1d(labels[0]).tolist())
+        self._side = tuple(np.atleast_1d(labels[-1] - labels[0] + 1).tolist())
         firsts = np.unique(dim, return_index=True)[1]
         self.dims = tuple(dim[np.sort(firsts)].tolist())
         self.members = tuple(np.flatnonzero(dim == d) for d in self.dims)
@@ -95,6 +102,23 @@ class DualLayout:
         inside = np.all((off >= 0) & (off < self._side), axis=1)
         pos = np.ravel_multi_index(tuple(np.where(inside[:, None], off, 0).T), self._side)
         return np.where(inside, pos, -1)
+
+    def position(self, label) -> int:
+        """The position of one label by the same arithmetic on Python ints (no
+        array is built), -1 for a label outside this dual, of another arity,
+        or with a component that is not an int."""
+        try:
+            key = tuple(label) if self.labels.ndim == 2 else (label,)
+        except TypeError:
+            return -1
+        if len(key) != len(self._side):
+            return -1
+        pos = 0
+        for k, lo, n in zip(key, self._lo, self._side):
+            if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 0 <= k - lo < n:
+                return -1
+            pos = pos * n + int(k - lo)
+        return pos
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +267,11 @@ class Torus(_Group):
         K = dual_layout(self, bandlimit).labels.astype(float)
         yield np.exp(-1j * pts @ K.T)[:, :, None, None]
 
+    def fold_coefficients(self, a: np.ndarray) -> np.ndarray:
+        """(count, 1, 1, m) coefficients as ``irrep_blocks`` contracts them:
+        unchanged, since a 1x1 block has no rows to fold."""
+        return a
+
     # -- quadrature ---------------------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
@@ -364,16 +393,31 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        return next(self._degree_blocks(points, int(two_l), first=int(two_l)))
+        return complete_level(next(self._degree_blocks(points, int(two_l), first=int(two_l))))
 
     def irrep_blocks(self, points: np.ndarray, bandlimit: int):
-        """xi(x) for the whole dual: one (n, 1, d, d) block per degree."""
+        """The rows m' >= 0 of xi(x) for the whole dual: one (n, 1, h, d)
+        block per degree, h = 2l//2 + 1; ``complete_level`` gives the rest."""
         return (block[:, None] for block in self._degree_blocks(points, 2 * int(bandlimit)))
 
+    def fold_coefficients(self, a: np.ndarray) -> np.ndarray:
+        """The rows m' >= 0 of (count, d, d, m) coefficients a, each plus its
+        mirror row -m' reversed and signed by (-1)^{m'-m}: with the rows D of
+        ``irrep_blocks``, sum_ij conj(xi_ij) a_ij is the sum over the upper
+        rows of conj(D) a + D (folded - a), as xi_{-m',-m} = (-1)^{m'-m}
+        conj(xi_{m'm})."""
+        d = a.shape[1]
+        h, k = (d + 1) // 2, np.arange(d)
+        out = a[:, :h].copy()
+        sign = 1 - 2 * ((k[:d - h, None] + k) % 2)
+        out[:, :d - h] += sign[:, :, None] * a[:, :h - 1:-1, ::-1]
+        return out
+
     def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0):
-        """xi(x) for the degrees 2l = first..two_L, one (n, d, d) array at a
-        time: the phases of every 2m, made once, times each streamed Wigner
-        level on the distinct betas (a product grid repeats few)."""
+        """The rows m' >= 0 of xi(x) for the degrees 2l = first..two_L, one
+        (n, h, d) array at a time: the phases of every 2m, made once, times
+        each streamed Wigner level on the distinct betas (a product grid
+        repeats few)."""
         pts = self.validate_coords(np.atleast_2d(points))
         two_ms = np.arange(-two_L, two_L + 1)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
@@ -382,7 +426,7 @@ class SU2(_Group):
         for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
             if two_l >= first:
                 s = _degree_slice(two_L, two_l)
-                block = left[:, s, None] * d[where]
+                block = left[:, s][:, :d.shape[1], None] * d[where]
                 block *= right[:, None, s]
                 yield block
 

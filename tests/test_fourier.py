@@ -184,6 +184,24 @@ class TestInverse:
             with pytest.raises(DomainError):
                 evaluate(T, np.array([[0.3, beta, 0.2]]))
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_evaluate_su2_matches_per_xi_traces(self, su2, rng, m):
+        # oracle f(x) = sum_xi d_xi Tr[xi(x)^* T_xi] over whole matrices, so a
+        # wrong sign or row in the folded lower rows shows; the degrees run
+        # even (a middle row m' = 0) and odd (none), and the points include
+        # beta in {0, pi} and phases just below 4 pi
+        T = FourierCoefficients(su2, 16, [
+            rng.standard_normal((1, m, d, d)) + 1j * rng.standard_normal((1, m, d, d))
+            for d in range(1, 34)])
+        below = np.nextafter(4 * np.pi, 0.0)
+        pts = np.concatenate([
+            [su2.random_element(rng) for _ in range(64)],
+            [[0.3, 0.0, 1.9], [2.2, np.pi, 0.7], [below, 0.0, below],
+             [below, np.pi, below], [below, 1.1, below], [0.0, np.pi, below]]])
+        ref = sum(xi.dim * np.einsum("nij,vij->nv", su2.irrep_matrices(xi, pts).conj(),
+                                     T.entries[xi]) for xi in T.duals)
+        assert np.abs(evaluate(T, pts) - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_evaluate_off_grid_matches_sum_formula(self, su2, rng):
         # oracle f(x) = sum_xi d_xi Tr[D^xi(x)^* T_xi], with D^xi built from the
         # factorial sum formula and the ZYZ phases, not from liefact._wigner
@@ -429,6 +447,23 @@ class TestPackedCoefficients:
         with pytest.raises(KeyError):
             T.entries[DualIndex(label=9, dim=10, casimir=24.75)] = np.zeros((2, 10, 10))
         assert len(T.entries) == len(T.duals) == 5
+
+    def test_entries_resolve_every_label_and_refuse_outside_ones(self, t1, t2, su2):
+        outside = {
+            t1: [(4,), (-4,), (0, 0), (1.0,), 2],
+            t2: [(4, 0), (0, -4), (1,), (1, 2, 3), (0.0, 1.0)],
+            su2: [7, -1, 2.0, (2,), True],
+        }
+        for g, labels in outside.items():
+            T = FourierCoefficients.zeros(g, 3, value_dim=2)
+            lay = T.layout
+            for i, xi in enumerate(T.duals):
+                view, slot = T.entries[xi], T.blocks[lay.block[i]][lay.slot[i]]
+                assert view.base is slot.base is T.blocks[lay.block[i]]
+                assert view.__array_interface__ == slot.__array_interface__
+            for label in labels:
+                with pytest.raises(KeyError):
+                    T.entries[DualIndex(label=label, dim=1, casimir=0.0)]
 
     def test_dropped_family_is_freed_without_the_cycle_collector(self, t2, rng):
         T = forward(random_bandlimited(t2, haar_quadrature(t2, 4), rng))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import liefact.fourier
+from liefact._wigner import complete_level
 from liefact.errors import DomainError
 from liefact.groups import (
     SU2,
@@ -209,8 +210,9 @@ class TestMatrixCoefficients:
 
 
 class TestIrrepBlocks:
-    """``irrep_blocks`` builds xi(x) over the whole layout; each block must
-    equal the one-xi ``irrep_matrices`` bit for bit."""
+    """``irrep_blocks`` builds xi(x) over the whole layout (on SU(2) the rows
+    m' >= 0); each completed block must equal the one-xi ``irrep_matrices``
+    bit for bit."""
 
     def test_su2_degrees_equal_irrep_matrices(self, su2, rng):
         L = 4
@@ -221,8 +223,8 @@ class TestIrrepBlocks:
             blocks = list(su2.irrep_blocks(pts, L))
             assert len(blocks) == len(duals)
             for xi, block in zip(duals, blocks):
-                assert block.shape == (len(pts), 1, xi.dim, xi.dim)
-                assert np.array_equal(block[:, 0], su2.irrep_matrices(xi, pts))
+                assert block.shape == (len(pts), 1, xi.label // 2 + 1, xi.dim)
+                assert np.array_equal(complete_level(block[:, 0]), su2.irrep_matrices(xi, pts))
 
     def test_torus_block_columns_equal_irrep_matrices(self, t1, t2, rng):
         # the block forms every phase k.x in one matrix product, a single xi

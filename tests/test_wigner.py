@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liefact._wigner import wigner_d_matrices
+from liefact._wigner import complete_level, wigner_d_matrices
 from liefact.groups import DualIndex, SU2
 
 
@@ -38,7 +38,7 @@ def wigner_d_sum(two_j, two_mp, two_m, beta):
 def test_recursion_matches_sum_formula():
     rng = np.random.default_rng(5)
     betas = rng.uniform(0.01, np.pi - 0.01, 6)
-    mats = list(wigner_d_matrices(8, betas))
+    mats = [complete_level(d) for d in wigner_d_matrices(8, betas)]
     for two_l in range(9):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -53,7 +53,7 @@ def test_wide_batch_matches_sum_formula_and_symmetries():
     # check a wide batch that includes both endpoints
     rng = np.random.default_rng(11)
     betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 62)])
-    mats = list(wigner_d_matrices(64, betas))
+    mats = [complete_level(d) for d in wigner_d_matrices(64, betas)]
     for two_l in range(13):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -72,14 +72,14 @@ def test_wide_batch_matches_sum_formula_and_symmetries():
 
 def test_half_spin_matrix():
     beta = 0.8
-    d = list(wigner_d_matrices(1, np.array([beta])))[1][0]
+    d = complete_level(list(wigner_d_matrices(1, np.array([beta])))[1])[0]
     c, s = cos(beta / 2), sin(beta / 2)
     assert np.allclose(d, [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_spin_one_closed_form():
     beta = 1.3
-    d = list(wigner_d_matrices(2, np.array([beta])))[2][0]
+    d = complete_level(list(wigner_d_matrices(2, np.array([beta])))[2])[0]
     c, s = cos(beta), sin(beta)
     ref = np.array(
         [
@@ -92,14 +92,14 @@ def test_spin_one_closed_form():
 
 
 def test_orthogonality_stable_to_high_degree():
-    mats = list(wigner_d_matrices(256, np.array([0.3, 1.1, 2.8])))
+    mats = [complete_level(d) for d in wigner_d_matrices(256, np.array([0.3, 1.1, 2.8]))]
     for two_l in (64, 128, 256):
         for d in mats[two_l]:
             assert np.abs(d @ d.T - np.eye(two_l + 1)).max() < 1e-11
 
 
 def test_identity_angle():
-    mats = list(wigner_d_matrices(6, np.array([0.0])))
+    mats = [complete_level(d) for d in wigner_d_matrices(6, np.array([0.0]))]
     for two_l in range(7):
         assert np.allclose(mats[two_l][0], np.eye(two_l + 1), atol=1e-14)
 
@@ -108,7 +108,7 @@ def test_full_matrix_phases():
     # D^l = diag(e^{-i m' a}) d^l(b) diag(e^{-i m g}) with m decreasing
     a, b, g = 0.7, 1.2, 2.9
     D = SU2().irrep_matrix(DualIndex(label=2, dim=3, casimir=2.0), [a, b, g])
-    d = list(wigner_d_matrices(2, np.array([b])))[2][0]
+    d = complete_level(list(wigner_d_matrices(2, np.array([b])))[2])[0]
     ms = np.array([1.0, 0.0, -1.0])
     ref = np.exp(-1j * ms[:, None] * a) * d * np.exp(-1j * ms[None, :] * g)
     assert np.allclose(D, ref, atol=1e-14)
@@ -125,7 +125,7 @@ def test_levels_stream_in_bounded_memory():
     tracemalloc.start()
     try:
         for two_l, d in enumerate(wigner_d_matrices(32, betas)):
-            assert d.shape == (256, two_l + 1, two_l + 1)
+            assert complete_level(d).shape == (256, two_l + 1, two_l + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,3 +153,21 @@ def test_irrep_matrices_match_sum_formula_with_phases():
             d = np.array([[wigner_d_sum(two_l, mp, m, b) for m in two_ms] for mp in two_ms])
             ref = np.exp(-0.5j * two_ms[:, None] * a) * d * np.exp(-0.5j * two_ms * g)
             assert np.abs(got - ref).max() < 1e-12
+
+
+def test_completed_rows_are_the_signed_mirror_of_the_upper_rows():
+    # d^l_{-m',-m} = (-1)^{m'-m} d^l_{m'm}: row m' < 0 of a completed level is
+    # the yielded row -m' reversed, entry by entry with its sign, exactly
+    rng = np.random.default_rng(23)
+    betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 30)])
+    for two_l, upper in enumerate(wigner_d_matrices(64, betas)):
+        full = complete_level(upper)
+        assert upper.shape == (len(betas), two_l // 2 + 1, two_l + 1)
+        assert full.shape == (len(betas), two_l + 1, two_l + 1)
+        assert np.array_equal(full[:, :two_l // 2 + 1], upper)
+        for two_mp in range(-two_l, 0, 2):  # rows m' < 0
+            for two_m in range(-two_l, two_l + 1, 2):
+                row, col = (two_l - two_mp) // 2, (two_l - two_m) // 2
+                mirror = upper[:, (two_l + two_mp) // 2, (two_l + two_m) // 2]
+                sign = -1.0 if (two_mp - two_m) // 2 % 2 else 1.0
+                assert np.array_equal(full[:, row, col], sign * mirror)
