@@ -132,6 +132,11 @@ def cmd_classify(config: RunConfig) -> int:
 
 def cmd_factorize(config: RunConfig) -> int:
     w = parse_weight_spec(config.weight)
+    if config.vector and (config.supported or config.support_delta is not None
+                          or config.pieces is not None):
+        raise ParameterError("--vector cannot be combined with --supported, "
+                             "--support-delta or --pieces")
+    config.support_delta = 2.0 if config.support_delta is None else config.support_delta
     if config.vector:
         if not config.rep:
             raise ParameterError("--vector needs --rep, e.g. --rep 0,1,2")
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.5)
     p.add_argument("--h-prime", dest="h_prime", type=float, default=None)
     p.add_argument("--supported", action="store_true")
-    p.add_argument("--support-delta", dest="support_delta", type=float, default=2.0)
+    p.add_argument("--support-delta", dest="support_delta", type=float)  # 2.0, set in cmd_factorize
     p.add_argument("--pieces", type=int, default=None)
     p.add_argument("--bump-order", dest="bump_order", type=float, default=2.0)
     p.add_argument("--vector", action="store_true")

@@ -16,26 +16,20 @@ psi^*(x) = conj(psi(x^-1)) into the Hermitian adjoint of the coefficients.
 
 Everything is computed by quadrature on grids that are exact for products of
 band-limited factors, so forward/inverse are mutually inverse on band-limited
-inputs up to roundoff.  On the uniform torus grid (n points per axis) the
-quadrature is numpy.fft read at k mod n.  SU(2) contracts the uniform
-alpha/gamma axes of its product grid with exact DFT matrices, then runs one
-Wigner-d contraction in beta per degree.  The indices m = l..-l of degree 2l
-are the basic slice [2L+2l : 2L-2l-1 : -2] of the axis 2m = -2L..2L, so a
-degree's plane of the phase-stage array is a strided view that lines up with
-the degree's (d, d, B) Wigner table: ``forward`` is one matmul per degree,
-``inverse`` one broadcast add into the view.  ``evaluate`` only contracts,
-one real matrix product per block: the group's ``irrep_blocks`` builds the
-rows of xi(x) it needs (on SU(2) the rows m' >= 0) chunk by chunk, and its
-``fold_coefficients`` carries the other rows' terms over by the mirror
-identity, so ``evaluate`` has no group branch.
+inputs up to roundoff.  This module names no group: ``forward`` and
+``inverse`` check the band limits and hand the samples or blocks to the
+group's ``forward_blocks`` / ``inverse_values`` (see ``groups``).
+``evaluate`` only contracts, one real matrix product per block: the group's
+``irrep_blocks`` builds the rows of xi(x) it needs chunk by chunk, and its
+``fold_coefficients`` carries the other rows' terms over.  The nested
+quadrature oracle composes y^-1 x by the group's element arithmetic.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
-per distinct irrep dimension d, so the torus has a single (n_dual, m, 1, 1)
-block and SU(2) one (1, m, 2l+1, 2l+1) block per degree, laid out by
-``groups.dual_layout``, so diagonal multipliers, norms and compositions are
-array expressions over the blocks.  The blocks are the only coefficient path
-inside the library; ``entries`` is a writable xi -> (m, d, d) view of them,
-kept for outside callers.
+per distinct irrep dimension d, laid out by ``groups.dual_layout``, so
+diagonal multipliers, norms and compositions are array expressions over the
+blocks.  The blocks are the only coefficient path inside the library;
+``entries`` is a writable xi -> (m, d, d) view of them, kept for outside
+callers.
 """
 
 from __future__ import annotations
@@ -44,9 +38,8 @@ from collections.abc import MutableMapping
 
 import numpy as np
 
-from ._wigner import complete_level, wigner_d_matrices
 from .errors import BandlimitMismatchError, DomainError, ParameterError
-from .groups import DualIndex, DualLayout, QuadratureGrid, Torus, _degree_slice, dual_layout
+from .groups import DualIndex, DualLayout, QuadratureGrid, dual_layout
 
 
 class GridFunction:
@@ -168,39 +161,6 @@ class FourierCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# transform plans
-# ---------------------------------------------------------------------------
-
-
-def _torus_bins(grid: QuadratureGrid, layout: DualLayout):
-    """(n, index) of the FFT bins k mod n; n = 2L+2 > 2|k_i| keeps them distinct."""
-    n = grid.axes["points_per_axis"]
-    return n, tuple((layout.labels % n).T)
-
-
-def _su2_plan(grid: QuadratureGrid, bandlimit: int):
-    """(E, tables) at ``bandlimit`` L', sliced from the grid's one cached plan.
-
-    E[a, 2L' + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
-    puts the gamma index first like the phase-stage arrays, whose degree view
-    [s, s] (s from ``_degree_slice``) lines up with it entry by entry.
-    """
-    if "su2_plan" not in grid._cache:
-        two_L = 2 * grid.bandlimit
-        E = np.exp(-0.5j * np.outer(grid.axes["alphas"], np.arange(-two_L, two_L + 1)))
-        tables = []
-        for upper in wigner_d_matrices(two_L, np.arccos(grid.axes["beta_u"])):
-            B, _, d = upper.shape
-            # filled through a transposed view, so no full level is a temporary
-            tables.append(np.empty((d, d, B)))
-            complete_level(upper, out=tables[-1].transpose(2, 1, 0))
-        grid._cache["su2_plan"] = (E, tables)
-    E, tables = grid._cache["su2_plan"]
-    cut = 2 * (grid.bandlimit - bandlimit)
-    return E[:, cut:E.shape[1] - cut], tables[:2 * bandlimit + 1]
-
-
-# ---------------------------------------------------------------------------
 # forward / inverse
 # ---------------------------------------------------------------------------
 
@@ -215,24 +175,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
         raise BandlimitMismatchError(
             f"grid is exact to L = {f.grid.bandlimit}, requested {L}"
         )
-    if isinstance(f.group, Torus):
-        n, bins = _torus_bins(f.grid, dual_layout(f.group, L))
-        d = f.group.d
-        samples = f.values.reshape((n,) * d + (f.value_dim,))
-        coef = np.fft.fftn(samples, axes=tuple(range(d)))[bins] / n**d  # (n_dual, m)
-        return FourierCoefficients(f.group, L, [coef[:, :, None, None]])
-    E, tables = _su2_plan(f.grid, L)
-    B, m = f.grid.axes["B"], f.value_dim
-    EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
-    g1 = np.einsum("aM,abcv->Mbcv", EA, f.values.reshape(2 * B, B, 2 * B, m), optimize=True)
-    g2 = np.tensordot(EA, g1, axes=(0, 2)).view(float)  # (N, M, b, re/im of v): real matmuls
-    beta_w = f.grid.axes["beta_w"] / 2.0
-    blocks = []  # one (1, m, d, d) block per degree
-    for two_l, tab in enumerate(tables):
-        s = _degree_slice(2 * L, two_l)
-        t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
-        blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
-    return FourierCoefficients(f.group, L, blocks)
+    return FourierCoefficients(f.group, L, f.group.forward_blocks(f.grid, f.values, L))
 
 
 def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridFunction:
@@ -241,23 +184,7 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
         grid = T.group.haar_quadrature(T.bandlimit)
     if grid.bandlimit < T.bandlimit:
         raise BandlimitMismatchError("grid cannot represent the coefficient band limit")
-    if isinstance(T.group, Torus):
-        n, bins = _torus_bins(grid, T.layout)
-        d, m = T.group.d, T.value_dim
-        spec = np.zeros((n,) * d + (m,), dtype=complex)
-        spec[bins] = T.blocks[0][:, :, 0, 0]
-        vals = np.fft.ifftn(spec, axes=tuple(range(d))) * n**d
-        return GridFunction(T.group, grid, vals.reshape(-1, m))
-    E, tables = _su2_plan(grid, T.bandlimit)
-    B, M, m = grid.axes["B"], E.shape[1], T.value_dim
-    H = np.zeros((M, M, m, B), dtype=complex)  # (N, M, v, b): beta last, long inner loops
-    for two_l, (tab, t) in enumerate(zip(tables, T.blocks)):  # one block per degree
-        s = _degree_slice(2 * T.bandlimit, two_l)
-        H[s, s] += ((two_l + 1) * t[0].transpose(2, 1, 0))[..., None] * tab[:, :, None]
-    Ec = E.conj()  # e^{+i mu alpha}
-    tmp = np.einsum("aM,NMvb->aNvb", Ec, H, optimize=True)
-    vals = np.einsum("aNvb,cN->abcv", tmp, Ec, optimize=True)
-    return GridFunction(T.group, grid, vals.reshape(-1, m))
+    return GridFunction(T.group, grid, T.group.inverse_values(grid, T.blocks, T.bandlimit))
 
 
 def evaluate(T: FourierCoefficients, points) -> np.ndarray:
@@ -272,7 +199,7 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = T.value_dim
     out = np.zeros((len(pts), m), dtype=complex)
-    # chunk x sum d^2 entries bounds the blocks and Wigner levels one chunk holds
+    # chunk x sum d^2 entries bounds the xi(x) blocks one chunk holds
     table_size = int(np.sum(T.layout.dim**2))
     chunk = max(128, 4_000_000 // table_size)
     coefs = []  # (count h d re/im, re/im of m): rows interleaved like D.view(float)
@@ -332,19 +259,11 @@ def convolve_by_quadrature(chi: GridFunction, f: GridFunction) -> GridFunction:
     Tf = forward(f)
     wchi = chi.grid.weights * chi.scalar_values
     out = np.zeros((grid.size, f.value_dim), dtype=complex)
-    nx = grid.size
-    block = max(1, 200_000 // nx)
-    torus = isinstance(group, Torus)
-    mats_x = None if torus else np.stack([group.defining_matrix(x) for x in grid.nodes])
+    block = max(1, 200_000 // grid.size)
     for start in range(0, chi.grid.size, block):
         ys = chi.grid.nodes[start:start + block]
-        if torus:
-            pts = np.mod(grid.nodes[None, :, :] - ys[:, None, :], 2 * np.pi).reshape(-1, group.d)
-        else:
-            uinv = np.stack([group.defining_matrix(y) for y in ys]).conj().transpose(0, 2, 1)
-            prod = np.einsum("yab,nbc->ynac", uinv, mats_x).reshape(-1, 2, 2)
-            pts = group.coords_from_matrices(prod)
-        vals = evaluate(Tf, pts).reshape(len(ys), nx, -1)
+        pts = group.multiply(group.inverse_element(ys)[:, None], grid.nodes)  # y^-1 x
+        vals = evaluate(Tf, pts.reshape(-1, group.dim)).reshape(len(ys), grid.size, -1)
         out += np.einsum("y,yxv->xv", wchi[start:start + block], vals)
     return GridFunction(group, grid, out)
 

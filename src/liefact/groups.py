@@ -1,8 +1,9 @@
 """Concrete compact groups: the torus T^d (d = 1, 2) and SU(2).
 
 Each group provides its unitary dual with dimensions and Casimir eigenvalues,
-unitary matrix coefficients, group element arithmetic in explicit coordinates,
-and a Haar quadrature exact on band-limited integrands.
+unitary matrix coefficients, group element arithmetic in explicit coordinates
+(on arrays of elements, broadcasting), a Haar quadrature exact on
+band-limited integrands, and the transform on that quadrature.
 
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family.
@@ -14,6 +15,14 @@ identity.  On SU(2) one per-degree builder over the streamed Wigner levels
 makes the rows m' >= 0 only (h = 2l//2 + 1): ``irrep_matrices`` completes
 them by the mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), and the fold
 adds each coefficient row -m', reversed and signed, to row m'.
+
+The transform is here too, and so is the grid layout: ``forward_blocks``
+and ``inverse_values``.  On the torus it is numpy.fft read at k mod n.  SU(2)
+contracts its uniform alpha/gamma axes with exact DFT matrices E, then runs
+one Wigner-d matmul in beta per degree 2l, on the plane of the axis
+2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  E and the
+completed (d, d, B) tables, the plan, are read-only grid data built with the
+SU(2) grid; a band limit L' below the grid's slices that one plan.
 
 Coordinates and normalizations
 ------------------------------
@@ -138,6 +147,25 @@ def _degree_slice(two_L: int, two_l: int) -> slice:
     return slice(two_L + two_l, stop if stop >= 0 else None, -2)
 
 
+def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
+    """The SU(2) transform plan to degree 2L on a product grid (the grid
+    makes E read-only with its other axes; the tables are made read-only here).
+
+    E[a, 2L + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
+    puts the gamma index first like the phase-stage arrays, whose degree view
+    [s, s] (s from ``_degree_slice``) lines up with it entry by entry.
+    """
+    E = np.exp(-0.5j * np.outer(phases, np.arange(-two_L, two_L + 1)))
+    tables = []
+    for upper in wigner_d_matrices(two_L, betas):
+        B, _, d = upper.shape
+        # filled through a transposed view, so no full level is a temporary
+        tables.append(np.empty((d, d, B)))
+        complete_level(upper, out=tables[-1].transpose(2, 1, 0))
+        tables[-1].flags.writeable = False
+    return {"E": E, "tables": tuple(tables)}
+
+
 class _Group:
     """What T^d and SU(2) share: the dual and the grids read from their one
     cache each, and one xi(x) read from ``irrep_matrices``."""
@@ -171,28 +199,23 @@ class QuadratureGrid:
     """
 
     def __init__(self, group, bandlimit: int, nodes: np.ndarray, weights: np.ndarray, axes: dict):
-        self.group = group
-        self.bandlimit = int(bandlimit)
-        self.nodes = nodes
-        self.weights = weights
+        self.group, self.bandlimit, self.nodes, self.weights = group, int(bandlimit), nodes, weights
         self.axes = axes
         # haar_quadrature is lru_cached, so every caller shares these arrays
         for arr in (nodes, weights, *axes.values()):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        self._cache: dict = {}
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def inversion_permutation(self) -> np.ndarray:
         """Permutation p with nodes[p[i]] = nodes[i]^-1 (exact on these grids)."""
-        if "inv_perm" not in self._cache:
-            perm = self._cache["inv_perm"] = self.group._inversion_permutation(self)
-            perm.flags.writeable = False  # shared like nodes and weights
-        return self._cache["inv_perm"]
+        perm = self.group._inversion_permutation(self)
+        perm.flags.writeable = False  # shared like nodes and weights
+        return perm
 
     def __repr__(self):
         return f"QuadratureGrid({self.group.spec_string()}, L={self.bandlimit}, {self.size} nodes)"
@@ -272,26 +295,41 @@ class Torus(_Group):
         unchanged, since a 1x1 block has no rows to fold."""
         return a
 
-    # -- quadrature ---------------------------------------------------------
+    # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
         """(nodes, weights, axes): n = 2L+2 uniform points per axis."""
         n = 2 * bandlimit + 2
         axis = 2 * np.pi * np.arange(n) / n
-        if self.d == 1:
-            nodes = axis[:, None]
-        else:
-            a, b = np.meshgrid(axis, axis, indexing="ij")
-            nodes = np.stack([a.ravel(), b.ravel()], axis=1)
-        return nodes, np.full(len(nodes), 1.0 / n**self.d), {"points_per_axis": n, "axis": axis}
+        nodes = np.stack(np.meshgrid(*[axis] * self.d, indexing="ij"), -1).reshape(-1, self.d)
+        return nodes, np.full(len(nodes), 1.0 / n**self.d), {"points_per_axis": n}
+
+    def _bins(self, grid: QuadratureGrid, bandlimit: int):
+        """(n, index) of the FFT bins k mod n; n = 2L+2 > 2|k_i| keeps them distinct."""
+        n = grid.axes["points_per_axis"]
+        return n, tuple((dual_layout(self, bandlimit).labels % n).T)
+
+    def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
+        """The (n_dual, m, 1, 1) coefficient block: numpy.fft read at k mod n."""
+        n, bins = self._bins(grid, bandlimit)
+        samples = values.reshape((n,) * self.d + (values.shape[1],))
+        coef = np.fft.fftn(samples, axes=tuple(range(self.d)))[bins] / n**self.d  # (n_dual, m)
+        return [coef[:, :, None, None]]
+
+    def inverse_values(self, grid: QuadratureGrid, blocks, bandlimit: int) -> np.ndarray:
+        """(N, m) samples of the family on the grid: the inverse FFT of its bins."""
+        n, bins = self._bins(grid, bandlimit)
+        m = blocks[0].shape[1]
+        spec = np.zeros((n,) * self.d + (m,), dtype=complex)
+        spec[bins] = blocks[0][:, :, 0, 0]
+        vals = np.fft.ifftn(spec, axes=tuple(range(self.d))) * n**self.d
+        return vals.reshape(-1, m)
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         n = grid.axes["points_per_axis"]
         neg = (-np.arange(n)) % n
-        if self.d == 1:
-            return neg
-        flat = np.arange(n * n)
-        return neg[flat // n] * n + neg[flat % n]
+        idx = np.ravel_multi_index(np.meshgrid(*[neg] * self.d, indexing="ij"), (n,) * self.d)
+        return idx.ravel()
 
 
 @dataclass(frozen=True)
@@ -321,27 +359,23 @@ class SU2(_Group):
     # -- elements ---------------------------------------------------------
 
     def defining_matrix(self, x) -> np.ndarray:
-        """The element as its defining 2x2 unitary (the unit quaternion)."""
-        a, b, g = self.validate_coords(x)
-        ch, sh = math.cos(b / 2), math.sin(b / 2)
-        return np.array(
-            [
-                [ch * np.exp(-0.5j * (a + g)), -sh * np.exp(-0.5j * (a - g))],
-                [sh * np.exp(0.5j * (a - g)), ch * np.exp(0.5j * (a + g))],
-            ]
-        )
-
-    def coords_from_matrix(self, u: np.ndarray) -> np.ndarray:
-        """ZYZ angles of a 2x2 SU(2) matrix; beta in [0, pi], phases in [0, 4pi)."""
-        return self.coords_from_matrices(np.asarray(u)[None])[0]
+        """Elements (..., 3) as defining 2x2 unitaries (..., 2, 2), unit quaternions."""
+        x = self.validate_coords(x)
+        a, b, g = x[..., 0], x[..., 1], x[..., 2]
+        ch, sh = np.cos(b / 2), np.sin(b / 2)
+        return np.stack([
+            np.stack([ch * np.exp(-0.5j * (a + g)), -sh * np.exp(-0.5j * (a - g))], axis=-1),
+            np.stack([sh * np.exp(0.5j * (a - g)), ch * np.exp(0.5j * (a + g))], axis=-1),
+        ], axis=-2)
 
     def coords_from_matrices(self, us: np.ndarray) -> np.ndarray:
-        """Batched ZYZ extraction for an (n, 2, 2) array of SU(2) matrices."""
-        ch = np.abs(us[:, 0, 0])
-        sh = np.abs(us[:, 1, 0])
+        """ZYZ angles (..., 3) of (..., 2, 2) SU(2) matrices; beta in [0, pi],
+        phases in [0, 4pi)."""
+        ch = np.abs(us[..., 0, 0])
+        sh = np.abs(us[..., 1, 0])
         beta = 2.0 * np.arctan2(sh, ch)
-        s = -2.0 * np.angle(us[:, 0, 0])
-        d = 2.0 * np.angle(us[:, 1, 0])
+        s = -2.0 * np.angle(us[..., 0, 0])
+        d = 2.0 * np.angle(us[..., 1, 0])
         alpha = 0.5 * (s + d)
         gamma = 0.5 * (s - d)
         # degenerate axes: merge the free phase into alpha
@@ -349,13 +383,13 @@ class SU2(_Group):
         bot = ch < 1e-300
         alpha = np.where(top, s, np.where(bot, d, alpha))
         gamma = np.where(top | bot, 0.0, gamma)
-        return np.stack([alpha % (4 * np.pi), beta, gamma % (4 * np.pi)], axis=1)
+        return np.stack([alpha % (4 * np.pi), beta, gamma % (4 * np.pi)], axis=-1)
 
     def multiply(self, x, y) -> np.ndarray:
-        return self.coords_from_matrix(self.defining_matrix(x) @ self.defining_matrix(y))
+        return self.coords_from_matrices(self.defining_matrix(x) @ self.defining_matrix(y))
 
     def inverse_element(self, x) -> np.ndarray:
-        return self.coords_from_matrix(self.defining_matrix(x).conj().T)
+        return self.coords_from_matrices(np.swapaxes(self.defining_matrix(x).conj(), -1, -2))
 
     def exp_step(self, k: int, t: float) -> np.ndarray:
         """exp(t X_k) for the orthonormal basis X_k = -i sigma_k / 2.
@@ -368,7 +402,7 @@ class SU2(_Group):
             np.array([[1, 0], [0, -1]], dtype=complex),
         ][k]
         u = math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * sigma
-        return self.coords_from_matrix(u)
+        return self.coords_from_matrices(u)
 
     def random_element(self, rng) -> np.ndarray:
         q = rng.standard_normal(4)
@@ -376,7 +410,7 @@ class SU2(_Group):
         u = np.array(
             [[q[0] + 1j * q[3], q[2] + 1j * q[1]], [-q[2] + 1j * q[1], q[0] - 1j * q[3]]]
         )
-        return self.coords_from_matrix(u)
+        return self.coords_from_matrices(u)
 
     def validate_coords(self, x):
         x = np.asarray(x, dtype=float)
@@ -430,10 +464,11 @@ class SU2(_Group):
                 block *= right[:, None, s]
                 yield block
 
-    # -- quadrature ---------------------------------------------------------
+    # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
-        """(nodes, weights, axes): 2B uniform alphas and gammas, B = 2L+2 Gauss-Legendre betas."""
+        """(nodes, weights, axes): 2B uniform alphas and gammas, B = 2L+2
+        Gauss-Legendre betas, and the transform plan on them."""
         B = 2 * bandlimit + 2
         # alpha, gamma uniform over [0, 4pi) so half-integer phases are resolved;
         # the grid double-covers the group, which the normalized weights absorb
@@ -445,7 +480,45 @@ class SU2(_Group):
         g = np.tile(phases, 2 * B * B)
         nodes = np.stack([a, b, g], axis=1)
         weights = np.tile(np.repeat(w / 2.0, 2 * B), 2 * B) / (2 * B) ** 2
-        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, gammas=phases, B=B)
+        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, B=B,
+                                    **_wigner_plan(phases, betas, 2 * bandlimit))
+
+    @staticmethod
+    def _plan(grid: QuadratureGrid, bandlimit: int):
+        """(E, tables) at ``bandlimit`` L', sliced from the grid's plan of 2L+1 tables."""
+        E, tables = grid.axes["E"], grid.axes["tables"]
+        cut = len(tables) - 1 - 2 * bandlimit
+        return E[:, cut:E.shape[1] - cut], tables[:2 * bandlimit + 1]
+
+    def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
+        """One (1, m, d, d) block per degree: the exact DFT matrices E on the
+        alpha/gamma axes, then one Wigner-d matmul in beta per degree."""
+        E, tables = self._plan(grid, bandlimit)
+        B, m = grid.axes["B"], values.shape[1]
+        EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
+        g1 = np.einsum("aM,abcv->Mbcv", EA, values.reshape(2 * B, B, 2 * B, m), optimize=True)
+        g2 = np.tensordot(EA, g1, axes=(0, 2)).view(float)  # (N, M, b, re/im of v): real matmuls
+        beta_w = grid.axes["beta_w"] / 2.0
+        blocks = []
+        for two_l, tab in enumerate(tables):
+            s = _degree_slice(2 * bandlimit, two_l)
+            t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
+            blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
+        return blocks
+
+    def inverse_values(self, grid: QuadratureGrid, blocks, bandlimit: int) -> np.ndarray:
+        """(N, m) samples of the family on the grid: each degree's Wigner
+        table added into its strided plane, then the conjugate DFT matrices."""
+        E, tables = self._plan(grid, bandlimit)
+        B, M, m = grid.axes["B"], E.shape[1], blocks[0].shape[1]
+        H = np.zeros((M, M, m, B), dtype=complex)  # (N, M, v, b): beta last, long inner loops
+        for two_l, (tab, t) in enumerate(zip(tables, blocks)):  # one block per degree
+            s = _degree_slice(2 * bandlimit, two_l)
+            H[s, s] += ((two_l + 1) * t[0].transpose(2, 1, 0))[..., None] * tab[:, :, None]
+        Ec = E.conj()  # e^{+i mu alpha}
+        tmp = np.einsum("aM,NMvb->aNvb", Ec, H, optimize=True)
+        vals = np.einsum("aNvb,cN->abcv", tmp, Ec, optimize=True)
+        return vals.reshape(-1, m)
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         # (alpha_a, beta_b, gamma_c)^-1 = (pi - gamma_c, beta_b, -pi - alpha_a);

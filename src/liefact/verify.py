@@ -166,7 +166,7 @@ def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
     worst = 0.0
     for g in (t1, t2, su2):
         x = g.random_element(rng)
-        for xi in g.enumerate_dual(4 if g is not su2 else 4):
+        for xi in g.enumerate_dual(4):
             if xi.casimir <= 20.0:
                 worst = max(worst, laplacian_fd_defect(g, xi, x, 1e-3))
     check("spectral/laplacian-eigenvalue-fd", worst, 1e-3)

@@ -249,6 +249,21 @@ class TestFactorize:
         assert "--rep" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
+    def test_vector_with_supported_options_exits_2_before_any_grid(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(SU2, "haar_quadrature", refuse)
+        for i, extra in enumerate((["--supported"], ["--support-delta", "1.0"],
+                                   ["--pieces", "3"])):
+            out = tmp_path / str(i)
+            code = run(["factorize", "--group", "su2", "--bandlimit", "2", "--vector",
+                        "--rep", "0,1,2", *extra, "--out", str(out)])
+            assert code == 2
+            assert "--vector cannot be combined" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_piece_count_below_one_exits_2(self, tmp_path, capsys):
         with pytest.raises(ParameterError, match="at least 1"):
             bump_partition_of_unity(2.0, 0, 2.0, Torus(1).haar_quadrature(16))

@@ -19,7 +19,15 @@ from liefact.fourier import (
     involution,
     parseval_defect,
 )
-from liefact.groups import SU2, DualIndex, QuadratureGrid, Torus, enumerate_dual, haar_quadrature
+from liefact.groups import (
+    SU2,
+    DualIndex,
+    QuadratureGrid,
+    Torus,
+    dual_layout,
+    enumerate_dual,
+    haar_quadrature,
+)
 from liefact.signals import (
     poisson_coefficients,
     random_bandlimited,
@@ -84,19 +92,29 @@ class TestForward:
                     ref[v, i, j] = 1.0 / 4.0
             assert np.abs(block[0] - ref).max() < 1e-12
 
-    def test_su2_one_plan_per_grid(self, su2, rng):
+    def test_su2_one_plan_per_grid(self, su2, rng, monkeypatch):
         # L' < L is served from the grid's one plan; a private grid declared at
-        # L' on the same nodes builds the per-L' plan, and both agree bit for bit
+        # L' on the same nodes carries the per-L' plan, and both agree bit for bit
+        import liefact.groups
+
         shared = haar_quadrature(su2, 12)
         nodes, weights, axes = shared.nodes, shared.weights, shared.axes
         grid = QuadratureGrid(su2, 12, nodes, weights, axes)
         f = GridFunction(su2, grid, random_bandlimited(su2, shared, rng, value_dim=2).values)
+        betas = np.arccos(axes["beta_u"])
+        own = {Lp: QuadratureGrid(su2, Lp, nodes, weights, {
+            **axes, **liefact.groups._wigner_plan(axes["alphas"], betas, 2 * Lp)})
+            for Lp in (3, 7, 12)}
+
+        def refuse(*args):
+            raise AssertionError("a Wigner table was built after the grids")
+
+        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", refuse)
         for Lp in (3, 7, 12):
-            own = QuadratureGrid(su2, Lp, nodes, weights, axes)
-            T, ref = forward(f, Lp), forward(GridFunction(su2, own, f.values), Lp)
+            T, ref = forward(f, Lp), forward(GridFunction(su2, own[Lp], f.values), Lp)
             assert all(np.array_equal(a, b) for a, b in zip(T.blocks, ref.blocks))
-            assert np.array_equal(inverse(T, grid).values, inverse(ref, own).values)
-        assert list(grid._cache) == ["su2_plan"]
+            assert np.array_equal(inverse(T, grid).values, inverse(ref, own[Lp]).values)
+        assert grid.axes["E"].shape[1] == 4 * 12 + 1 and len(grid.axes["tables"]) == 2 * 12 + 1
 
     def test_bandlimit_mismatch(self, t1):
         grid = haar_quadrature(t1, 4)
@@ -517,3 +535,50 @@ class TestPackedCoefficients:
                 assert np.array_equal(comp.entries[xi],
                                       np.einsum("ab,vbc->vac", A.entries[xi][0], t))
                 assert np.array_equal(lap.entries[xi], -xi.casimir * t)
+
+
+class _QuadratureTorus(Torus):
+    """The circle with transform hooks written as explicit quadrature sums,
+    F f(k) = sum_x w f(x) e^{-ikx} and f(x) = sum_k T_k e^{ikx}, not FFTs;
+    ``calls`` records which hook ran."""
+
+    calls: list = []
+
+    def _characters(self, grid, bandlimit):
+        k = dual_layout(self, bandlimit).labels[:, 0]
+        return np.exp(-1j * np.outer(grid.nodes[:, 0], k))  # (N, n_dual): xi_k(x)
+
+    def forward_blocks(self, grid, values, bandlimit):
+        self.calls.append("forward")
+        coef = (grid.weights[:, None] * self._characters(grid, bandlimit)).T @ values
+        return [coef[:, :, None, None]]
+
+    def inverse_values(self, grid, blocks, bandlimit):
+        self.calls.append("inverse")
+        return self._characters(grid, bandlimit).conj() @ blocks[0][:, :, 0, 0]
+
+
+class TestGroupHooks:
+    def test_fourier_goes_through_the_group_hooks(self, t1, rng):
+        # fourier.py has no group branch: a group that brings its own
+        # transform hooks is transformed by them, and agrees with T^1
+        quad = _QuadratureTorus(1)
+        _QuadratureTorus.calls.clear()
+        grid, qgrid = haar_quadrature(t1, 6), haar_quadrature(quad, 6)
+        vals = random_bandlimited(t1, grid, rng, value_dim=2).values
+        chi_vals = random_bandlimited(t1, grid, rng).values
+        f, qf = GridFunction(t1, grid, vals), GridFunction(quad, qgrid, vals)
+        chi, qchi = GridFunction(t1, grid, chi_vals), GridFunction(quad, qgrid, chi_vals)
+        pts = rng.uniform(0.0, 2 * np.pi, (40, 1))
+        pairs = [
+            (forward(f).blocks[0], forward(qf).blocks[0]),
+            (inverse(forward(f)).values, inverse(forward(qf)).values),
+            (compose(forward(chi), forward(f)).blocks[0],
+             compose(forward(qchi), forward(qf)).blocks[0]),
+            (convolve(chi, f).values, convolve(qchi, qf).values),
+            (parseval_defect(f), parseval_defect(qf)),
+            (evaluate(forward(f), pts), evaluate(forward(qf), pts)),
+        ]
+        for ref, got in pairs:
+            assert np.abs(np.asarray(got) - ref).max() <= 1e-12
+        assert {"forward", "inverse"} <= set(_QuadratureTorus.calls)

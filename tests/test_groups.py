@@ -271,11 +271,28 @@ class TestElements:
                         g.irrep_matrix(xi, e), np.eye(xi.dim), atol=1e-12
                     )
 
+    def test_array_arithmetic_equals_rows(self, t1, t2, su2, rng):
+        # an (n, dim) array of elements gives the row-by-row results bit for
+        # bit; on SU(2) the first rows sit at beta in {0, pi}, where the ZYZ
+        # extraction merges the free phase
+        for g in (t1, t2, su2):
+            x = np.array([g.random_element(rng) for _ in range(24)])
+            y = np.array([g.random_element(rng) for _ in range(24)])
+            if g is su2:
+                x[:4, 1], y[:4, 1] = (0.0, np.pi, 0.0, np.pi), (0.0, 0.0, np.pi, np.pi)
+            cases = [(g.multiply(x, y), [g.multiply(a, b) for a, b in zip(x, y)]),
+                     (g.inverse_element(x), [g.inverse_element(a) for a in x])]
+            if g is su2:
+                cases.append((g.defining_matrix(x), [g.defining_matrix(a) for a in x]))
+            for batched, rows in cases:
+                assert batched.shape == np.shape(rows)
+                assert np.array_equal(batched, np.array(rows))
+
     def test_zyz_extraction_degenerate_beta(self, su2):
         for beta in (0.0, np.pi):
             x = np.array([1.3, beta, 0.0])
             u = su2.defining_matrix(x)
-            back = su2.coords_from_matrix(u)
+            back = su2.coords_from_matrices(u)
             assert np.abs(su2.defining_matrix(back) - u).max() < 1e-13
 
 
@@ -291,6 +308,9 @@ class TestQuadrature:
             before = grid.nodes.copy()
             arrays = [grid.nodes, grid.weights, grid.inversion_permutation]
             arrays += [a for a in grid.axes.values() if isinstance(a, np.ndarray)]
+            if g is su2:  # the transform plan: E and every Wigner table
+                assert any(a is grid.axes["E"] for a in arrays)
+                arrays += list(grid.axes["tables"])
             for arr in arrays:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 5.0
