@@ -136,6 +136,11 @@ def cmd_factorize(config: RunConfig) -> int:
                           or config.pieces is not None):
         raise ParameterError("--vector cannot be combined with --supported, "
                              "--support-delta or --pieces")
+    if not config.vector and config.rep is not None:
+        raise ParameterError("--rep needs --vector")
+    if not (config.vector or config.supported) and (config.support_delta is not None
+                                                   or config.pieces is not None):
+        raise ParameterError("--support-delta and --pieces need --supported")
     config.support_delta = 2.0 if config.support_delta is None else config.support_delta
     if config.vector:
         if not config.rep:

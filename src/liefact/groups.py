@@ -20,9 +20,12 @@ The transform is here too, and so is the grid layout: ``forward_blocks``
 and ``inverse_values``.  On the torus it is numpy.fft read at k mod n.  SU(2)
 contracts its uniform alpha/gamma axes with exact DFT matrices E, then runs
 one Wigner-d matmul in beta per degree 2l, on the plane of the axis
-2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  E and the
-completed (d, d, B) tables, the plan, are read-only grid data built with the
-SU(2) grid; a band limit L' below the grid's slices that one plan.
+2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  The SU(2) grid
+covers the group once: alpha runs over [0, 4pi) and gamma over [0, 2pi),
+since (alpha, beta, gamma) and (alpha + 2pi, beta, gamma + 2pi) are one
+element.  E and the completed (d, d, B) tables, the plan, are read-only grid
+data built with the SU(2) grid; a band limit L' below the grid's slices that
+one plan.
 
 Coordinates and normalizations
 ------------------------------
@@ -467,19 +470,27 @@ class SU2(_Group):
     # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
-        """(nodes, weights, axes): 2B uniform alphas and gammas, B = 2L+2
-        Gauss-Legendre betas, and the transform plan on them."""
+        """(nodes, weights, axes): 2B uniform alphas on [0, 4pi), the first B
+        of them as gammas on [0, 2pi), B = 2L+2 Gauss-Legendre betas, and the
+        transform plan on them.
+
+        The grid covers SU(2) once: (alpha, beta, gamma + 2pi) is the element
+        (alpha - 2pi, beta, gamma), so a double-cover sum over alpha and
+        gamma in [0, 4pi) of a function times xi_{m'm} is twice the sum with
+        gamma in [0, 2pi) when m' - m is an integer, the only pairs a matrix
+        coefficient has.
+        """
         B = 2 * bandlimit + 2
-        # alpha, gamma uniform over [0, 4pi) so half-integer phases are resolved;
-        # the grid double-covers the group, which the normalized weights absorb
+        # alpha over [0, 4pi) resolves half-integer phases; gamma needs only
+        # the first half of the same axis
         phases = 2 * np.pi * np.arange(2 * B) / B
         u, w = np.polynomial.legendre.leggauss(B)
         betas = np.arccos(u)
-        a = np.repeat(phases, B * 2 * B)
-        b = np.tile(np.repeat(betas, 2 * B), 2 * B)
-        g = np.tile(phases, 2 * B * B)
+        a = np.repeat(phases, B * B)
+        b = np.tile(np.repeat(betas, B), 2 * B)
+        g = np.tile(phases[:B], 2 * B * B)
         nodes = np.stack([a, b, g], axis=1)
-        weights = np.tile(np.repeat(w / 2.0, 2 * B), 2 * B) / (2 * B) ** 2
+        weights = np.tile(np.repeat(w / 2.0, B), 2 * B) / (2 * B * B)
         return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, B=B,
                                     **_wigner_plan(phases, betas, 2 * bandlimit))
 
@@ -492,12 +503,15 @@ class SU2(_Group):
 
     def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
         """One (1, m, d, d) block per degree: the exact DFT matrices E on the
-        alpha/gamma axes, then one Wigner-d matmul in beta per degree."""
+        alpha axis, then on the half gamma axis E[:B] at twice the weight
+        (exact for the same-parity (2m', 2m) the degree slices read), then
+        one Wigner-d matmul in beta per degree."""
         E, tables = self._plan(grid, bandlimit)
         B, m = grid.axes["B"], values.shape[1]
-        EA = E * (1.0 / (2 * B))  # alpha and gamma weights folded in
-        g1 = np.einsum("aM,abcv->Mbcv", EA, values.reshape(2 * B, B, 2 * B, m), optimize=True)
-        g2 = np.tensordot(EA, g1, axes=(0, 2)).view(float)  # (N, M, b, re/im of v): real matmuls
+        g1 = np.einsum("aM,abcv->Mbcv", E * (1.0 / (2 * B)), values.reshape(2 * B, B, B, m),
+                       optimize=True)
+        # (N, M, b, re/im of v): real matmuls
+        g2 = np.tensordot(E[:B] * (1.0 / B), g1, axes=(0, 2)).view(float)
         beta_w = grid.axes["beta_w"] / 2.0
         blocks = []
         for two_l, tab in enumerate(tables):
@@ -516,22 +530,24 @@ class SU2(_Group):
             s = _degree_slice(2 * bandlimit, two_l)
             H[s, s] += ((two_l + 1) * t[0].transpose(2, 1, 0))[..., None] * tab[:, :, None]
         Ec = E.conj()  # e^{+i mu alpha}
-        tmp = np.einsum("aM,NMvb->aNvb", Ec, H, optimize=True)
-        vals = np.einsum("aNvb,cN->abcv", tmp, Ec, optimize=True)
+        # the half gamma axis first: a (B, M, m, B) temporary, half of alpha first
+        tmp = np.einsum("cN,NMvb->cMvb", Ec[:B], H, optimize=True)
+        vals = np.einsum("aM,cMvb->abcv", Ec, tmp, optimize=True)
         return vals.reshape(-1, m)
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         # (alpha_a, beta_b, gamma_c)^-1 = (pi - gamma_c, beta_b, -pi - alpha_a);
-        # with B even both phase coordinates land back on the uniform grid
-        # (spacing 2pi/B, and pi = (B/2) grid steps).
+        # with B even both phase coordinates land back on the uniform axis
+        # (spacing 2pi/B, and pi = (B/2) grid steps).  A gamma index past the
+        # half axis comes back by (a, c) -> (a + B, c - B), the same element.
         B = grid.axes["B"]
         two_b = 2 * B
         a_idx, b_idx, c_idx = np.meshgrid(
-            np.arange(two_b), np.arange(B), np.arange(two_b), indexing="ij"
+            np.arange(two_b), np.arange(B), np.arange(B), indexing="ij"
         )
-        a_new = (B // 2 - c_idx) % two_b
         c_new = (-B // 2 - a_idx) % two_b
-        return ((a_new * B + b_idx) * two_b + c_new).reshape(-1)
+        a_new = (B // 2 - c_idx + B * (c_new // B)) % two_b
+        return ((a_new * B + b_idx) * B + c_new % B).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,19 +38,36 @@ class TestTransform:
         assert manifest["command"] == "transform"
         assert "coefficients.json" in manifest["outputs"]
 
-    def test_grid_csv_input(self, tmp_path):
+    def test_grid_csv_input(self, tmp_path, capsys):
         from liefact.groups import haar_quadrature
-        from liefact.serialize import gridfunction_to_csv
+        from liefact.serialize import _csv, gridfunction_to_csv
         from liefact.signals import poisson_function
 
-        t1 = Torus(1)
-        grid = haar_quadrature(t1, 8)
-        f = poisson_function(t1, grid, 1.0)
-        csv_path = tmp_path / "f.csv"
-        csv_path.write_text(gridfunction_to_csv(f))
-        code = run(["transform", "--group", "t1", "--bandlimit", "8",
-                    "--input", str(csv_path), "--out", str(tmp_path / "o")])
-        assert code == 0
+        for g, L in ((Torus(1), 8), (SU2(), 2)):
+            spec = g.spec_string()
+            grid = haar_quadrature(g, L)
+            f = poisson_function(g, grid, 1.0)
+            csv_path = tmp_path / f"{spec}.csv"
+            csv_path.write_text(gridfunction_to_csv(f))
+            code = run(["transform", "--group", spec, "--bandlimit", str(L),
+                        "--input", str(csv_path), "--out", str(tmp_path / spec)])
+            assert code == 0
+        # an SU(2) CSV in the double-cover layout (gamma on [0, 4pi) as well)
+        # has twice the rows of the grid and is refused
+        B = 2 * 2 + 2  # L = 2
+        phases = 2 * np.pi * np.arange(2 * B) / B
+        betas = np.arccos(np.polynomial.legendre.leggauss(B)[0])
+        old = np.stack(np.meshgrid(phases, betas, phases, indexing="ij"), -1).reshape(-1, 3)
+        assert len(old) == 2 * haar_quadrature(SU2(), 2).size
+        csv_path = tmp_path / "double.csv"
+        csv_path.write_text(_csv(["x0", "x1", "x2", "re0", "im0"], *old.T,
+                                 np.ones(len(old)), np.zeros(len(old))))
+        capsys.readouterr()
+        code = run(["transform", "--group", "su2", "--bandlimit", "2",
+                    "--input", str(csv_path), "--out", str(tmp_path / "double")])
+        assert code == 2
+        assert f"node count {len(old)} does not match the grid" in capsys.readouterr().err
+        assert not (tmp_path / "double").exists()
 
     def test_malformed_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -262,6 +279,26 @@ class TestFactorize:
                         "--rep", "0,1,2", *extra, "--out", str(out)])
             assert code == 2
             assert "--vector cannot be combined" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_unused_mode_options_exit_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        # global mode reads none of --pieces, --support-delta, --rep, and
+        # supported mode does not read --rep: each is refused, not ignored
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(Torus, "haar_quadrature", refuse)
+        cases = [(["--pieces", "3", "--support-delta", "0.5", "--rep", "0"], "--rep needs"),
+                 (["--pieces", "3"], "need --supported"),
+                 (["--support-delta", "0.5"], "need --supported"),
+                 (["--rep", "0"], "--rep needs --vector"),
+                 (["--supported", "--rep", "0"], "--rep needs --vector")]
+        for i, (extra, message) in enumerate(cases):
+            out = tmp_path / str(i)
+            code = run(["factorize", "--group", "t1", "--bandlimit", "8",
+                        "--builtin", "poisson:2.0", *extra, "--out", str(out)])
+            assert code == 2
+            assert message in capsys.readouterr().err
             assert not out.exists()
 
     def test_piece_count_below_one_exits_2(self, tmp_path, capsys):

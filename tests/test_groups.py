@@ -7,6 +7,7 @@ import pytest
 import liefact.fourier
 from liefact._wigner import complete_level
 from liefact.errors import DomainError
+from liefact.fourier import GridFunction, forward
 from liefact.groups import (
     SU2,
     DualIndex,
@@ -336,6 +337,30 @@ class TestQuadrature:
                         d = xi.dim
                         val = val - np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d
                     assert np.abs(val).max() < 1e-10
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_su2_grid_covers_the_group_once(self, su2, L):
+        grid = haar_quadrature(su2, L)
+        B = 2 * L + 2
+        assert grid.size == 2 * B * B * B
+        u = su2.defining_matrix(grid.nodes).reshape(grid.size, 4)
+        gap = np.abs(u[:, None] - u[None]).max(axis=2) + 3.0 * np.eye(grid.size)
+        assert gap.min() > 1e-3  # no element sampled twice
+        # forward equals the quadrature on the double-cover 2B x B x 2B grid,
+        # alpha and gamma both on [0, 4pi), for a function that is not band-limited
+        def f(nodes):
+            m = su2.defining_matrix(nodes)
+            return np.stack([np.exp(m[:, 0, 0].real + m[:, 1, 0].imag),
+                             np.cos(3 * m[:, 0, 1].real) + 1j * m[:, 1, 1].imag], axis=1)
+
+        phases = 2 * np.pi * np.arange(2 * B) / B
+        x, w = np.polynomial.legendre.leggauss(B)
+        old = np.stack(np.meshgrid(phases, np.arccos(x), phases, indexing="ij"), -1).reshape(-1, 3)
+        old_w = np.broadcast_to(w[:, None] / 2.0, (2 * B, B, 2 * B)).reshape(-1) / (2 * B) ** 2
+        T = forward(GridFunction(su2, grid, f(grid.nodes)))
+        for xi, t in T.entries.items():
+            ref = np.einsum("n,nv,nij->vij", old_w, f(old), su2.irrep_matrices(xi, old))
+            assert np.abs(t - ref).max() < 1e-13
 
     def test_inversion_permutation(self, t1, t2, su2, rng):
         for g, L in ((t1, 3), (t2, 2), (su2, 2)):
