@@ -57,7 +57,7 @@ class RunConfig:
     supported: bool = False
     support_delta: float | None = None
     pieces: int | None = None
-    bump_order: float = 2.0
+    bump_order: float | None = 2.0  # the factorize parser leaves it None until resolved
     vector: bool = False
     rep: str | None = None
     coefficients: str | None = None
@@ -132,16 +132,19 @@ def cmd_classify(config: RunConfig) -> int:
 
 def cmd_factorize(config: RunConfig) -> int:
     w = parse_weight_spec(config.weight)
-    if config.vector and (config.supported or config.support_delta is not None
-                          or config.pieces is not None):
-        raise ParameterError("--vector cannot be combined with --supported, "
-                             "--support-delta or --pieces")
+    supported_only = (config.support_delta, config.pieces, config.bump_order)
+    if config.vector and (config.supported or config.builtin is not None
+                          or config.input_path is not None
+                          or any(v is not None for v in supported_only)):
+        raise ParameterError("--vector cannot be combined with --supported, --support-delta, "
+                             "--pieces, --bump-order, --builtin or --input: it builds its "
+                             "function from --rep and --seed")
     if not config.vector and config.rep is not None:
         raise ParameterError("--rep needs --vector")
-    if not (config.vector or config.supported) and (config.support_delta is not None
-                                                   or config.pieces is not None):
-        raise ParameterError("--support-delta and --pieces need --supported")
+    if not (config.vector or config.supported) and any(v is not None for v in supported_only):
+        raise ParameterError("--support-delta, --pieces and --bump-order need --supported")
     config.support_delta = 2.0 if config.support_delta is None else config.support_delta
+    config.bump_order = 2.0 if config.bump_order is None else config.bump_order
     if config.vector:
         if not config.rep:
             raise ParameterError("--vector needs --rep, e.g. --rep 0,1,2")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--supported", action="store_true")
     p.add_argument("--support-delta", dest="support_delta", type=float)  # 2.0, set in cmd_factorize
     p.add_argument("--pieces", type=int, default=None)
-    p.add_argument("--bump-order", dest="bump_order", type=float, default=2.0)
+    p.add_argument("--bump-order", dest="bump_order", type=float)  # 2.0, set in cmd_factorize
     p.add_argument("--vector", action="store_true")
     p.add_argument("--rep", help="comma-separated dual labels, e.g. 0,1,2")
 

@@ -18,10 +18,10 @@ Everything is computed by quadrature on grids that are exact for products of
 band-limited factors, so forward/inverse are mutually inverse on band-limited
 inputs up to roundoff.  This module names no group: ``forward`` and
 ``inverse`` check the band limits and hand the samples or blocks to the
-group's ``forward_blocks`` / ``inverse_values`` (see ``groups``).
-``evaluate`` only contracts, one real matrix product per block: the group's
-``irrep_blocks`` builds the rows of xi(x) it needs chunk by chunk, and its
-``fold_coefficients`` carries the other rows' terms over.  The nested
+group's ``forward_blocks`` / ``inverse_values`` (see ``groups``), and
+``evaluate`` hands the points to its third transform hook,
+``evaluate_values``.  A family and a grid, or two families, on different
+groups are refused with ``ParameterError`` before any group call.  The nested
 quadrature oracle composes y^-1 x by the group's element arithmetic.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
@@ -182,6 +182,8 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
     """Fourier inversion f(x) = sum_xi d_xi Tr[xi(x)^* o T_xi] on a grid."""
     if grid is None:
         grid = T.group.haar_quadrature(T.bandlimit)
+    if grid.group != T.group:
+        raise ParameterError(f"a grid on {grid.group} cannot carry a family on {T.group}")
     if grid.bandlimit < T.bandlimit:
         raise BandlimitMismatchError("grid cannot represent the coefficient band limit")
     return GridFunction(T.group, grid, T.group.inverse_values(grid, T.blocks, T.bandlimit))
@@ -190,29 +192,12 @@ def inverse(T: FourierCoefficients, grid: QuadratureGrid | None = None) -> GridF
 def evaluate(T: FourierCoefficients, points) -> np.ndarray:
     """Evaluate the inverse transform at arbitrary group elements.
 
-    Returns an (n_points, m) array.  Exact (up to roundoff) band-limited
-    interpolation, usable off the quadrature grid: per block of the layout,
-    sum conj(D) a + D (p - a) over the rows D = X + iY of the group's
-    ``irrep_blocks``, a = d T and p its ``fold_coefficients``, taken as one
-    real product [X | Y] @ [p; i(p - 2a)] per block.
+    Returns an (n_points, m) array: exact (up to roundoff) band-limited
+    interpolation, usable off the quadrature grid, by the group's
+    ``evaluate_values``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = T.value_dim
-    out = np.zeros((len(pts), m), dtype=complex)
-    # chunk x sum d^2 entries bounds the xi(x) blocks one chunk holds
-    table_size = int(np.sum(T.layout.dim**2))
-    chunk = max(128, 4_000_000 // table_size)
-    coefs = []  # (count h d re/im, re/im of m): rows interleaved like D.view(float)
-    for d, b in zip(T.layout.dims, T.blocks):
-        a = np.multiply(np.moveaxis(b, 1, -1), d, order="C")  # (count, d, d, m)
-        p = T.group.fold_coefficients(a)
-        pq = np.stack([p, 1j * (p - 2 * a[:, :p.shape[1]])], axis=-2)  # (count, h, d, 2, m)
-        coefs.append(pq.reshape(-1, m).view(float))
-    for start in range(0, len(pts), chunk):
-        sl = slice(start, start + chunk)
-        for D, c in zip(T.group.irrep_blocks(pts[sl], T.bandlimit), coefs):
-            out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
-    return out
+    return T.group.evaluate_values(pts, T.blocks, T.bandlimit)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +217,8 @@ def compose(A: FourierCoefficients, Bc: FourierCoefficients) -> FourierCoefficie
     """Slice-wise composition (A_xi o B_xi): scalar left factor acting on C^m slices."""
     if A.value_dim != 1:
         raise ParameterError("left factor of a composition must be scalar-valued")
+    if A.group != Bc.group:
+        raise ParameterError("composition factors must live on the same group")
     if A.bandlimit != Bc.bandlimit:
         raise BandlimitMismatchError(
             f"composition factors have band limits {A.bandlimit} and {Bc.bandlimit}")

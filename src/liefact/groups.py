@@ -6,26 +6,24 @@ unitary matrix coefficients, group element arithmetic in explicit coordinates
 band-limited integrands, and the transform on that quadrature.
 
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
-truncated dual, read by ``enumerate_dual`` and every coefficient family.
-``irrep_blocks`` builds xi(x) over a whole layout, one (n, count, h, d) array
-per block, and ``fold_coefficients`` puts coefficients in the form that
-contracts with those rows; ``irrep_matrices`` builds one whole xi
-(``DomainError`` off the dual).  On the torus h = d = 1 and the fold is the
-identity.  On SU(2) one per-degree builder over the streamed Wigner levels
-makes the rows m' >= 0 only (h = 2l//2 + 1): ``irrep_matrices`` completes
-them by the mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), and the fold
-adds each coefficient row -m', reversed and signed, to row m'.
+truncated dual, read by ``enumerate_dual`` and every coefficient family;
+``irrep_matrices`` builds one whole xi (``DomainError`` off the dual).  On
+SU(2) one per-degree builder over the streamed Wigner levels makes the rows
+m' >= 0 only (h = 2l//2 + 1), and ``irrep_matrices`` completes them by the
+mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
 
-The transform is here too, and so is the grid layout: ``forward_blocks``
-and ``inverse_values``.  On the torus it is numpy.fft read at k mod n.  SU(2)
-contracts its uniform alpha/gamma axes with exact DFT matrices E, then runs
-one Wigner-d matmul in beta per degree 2l, on the plane of the axis
-2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  The SU(2) grid
-covers the group once: alpha runs over [0, 4pi) and gamma over [0, 2pi),
-since (alpha, beta, gamma) and (alpha + 2pi, beta, gamma + 2pi) are one
-element.  E and the completed (d, d, B) tables, the plan, are read-only grid
-data built with the SU(2) grid; a band limit L' below the grid's slices that
-one plan.
+The transform is here too, and so is the grid layout: ``forward_blocks``,
+``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
+they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  SU(2)
+evaluates on the rows m' >= 0, each coefficient row -m' folded onto row m'.
+Its transform contracts the uniform alpha/gamma axes with exact DFT matrices
+E, then runs one Wigner-d matmul in beta per degree 2l, on the plane of the
+axis 2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  The SU(2)
+grid covers the group once: alpha runs over [0, 4pi) and gamma over
+[0, 2pi), since (alpha, beta, gamma) and (alpha + 2pi, beta, gamma + 2pi) are
+one element.  E and the completed (d, d, B) tables, the plan, are read-only
+grid data built with the SU(2) grid; a band limit L' below the grid's slices
+that one plan.
 
 Coordinates and normalizations
 ------------------------------
@@ -287,17 +285,6 @@ class Torus(_Group):
         phases = np.exp(-1j * self.validate_coords(points) @ k)
         return phases[:, None, None]
 
-    def irrep_blocks(self, points: np.ndarray, bandlimit: int):
-        """xi(x) for the whole dual: its one (n, n_dual, 1, 1) layout block."""
-        pts = self.validate_coords(points)
-        K = dual_layout(self, bandlimit).labels.astype(float)
-        yield np.exp(-1j * pts @ K.T)[:, :, None, None]
-
-    def fold_coefficients(self, a: np.ndarray) -> np.ndarray:
-        """(count, 1, 1, m) coefficients as ``irrep_blocks`` contracts them:
-        unchanged, since a 1x1 block has no rows to fold."""
-        return a
-
     # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
@@ -327,6 +314,18 @@ class Torus(_Group):
         spec[bins] = blocks[0][:, :, 0, 0]
         vals = np.fft.ifftn(spec, axes=tuple(range(self.d))) * n**self.d
         return vals.reshape(-1, m)
+
+    def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
+        """(n, m) values of the family at arbitrary points: sum_k T_k e^{ik.x},
+        one complex product per chunk of points."""
+        pts = self.validate_coords(points)
+        K = dual_layout(self, bandlimit).labels.astype(float)
+        coef = blocks[0][:, :, 0, 0]  # (n_dual, m)
+        out = np.empty((len(pts), coef.shape[1]), dtype=complex)
+        chunk = max(128, 4_000_000 // len(K))  # chunk x n_dual phases at a time
+        for start in range(0, len(pts), chunk):
+            out[start:start + chunk] = np.exp(1j * pts[start:start + chunk] @ K.T) @ coef
+        return out
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         n = grid.axes["points_per_axis"]
@@ -432,24 +431,6 @@ class SU2(_Group):
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
         return complete_level(next(self._degree_blocks(points, int(two_l), first=int(two_l))))
 
-    def irrep_blocks(self, points: np.ndarray, bandlimit: int):
-        """The rows m' >= 0 of xi(x) for the whole dual: one (n, 1, h, d)
-        block per degree, h = 2l//2 + 1; ``complete_level`` gives the rest."""
-        return (block[:, None] for block in self._degree_blocks(points, 2 * int(bandlimit)))
-
-    def fold_coefficients(self, a: np.ndarray) -> np.ndarray:
-        """The rows m' >= 0 of (count, d, d, m) coefficients a, each plus its
-        mirror row -m' reversed and signed by (-1)^{m'-m}: with the rows D of
-        ``irrep_blocks``, sum_ij conj(xi_ij) a_ij is the sum over the upper
-        rows of conj(D) a + D (folded - a), as xi_{-m',-m} = (-1)^{m'-m}
-        conj(xi_{m'm})."""
-        d = a.shape[1]
-        h, k = (d + 1) // 2, np.arange(d)
-        out = a[:, :h].copy()
-        sign = 1 - 2 * ((k[:d - h, None] + k) % 2)
-        out[:, :d - h] += sign[:, :, None] * a[:, :h - 1:-1, ::-1]
-        return out
-
     def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0):
         """The rows m' >= 0 of xi(x) for the degrees 2l = first..two_L, one
         (n, h, d) array at a time: the phases of every 2m, made once, times
@@ -534,6 +515,32 @@ class SU2(_Group):
         tmp = np.einsum("cN,NMvb->cMvb", Ec[:B], H, optimize=True)
         vals = np.einsum("aM,cMvb->abcv", Ec, tmp, optimize=True)
         return vals.reshape(-1, m)
+
+    def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
+        """(n, m) values of the family at arbitrary points from the rows
+        D = X + iY of ``_degree_blocks``: by the mirror, sum_ij conj(xi_ij) a_ij
+        (a = d T) is conj(D) a + D (p - a) over the upper rows, where the fold
+        p adds each row -m' of a, reversed and signed, to row m'; one real
+        product [X | Y] @ [p; i(p - 2a)] per degree."""
+        m = blocks[0].shape[1]
+        coefs = []  # (h d re/im, re/im of m): rows interleaved like D.view(float)
+        for t in blocks:  # one (1, m, d, d) block per degree
+            d = t.shape[-1]
+            h, k = (d + 1) // 2, np.arange(d)
+            a = np.multiply(np.moveaxis(t[0], 0, -1), d, order="C")  # (d, d, m)
+            p = a[:h].copy()
+            sign = 1 - 2 * ((k[:d - h, None] + k) % 2)
+            p[:d - h] += sign[:, :, None] * a[:h - 1:-1, ::-1]
+            pq = np.stack([p, 1j * (p - 2 * a[:h])], axis=-2)  # (h, d, 2, m)
+            coefs.append(pq.reshape(-1, m).view(float))
+        out = np.zeros((len(points), m), dtype=complex)
+        # chunk x sum d^2 entries bounds the rows of xi(x) one chunk holds
+        chunk = max(128, 4_000_000 // sum(t.shape[-1] ** 2 for t in blocks))
+        for start in range(0, len(points), chunk):
+            sl = slice(start, start + chunk)
+            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit), coefs):
+                out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
+        return out
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         # (alpha_a, beta_b, gamma_c)^-1 = (pi - gamma_c, beta_b, -pi - alpha_a);

@@ -272,8 +272,11 @@ class TestFactorize:
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(SU2, "haar_quadrature", refuse)
+        # the vector path builds its own function from --rep and --seed
         for i, extra in enumerate((["--supported"], ["--support-delta", "1.0"],
-                                   ["--pieces", "3"])):
+                                   ["--pieces", "3"], ["--bump-order", "3.0"],
+                                   ["--builtin", "heat:0.3"], ["--input", "/nonexistent.csv"],
+                                   ["--builtin", "heat:0.3", "--input", "/nonexistent.csv"])):
             out = tmp_path / str(i)
             code = run(["factorize", "--group", "su2", "--bandlimit", "2", "--vector",
                         "--rep", "0,1,2", *extra, "--out", str(out)])
@@ -282,8 +285,9 @@ class TestFactorize:
             assert not out.exists()
 
     def test_unused_mode_options_exit_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
-        # global mode reads none of --pieces, --support-delta, --rep, and
-        # supported mode does not read --rep: each is refused, not ignored
+        # global mode reads none of --pieces, --support-delta, --bump-order,
+        # --rep, and supported mode does not read --rep: each is refused, not
+        # ignored
         def refuse(*args, **kwargs):
             raise AssertionError("a grid was built")
 
@@ -291,6 +295,8 @@ class TestFactorize:
         cases = [(["--pieces", "3", "--support-delta", "0.5", "--rep", "0"], "--rep needs"),
                  (["--pieces", "3"], "need --supported"),
                  (["--support-delta", "0.5"], "need --supported"),
+                 (["--bump-order", "3.0"], "need --supported"),
+                 (["--bump-order", "2.0"], "need --supported"),
                  (["--rep", "0"], "--rep needs --vector"),
                  (["--supported", "--rep", "0"], "--rep needs --vector")]
         for i, (extra, message) in enumerate(cases):

@@ -1,10 +1,13 @@
 import gc
+import inspect
+import re
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+import liefact.fourier
 from liefact.errors import BandlimitMismatchError, DomainError, ParameterError
 from liefact.fourier import (
     FourierCoefficients,
@@ -437,6 +440,20 @@ class TestPackedCoefficients:
         with pytest.raises(ParameterError, match="cannot carry"):
             GridFunction(request.getfixturevalue(group), grid, np.ones(grid.size))
 
+    @pytest.mark.parametrize("group, other", [("su2", "t1"), ("su2", "t2"), ("t1", "su2")])
+    def test_family_must_be_on_the_grids_group(self, group, other, request):
+        # inverse on such a pair failed with a bare KeyError ('E' or
+        # 'points_per_axis') from the other group's grid axes
+        T = FourierCoefficients.zeros(request.getfixturevalue(group), 2)
+        grid = haar_quadrature(request.getfixturevalue(other), 2)
+        with pytest.raises(ParameterError, match="cannot carry"):
+            inverse(T, grid)
+
+    def test_composed_families_must_share_the_group(self, t1, t2):
+        # at one band limit the blocks used to meet in numpy's broadcasting
+        with pytest.raises(ParameterError, match="same group"):
+            compose(FourierCoefficients.zeros(t1, 2), FourierCoefficients.zeros(t2, 2))
+
     def test_sizes_are_read_from_the_data(self, t2, su2, rng):
         grid = haar_quadrature(su2, 2)
         f = GridFunction(su2, grid, rng.standard_normal((grid.size, 3)))
@@ -538,24 +555,28 @@ class TestPackedCoefficients:
 
 
 class _QuadratureTorus(Torus):
-    """The circle with transform hooks written as explicit quadrature sums,
+    """The circle with transform hooks written as explicit sums,
     F f(k) = sum_x w f(x) e^{-ikx} and f(x) = sum_k T_k e^{ikx}, not FFTs;
     ``calls`` records which hook ran."""
 
     calls: list = []
 
-    def _characters(self, grid, bandlimit):
+    def _characters(self, points, bandlimit):
         k = dual_layout(self, bandlimit).labels[:, 0]
-        return np.exp(-1j * np.outer(grid.nodes[:, 0], k))  # (N, n_dual): xi_k(x)
+        return np.exp(-1j * np.outer(points[:, 0], k))  # (n, n_dual): xi_k(x)
 
     def forward_blocks(self, grid, values, bandlimit):
         self.calls.append("forward")
-        coef = (grid.weights[:, None] * self._characters(grid, bandlimit)).T @ values
+        coef = (grid.weights[:, None] * self._characters(grid.nodes, bandlimit)).T @ values
         return [coef[:, :, None, None]]
 
     def inverse_values(self, grid, blocks, bandlimit):
         self.calls.append("inverse")
-        return self._characters(grid, bandlimit).conj() @ blocks[0][:, :, 0, 0]
+        return self._characters(grid.nodes, bandlimit).conj() @ blocks[0][:, :, 0, 0]
+
+    def evaluate_values(self, points, blocks, bandlimit):
+        self.calls.append("evaluate")
+        return self._characters(points, bandlimit).conj() @ blocks[0][:, :, 0, 0]
 
 
 class TestGroupHooks:
@@ -581,4 +602,18 @@ class TestGroupHooks:
         ]
         for ref, got in pairs:
             assert np.abs(np.asarray(got) - ref).max() <= 1e-12
-        assert {"forward", "inverse"} <= set(_QuadratureTorus.calls)
+        assert {"forward", "inverse", "evaluate"} <= set(_QuadratureTorus.calls)
+
+    def test_fourier_reads_only_the_group_protocol(self):
+        # the transform hooks every group defines, and the element arithmetic
+        # fourier.py already calls: any other group attribute it reads is a
+        # group internal leaking into the group-free module
+        hooks = {"forward_blocks", "inverse_values", "evaluate_values", "irrep_matrices",
+                 "dual_arrays", "label_bandlimit"}
+        elements = {"multiply", "inverse_element", "haar_quadrature", "dim"}
+        for cls in (Torus, SU2):
+            assert all(callable(getattr(cls, name, None)) for name in hooks), cls
+        source = inspect.getsource(liefact.fourier)
+        assert set(re.findall(r"\bgroup\.(\w+)", source)) <= hooks | elements
+        assert "isinstance" not in source
+        assert not re.search(r"\b(Torus|SU2)\b", source)

@@ -7,7 +7,7 @@ import pytest
 import liefact.fourier
 from liefact._wigner import complete_level
 from liefact.errors import DomainError
-from liefact.fourier import GridFunction, forward
+from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward
 from liefact.groups import (
     SU2,
     DualIndex,
@@ -211,9 +211,10 @@ class TestMatrixCoefficients:
 
 
 class TestIrrepBlocks:
-    """``irrep_blocks`` builds xi(x) over the whole layout (on SU(2) the rows
-    m' >= 0); each completed block must equal the one-xi ``irrep_matrices``
-    bit for bit."""
+    """The blocks of xi(x) that ``evaluate_values`` contracts: on SU(2) the
+    rows m' >= 0 of ``_degree_blocks``, each completed level equal to the
+    one-xi ``irrep_matrices`` bit for bit; on the torus the phases of one
+    complex product, read out by one-hot families."""
 
     def test_su2_degrees_equal_irrep_matrices(self, su2, rng):
         L = 4
@@ -221,24 +222,25 @@ class TestIrrepBlocks:
         grid = haar_quadrature(su2, L)
         random_pts = np.array([su2.random_element(rng) for _ in range(30)])
         for pts in (random_pts, grid.nodes[::7]):
-            blocks = list(su2.irrep_blocks(pts, L))
+            blocks = list(su2._degree_blocks(pts, 2 * L))
             assert len(blocks) == len(duals)
             for xi, block in zip(duals, blocks):
-                assert block.shape == (len(pts), 1, xi.label // 2 + 1, xi.dim)
-                assert np.array_equal(complete_level(block[:, 0]), su2.irrep_matrices(xi, pts))
+                assert block.shape == (len(pts), xi.label // 2 + 1, xi.dim)
+                assert np.array_equal(complete_level(block), su2.irrep_matrices(xi, pts))
 
     def test_torus_block_columns_equal_irrep_matrices(self, t1, t2, rng):
-        # the block forms every phase k.x in one matrix product, a single xi
+        # evaluate forms every phase k.x in one matrix product, a single xi
         # in a vector product; on T^2 the two sums may round apart in the last
         # bit of k.x (|k.x| < 40 here, so by well under 1e-14)
         for g in (t1, t2):
             pts = np.array([g.random_element(rng) for _ in range(30)])
-            (block,) = g.irrep_blocks(pts, 3)
-            duals = enumerate_dual(g, 3)
-            assert block.shape == (len(pts), len(duals), 1, 1)
-            for i, xi in enumerate(duals):
+            for i, xi in enumerate(enumerate_dual(g, 3)):
+                T = FourierCoefficients.zeros(g, 3)
+                T.blocks[0][i] = 1.0
+                vals = evaluate(T, pts)
+                assert vals.shape == (len(pts), 1)
                 mats = g.irrep_matrices(xi, pts)
-                assert np.abs(block[:, i] - mats).max() <= (0.0 if g is t1 else 1e-14)
+                assert np.abs(vals - np.conj(mats[:, 0])).max() <= (0.0 if g is t1 else 1e-14)
 
     def test_su2_blocks_stream_in_bounded_memory(self, su2, rng):
         # one degree's Wigner level and block at a time: a table of every
@@ -247,7 +249,7 @@ class TestIrrepBlocks:
         every_level = sum(256 * d * d * 8 for d in range(1, 34))
         tracemalloc.start()
         try:
-            count = sum(1 for _ in su2.irrep_blocks(pts, 16))
+            count = sum(1 for _ in su2._degree_blocks(pts, 32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,9 +258,9 @@ class TestIrrepBlocks:
 
     def test_coordinates_validated(self, t2, su2):
         with pytest.raises(DomainError):
-            next(su2.irrep_blocks(np.array([[0.0, -0.5, 0.0]]), 2))
+            evaluate(FourierCoefficients.zeros(su2, 2), np.array([[0.0, -0.5, 0.0]]))
         with pytest.raises(DomainError):
-            next(t2.irrep_blocks(np.zeros((4, 3)), 2))
+            evaluate(FourierCoefficients.zeros(t2, 2), np.zeros((4, 3)))
 
 
 class TestElements:
