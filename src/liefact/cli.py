@@ -1,10 +1,21 @@
 """Command-line driver: transform | classify | factorize | verify.
 
+Each subcommand's parser declares only the options its handler reads, so
+argparse refuses any other (exit code 2):
+
+  transform  --group --bandlimit --builtin --input --out
+  classify   --coefficients --weight --out
+  factorize  the transform options, --weight --h --h-prime --supported
+             --support-delta --pieces --bump-order --vector --rep --seed
+  verify     --seed --out
+
+The parsed namespace is the handler's configuration; ``cmd_factorize`` also
+refuses the options its mode does not read and then resolves their defaults.
 Exit codes: 0 ok, 1 verification failure, 2 usage/parameter error,
 3 insufficient data, 4 conditioning failure.  Every command formats all its
 artifacts, then hands them to one ``_emit``, which writes them and a
-manifest.json echoing the resolved configuration; identical configuration and
-seed produce byte-identical JSON artifacts.
+manifest.json whose config is exactly the command's options, resolved;
+identical options produce byte-identical JSON artifacts.
 """
 
 from __future__ import annotations
@@ -40,49 +51,17 @@ from .verify import run_verification
 from .weights import parse_weight_spec
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved configuration of one CLI invocation; JSON round-trippable."""
-
-    command: str
-    group: str | None = None
-    bandlimit: int | None = None
-    weight: str | None = None
-    h: float | None = None
-    h_prime: float | None = None
-    input_path: str | None = None
-    builtin: str | None = None
-    output_dir: str | None = None
-    seed: int = 0
-    supported: bool = False
-    support_delta: float | None = None
-    pieces: int | None = None
-    bump_order: float | None = 2.0  # the factorize parser leaves it None until resolved
-    vector: bool = False
-    rep: str | None = None
-    coefficients: str | None = None
-    fast: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
-
-def _emit(config: RunConfig, texts: dict[str, str]) -> None:
+def _emit(config: argparse.Namespace, texts: dict[str, str]) -> None:
     """Write each artifact ``{name: text}``, then manifest.json, to --out; the texts
     arrive formatted, so a formatter that raises has left no file behind."""
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": config.command, "config": dataclasses.asdict(config),
-                "outputs": sorted(texts)}
+    manifest = {"command": config.command, "config": vars(config), "outputs": sorted(texts)}
     for name, text in [*texts.items(), ("manifest.json", json.dumps(manifest, sort_keys=True))]:
         (outdir / name).write_text(text)
 
 
-def _resolve_input(config: RunConfig):
+def _resolve_input(config: argparse.Namespace):
     """Build (group, grid, GridFunction) from --builtin or --input."""
     group = parse_group_spec(config.group)
     grid = group.haar_quadrature(config.bandlimit)
@@ -100,7 +79,7 @@ def _resolve_input(config: RunConfig):
     raise LiefactError("no input: pass --builtin or --input")
 
 
-def cmd_transform(config: RunConfig) -> int:
+def cmd_transform(config: argparse.Namespace) -> int:
     group, grid, f = _resolve_input(config)
     T = forward(f)
     roundtrip = inverse(T, grid)
@@ -114,7 +93,7 @@ def cmd_transform(config: RunConfig) -> int:
     return 0
 
 
-def cmd_classify(config: RunConfig) -> int:
+def cmd_classify(config: argparse.Namespace) -> int:
     text = Path(config.coefficients).read_text()
     T = serialize.coefficients_from_json(text)
     w = parse_weight_spec(config.weight)
@@ -130,7 +109,7 @@ def cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def cmd_factorize(config: RunConfig) -> int:
+def cmd_factorize(config: argparse.Namespace) -> int:
     w = parse_weight_spec(config.weight)
     supported_only = (config.support_delta, config.pieces, config.bump_order)
     if config.vector and (config.supported or config.builtin is not None
@@ -141,10 +120,13 @@ def cmd_factorize(config: RunConfig) -> int:
                              "function from --rep and --seed")
     if not config.vector and config.rep is not None:
         raise ParameterError("--rep needs --vector")
+    if not config.vector and config.seed is not None:
+        raise ParameterError("--seed needs --vector")
     if not (config.vector or config.supported) and any(v is not None for v in supported_only):
         raise ParameterError("--support-delta, --pieces and --bump-order need --supported")
     config.support_delta = 2.0 if config.support_delta is None else config.support_delta
     config.bump_order = 2.0 if config.bump_order is None else config.bump_order
+    config.seed = 0 if config.seed is None else config.seed
     if config.vector:
         if not config.rep:
             raise ParameterError("--vector needs --rep, e.g. --rep 0,1,2")
@@ -215,8 +197,8 @@ def cmd_factorize(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = run_verification(seed=config.seed, fast=config.fast)
+def cmd_verify(config: argparse.Namespace) -> int:
+    results = run_verification(seed=config.seed)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -224,9 +206,8 @@ def cmd_verify(config: RunConfig) -> int:
         all_ok &= r.ok
         print(f"{r.name:<{width}}  measured {r.measured:>12.4e}  "
               f"bound {r.bound:>10.2e}  margin {r.margin:>11.4e}  {status}")
-    if config.output_dir:
-        doc = [dataclasses.asdict(r) for r in results]
-        _emit(config, {"verify.json": json.dumps(doc, sort_keys=True)})
+    doc = [dataclasses.asdict(r) for r in results]
+    _emit(config, {"verify.json": json.dumps(doc, sort_keys=True)})
     print(f"verify: {'all properties pass' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1
 
@@ -238,26 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", dest="output_dir", default="liefact-out")
+        return p
+
+    def function_source(p):
         p.add_argument("--group", default="t1", help="t1 | t2 | su2")
         p.add_argument("--bandlimit", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", dest="output_dir", default="liefact-out")
+        p.add_argument("--builtin", help="poisson:t | heat:t | bump:s:halfwidth")
+        p.add_argument("--input", dest="input_path", help="grid-function CSV")
 
-    p = sub.add_parser("transform", help="forward transform, coefficient + decay files")
-    common(p)
-    p.add_argument("--builtin", help="poisson:t | heat:t | bump:s:halfwidth")
-    p.add_argument("--input", dest="input_path", help="grid-function CSV")
+    function_source(command("transform", "forward transform, coefficient + decay files"))
 
-    p = sub.add_parser("classify", help="decay classification of a coefficient file")
-    common(p)
+    p = command("classify", "decay classification of a coefficient file")
     p.add_argument("--coefficients", required=True)
     p.add_argument("--weight", default="gevrey:s=1")
 
-    p = sub.add_parser("factorize", help="strong / supported / vector factorization")
-    common(p)
-    p.add_argument("--builtin")
-    p.add_argument("--input", dest="input_path")
+    p = command("factorize", "strong / supported / vector factorization")
+    function_source(p)
     p.add_argument("--weight", default="gevrey:s=1")
     p.add_argument("--h", type=float, default=0.5)
     p.add_argument("--h-prime", dest="h_prime", type=float, default=None)
@@ -267,17 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bump-order", dest="bump_order", type=float)  # 2.0, set in cmd_factorize
     p.add_argument("--vector", action="store_true")
     p.add_argument("--rep", help="comma-separated dual labels, e.g. 0,1,2")
+    p.add_argument("--seed", type=int)  # 0, set in cmd_factorize; only --vector reads it
 
-    p = sub.add_parser("verify", help="run the full property suite")
-    common(p)
-    p.add_argument("--fast", action="store_true", help="smaller sizes")
+    p = command("verify", "run the full property suite")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    config = build_parser().parse_args(argv)
     handler = {
         "transform": cmd_transform,
         "classify": cmd_classify,

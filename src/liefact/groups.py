@@ -40,7 +40,9 @@ Coordinates and normalizations
 
 The bi-invariant metric is normalized so those Casimir values are exactly the
 (-Laplacian) eigenvalues; finite-difference checks in the spectral module pin
-this down.  Haar quadratures are normalized to total mass 1.
+this down.  Haar quadratures are normalized to total mass 1.  Each group's
+``validate_coords`` refuses non-finite coordinates (``DomainError``); every
+xi(x), product, inverse and evaluation goes through it.
 """
 
 from __future__ import annotations
@@ -257,10 +259,10 @@ class Torus(_Group):
     # -- elements ---------------------------------------------------------
 
     def multiply(self, x, y) -> np.ndarray:
-        return np.mod(np.asarray(x, float) + np.asarray(y, float), 2 * np.pi)
+        return np.mod(self.validate_coords(x) + self.validate_coords(y), 2 * np.pi)
 
     def inverse_element(self, x) -> np.ndarray:
-        return np.mod(-np.asarray(x, float), 2 * np.pi)
+        return np.mod(-self.validate_coords(x), 2 * np.pi)
 
     def exp_step(self, k: int, t: float) -> np.ndarray:
         out = np.zeros(self.d)
@@ -274,6 +276,8 @@ class Torus(_Group):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.d:
             raise DomainError(f"torus({self.d}) coordinates need {self.d} angles")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("torus coordinates must be finite")
         return x
 
     # -- matrix coefficients ----------------------------------------------
@@ -418,6 +422,8 @@ class SU2(_Group):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 3:
             raise DomainError("su2 coordinates are ZYZ triples (alpha, beta, gamma)")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("su2 coordinates must be finite")
         beta = x[..., 1]
         if np.any(beta < -1e-12) or np.any(beta > np.pi + 1e-12):
             raise DomainError("beta must lie in [0, pi]")

@@ -47,10 +47,10 @@ def _inner(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.sum(f.grid.weights[:, None] * f.values * g.values.conj()))
 
 
-def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
+def run_verification(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     t1, t2, su2 = Torus(1), Torus(2), SU2()
-    L1, L2, Ls = (16, 6, 4) if fast else (32, 10, 6)
+    L1, L2, Ls = 32, 10, 6
     results: list[CheckResult] = []
 
     def check(name, measured, bound):
@@ -218,7 +218,7 @@ def run_verification(seed: int = 0, fast: bool = False) -> list[CheckResult]:
     check("factorize/vector", max(vres.action_residual, vres.orbit_residual), 1e-9)
 
     # the outside-support mass measures band-limit truncation of the bump
-    # pieces, so this check needs the full band limit even in fast mode
+    # pieces, so this check needs a high band limit
     w05 = gevrey_weight(0.5)
     gridS = t1.haar_quadrature(256)
     fS = poisson_function(t1, gridS, 2.0)

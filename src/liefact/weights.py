@@ -116,9 +116,9 @@ def parse_weight_spec(spec: str) -> WeightFunction:
 
 
 def eval_weight(w: WeightFunction, t):
-    """Evaluate w at t (scalar or array); t must be nonnegative."""
+    """Evaluate w at t (scalar or array); t must be nonnegative (NaN is refused)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise DomainError("weight functions are defined on t >= 0")
     if w.kind == "gevrey":
         out = np.maximum(0.0, np.power(arr, w.gevrey_s) - 1.0)

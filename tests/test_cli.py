@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import re
 import shlex
@@ -9,7 +11,7 @@ import pytest
 import liefact.factorize
 import liefact.fourier
 import liefact.serialize
-from liefact.cli import RunConfig, main
+from liefact.cli import build_parser, main
 from liefact.errors import ParameterError
 from liefact.factorize import bump_partition_of_unity
 from liefact.serialize import coefficients_from_json, coefficients_to_json
@@ -20,6 +22,12 @@ from liefact.verify import run_verification
 
 def run(args):
     return main(args)
+
+
+def option_dests(command: str) -> set[str]:
+    """The configuration keys a subcommand's parser defines, ``command`` included."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"} | {"command"}
 
 
 class TestTransform:
@@ -100,7 +108,7 @@ class TestTransform:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert run(["transform", "--group", "su2", "--bandlimit", "2",
-                        "--builtin", "heat:0.5", "--seed", "3", "--out", str(out)]) == 0
+                        "--builtin", "heat:0.5", "--out", str(out)]) == 0
         assert (out1 / "coefficients.json").read_bytes() == (out2 / "coefficients.json").read_bytes()
         assert (out1 / "decay.csv").read_bytes() == (out2 / "decay.csv").read_bytes()
 
@@ -286,8 +294,8 @@ class TestFactorize:
 
     def test_unused_mode_options_exit_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
         # global mode reads none of --pieces, --support-delta, --bump-order,
-        # --rep, and supported mode does not read --rep: each is refused, not
-        # ignored
+        # --rep, --seed, and supported mode reads neither --rep nor --seed:
+        # each is refused, not ignored
         def refuse(*args, **kwargs):
             raise AssertionError("a grid was built")
 
@@ -298,7 +306,10 @@ class TestFactorize:
                  (["--bump-order", "3.0"], "need --supported"),
                  (["--bump-order", "2.0"], "need --supported"),
                  (["--rep", "0"], "--rep needs --vector"),
-                 (["--supported", "--rep", "0"], "--rep needs --vector")]
+                 (["--supported", "--rep", "0"], "--rep needs --vector"),
+                 (["--seed", "3"], "--seed needs --vector"),
+                 (["--seed", "0"], "--seed needs --vector"),
+                 (["--supported", "--seed", "3"], "--seed needs --vector")]
         for i, (extra, message) in enumerate(cases):
             out = tmp_path / str(i)
             code = run(["factorize", "--group", "t1", "--bandlimit", "8",
@@ -405,7 +416,7 @@ class TestDeskScale:
 
 class TestVerify:
     def test_default_passes(self, tmp_path, capsys):
-        assert run(["verify", "--fast", "--out", str(tmp_path / "v")]) == 0
+        assert run(["verify", "--out", str(tmp_path / "v")]) == 0
         results = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert all(r["measured"] <= r["bound"] for r in results)
         # the margin is printed, never written: verify.json keeps its three keys
@@ -430,7 +441,7 @@ class TestVerify:
             return out
 
         monkeypatch.setattr(liefact.fourier, "convolve", flipped)
-        code = run(["verify", "--fast", "--out", str(tmp_path / "v")])
+        code = run(["verify", "--out", str(tmp_path / "v")])
         printed = capsys.readouterr().out
         assert code == 1
         assert re.search(r"convolution[^\n]*FAIL", printed)
@@ -438,10 +449,10 @@ class TestVerify:
     def test_pass_set_identical_across_seeds(self):
         sets = []
         for seed in (0, 1, 2, 3, 4):
-            results = run_verification(seed=seed, fast=True)
+            results = run_verification(seed=seed)
             sets.append(tuple(r.name for r in results if r.ok))
         assert len(set(sets)) == 1
-        assert len(sets[0]) == len(run_verification(seed=0, fast=True))
+        assert len(sets[0]) == len(run_verification(seed=0))
 
 
 def readme_commands() -> list[list[str]]:
@@ -486,11 +497,52 @@ class TestSinglePath:
         monkeypatch.chdir(tmp_path)
         for argv in readme_commands():
             assert run(argv) == 0, argv
-        assert all(r.ok for r in run_verification(fast=True))
+        assert all(r.ok for r in run_verification())
 
 
-class TestConfig:
-    def test_json_roundtrip(self):
-        config = RunConfig(command="transform", group="t1", bandlimit=8,
-                           builtin="poisson:1.0", output_dir="x", seed=5)
-        assert RunConfig.from_json(config.to_json()) == config
+class TestOptionSets:
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--builtin", "poisson:1.0", "--seed", "1"],
+        ["classify", "--coefficients", "c.json", "--group", "t1"],
+        ["classify", "--coefficients", "c.json", "--bandlimit", "8"],
+        ["classify", "--coefficients", "c.json", "--seed", "1"],
+        ["verify", "--group", "su2"],
+        ["verify", "--bandlimit", "4"],
+        ["verify", "--fast"],
+    ], ids=" ".join)
+    def test_dropped_option_exits_2(self, tmp_path, capsys, argv):
+        # each subcommand declares only the options its handler reads
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_config_is_the_parsed_options(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_commands():
+            assert run(argv) == 0, argv
+            out = argv[argv.index("--out") + 1] if "--out" in argv else "liefact-out"
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            config = manifest["config"]
+            assert manifest["command"] == config["command"] == argv[0]
+            assert set(config) == option_dests(argv[0]), argv
+            # resolved: factorize leaves none of its mode defaults at None
+            if argv[0] == "factorize":
+                assert None not in (config["seed"], config["support_delta"],
+                                    config["bump_order"])
+
+    def test_benchmark_cli_commands_parse(self):
+        # the benchmark drives the CLI with these argv lists; a narrower CLI
+        # must fail here, not in a benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "readme_cli.py"
+        spec = importlib.util.spec_from_file_location("perfbench_readme_cli", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parser = build_parser()
+        commands = module.commands(7)
+        assert {argv[0] for _, argv in commands} == {"transform", "classify", "factorize",
+                                                    "verify"}
+        for name, argv in commands:
+            assert parser.parse_args(argv).command == argv[0], name

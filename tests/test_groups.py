@@ -262,6 +262,23 @@ class TestIrrepBlocks:
         with pytest.raises(DomainError):
             evaluate(FourierCoefficients.zeros(t2, 2), np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", ["t1", "t2", "su2"])
+    def test_non_finite_coordinates_rejected(self, spec, bad, rng):
+        g = parse_group_spec(spec)
+        T = FourierCoefficients.zeros(g, 2)
+        xi = g.enumerate_dual(2)[1]
+        x = g.random_element(rng)
+        for axis in range(len(x)):
+            y = x.copy()
+            y[axis] = bad
+            for call in (lambda: evaluate(T, [x, y]), lambda: g.irrep_matrix(xi, y),
+                         lambda: g.irrep_matrices(xi, np.stack([x, y])),
+                         lambda: g.multiply(x, y), lambda: g.multiply(y, x),
+                         lambda: g.inverse_element(y)):
+                with pytest.raises(DomainError, match="finite"):
+                    call()
+
 
 class TestElements:
     def test_inverse_roundtrip(self, t1, t2, su2, rng):

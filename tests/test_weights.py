@@ -41,8 +41,11 @@ class TestEvalWeight:
         assert eval_weight(log1p_weight(), np.e - 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            eval_weight(gevrey_weight(1.0), -0.5)
+        # NaN is refused with the negatives, not propagated into a NaN weight
+        for w in (gevrey_weight(1.0), log1p_weight()):
+            for t in (-0.5, np.nan, [1.0, np.nan]):
+                with pytest.raises(DomainError):
+                    eval_weight(w, t)
 
     def test_gevrey_order_validation(self):
         with pytest.raises(DomainError):
