@@ -115,17 +115,15 @@ def wigner_d_matrices(two_l_max: int, beta):
         yield mat
 
 
-def complete_level(upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The full (..., 2l+1, 2l+1) level from its upper rows m' >= 0, written
-    into ``out`` (any strides) or a new array.
+def complete_level(upper: np.ndarray) -> np.ndarray:
+    """The full (..., 2l+1, 2l+1) level from its upper rows m' >= 0.
 
     The rows m' < 0 are the mirror X_{-m',-m} = (-1)^{m'-m} conj(X_{m'm}), which
     holds for d^l(beta) (real) and for D^l(x) with the ZYZ phases alike.
     """
     h, d = upper.shape[-2:]
     k = np.arange(d)
-    if out is None:
-        out = np.empty(upper.shape[:-2] + (d, d), dtype=upper.dtype)
+    out = np.empty(upper.shape[:-2] + (d, d), dtype=upper.dtype)
     out[..., :h, :] = upper
     lower = out[..., h:, :]
     # (-1)^{m'-m} = (-1)^{i+j} on indices

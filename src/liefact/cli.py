@@ -39,6 +39,7 @@ from .errors import (
 )
 from .factorize import (
     FiniteRep,
+    _resolve_h_prime,
     factorize_vector,
     gevrey_bump,
     strong_factorize,
@@ -127,6 +128,7 @@ def cmd_factorize(config: argparse.Namespace) -> int:
     config.support_delta = 2.0 if config.support_delta is None else config.support_delta
     config.bump_order = 2.0 if config.bump_order is None else config.bump_order
     config.seed = 0 if config.seed is None else config.seed
+    config.h_prime = _resolve_h_prime(config.h, config.h_prime)
     if config.vector:
         if not config.rep:
             raise ParameterError("--vector needs --rep, e.g. --rep 0,1,2")

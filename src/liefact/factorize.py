@@ -60,7 +60,6 @@ from .fourier import (
     FourierCoefficients,
     GridFunction,
     compose,
-    evaluate,
     forward,
     inverse,
 )
@@ -275,7 +274,9 @@ def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
     """Factor v = Pi(g_check) v_tilde through the orbit map of a finite rep."""
     gamma = orbit_map(rep, v)  # checks the length of v
     res = strong_factorize(gamma, w, h, h_prime)
-    v_tilde = evaluate(res.f_prime, rep.group.identity())[0]
+    fp = res.f_prime  # xi(e) = Id, so f'_v(e) is a sum of traces
+    v_tilde = sum(d * np.trace(b, axis1=2, axis2=3).sum(axis=0)
+                  for d, b in zip(fp.layout.dims, fp.blocks))
     g_grid = inverse(res.g, gamma.grid)
     g_check = GridFunction(rep.group, gamma.grid, g_grid.values[gamma.grid.inversion_permutation])
     recovered = induced_action(rep, g_check, v_tilde)

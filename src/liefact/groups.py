@@ -16,13 +16,17 @@ The transform is here too, and so is the grid layout: ``forward_blocks``,
 ``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
 they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  SU(2)
 evaluates on the rows m' >= 0, each coefficient row -m' folded onto row m'.
-Its transform contracts the uniform alpha/gamma axes with exact DFT matrices
-E, then runs one Wigner-d matmul in beta per degree 2l, on the plane of the
-axis 2m = -2L..2L cut by the basic slice [2L+2l : 2L-2l-1 : -2].  The SU(2)
+Its transform runs the integer and the half-integer spins as two half-size
+transforms, since a degree 2l meets only the 2m of its own parity: per parity
+the uniform alpha/gamma axes are contracted with that parity's columns of
+exact DFT matrices E, then one Wigner-d matmul in beta per degree runs on the
+plane of the parity's axis cut by a contiguous reversed slice.  The SU(2)
 grid covers the group once: alpha runs over [0, 4pi) and gamma over
 [0, 2pi), since (alpha, beta, gamma) and (alpha + 2pi, beta, gamma + 2pi) are
-one element.  E and the completed (d, d, B) tables, the plan, are read-only
-grid data built with the SU(2) grid; a band limit L' below the grid's slices
+one element.  E and the tables, the plan, are read-only grid data built with
+the SU(2) grid.  The tables keep a quarter of each Wigner level, the rows
+m' >= 0 at the betas below pi/2; the transforms reach the rest by the row
+mirror and by beta -> pi - beta.  A band limit L' below the grid's slices
 that one plan.
 
 Coordinates and normalizations
@@ -150,23 +154,50 @@ def _degree_slice(two_L: int, two_l: int) -> slice:
     return slice(two_L + two_l, stop if stop >= 0 else None, -2)
 
 
+def _parity_slices(two_L: int, two_l: int) -> tuple[slice, slice, int]:
+    """Rows m = l..-l of degree 2l on its parity's axis k = 0..2L-p of the
+    2m = -2L+p, ..., 2L-p (p = 2l mod 2): a basic slice falling from 2m = 2l,
+    its mirror rising from 2m = -2l, and the sign (-1)^{top+p} that the
+    mirrored beta plane takes on this degree (top: the slice's first k)."""
+    p = two_l % 2
+    top = (two_L + two_l - p) // 2
+    bottom = top - two_l
+    sign = 1 if (top + p) % 2 == 0 else -1
+    return slice(top, bottom - 1 if bottom else None, -1), slice(bottom, top + 1), sign
+
+
 def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
     """The SU(2) transform plan to degree 2L on a product grid (the grid
     makes E read-only with its other axes; the tables are made read-only here).
 
-    E[a, 2L + 2m] = e^{-i m alpha_a}; tables[2l][j, i, b] = d^l_{m_i m_j}(beta_b)
-    puts the gamma index first like the phase-stage arrays, whose degree view
-    [s, s] (s from ``_degree_slice``) lines up with it entry by entry.
+    E[a, 2L + 2m] = e^{-i m alpha_a}.  ``betas`` are the grid's B
+    Gauss-Legendre betas, falling from pi to 0 and symmetric about pi/2.
+    A quarter of each Wigner level is kept, the rows m' >= 0 on the last
+    B/2 betas (beta < pi/2): tables[2l][j, i, b] = d^l_{m_i m_j}(betas[B/2 + b])
+    for i < 2l//2 + 1, the gamma index first like the phase-stage planes,
+    whose degree view [s, s] (s from ``_parity_slices``) lines up with it
+    entry by entry.  The transforms reach the other rows and betas by the
+    two mirrors (``SU2.forward_blocks``).
     """
     E = np.exp(-0.5j * np.outer(phases, np.arange(-two_L, two_L + 1)))
     tables = []
-    for upper in wigner_d_matrices(two_L, betas):
-        B, _, d = upper.shape
-        # filled through a transposed view, so no full level is a temporary
-        tables.append(np.empty((d, d, B)))
-        complete_level(upper, out=tables[-1].transpose(2, 1, 0))
+    for upper in wigner_d_matrices(two_L, betas[len(betas) // 2:]):
+        tables.append(np.ascontiguousarray(upper.transpose(2, 1, 0)))
         tables[-1].flags.writeable = False
     return {"E": E, "tables": tuple(tables)}
+
+
+def _mirror_signs(bandlimit: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, rows): the signs of the two beta planes of parity p (see
+    ``SU2.forward_blocks``) on their axis k = 0..2L-p, whose first L are
+    the rows m' < 0.  Those rows carry (-1)^{k_N + k_M}: flip = (-1)^k on the
+    gamma index, and the alpha index's (-1)^k in rows[0].  The mirrored
+    plane z[1] carries a further (-1)^{k_M}, so rows[1] is (-1)^k on the rows
+    m' >= 0 only."""
+    k = np.arange(2 * bandlimit + 1 - p)
+    flip = 1.0 - 2 * (k % 2)
+    low = k < bandlimit
+    return flip, np.stack([np.where(low, flip, 1.0), np.where(low, 1.0, flip)])
 
 
 class _Group:
@@ -441,10 +472,13 @@ class SU2(_Group):
         """The rows m' >= 0 of xi(x) for the degrees 2l = first..two_L, one
         (n, h, d) array at a time: the phases of every 2m, made once, times
         each streamed Wigner level on the distinct betas (a product grid
-        repeats few)."""
+        repeats few); when no beta repeats, on the points' own betas, with
+        no gather."""
         pts = self.validate_coords(np.atleast_2d(points))
         two_ms = np.arange(-two_L, two_L + 1)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
+        if len(betas) == len(pts):
+            betas, where = pts[:, 1], slice(None)
         left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
         right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
         for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
@@ -489,38 +523,112 @@ class SU2(_Group):
         return E[:, cut:E.shape[1] - cut], tables[:2 * bandlimit + 1]
 
     def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
-        """One (1, m, d, d) block per degree: the exact DFT matrices E on the
-        alpha axis, then on the half gamma axis E[:B] at twice the weight
-        (exact for the same-parity (2m', 2m) the degree slices read), then
-        one Wigner-d matmul in beta per degree."""
+        """One (1, m, d, d) block per degree, the integer and the half-integer
+        spins as two half-size transforms, one per parity p of 2l, on the
+        axis k = 0..2L-p of the 2m = -2L+p, ..., 2L-p:
+
+        * alpha: alpha + 2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the
+          two alpha halves fold into one, contracted with E[:B, p::2];
+        * the beta weights go on, and the betas split into the stored half
+          beta < pi/2 and its mirror pi - beta, as two planes: z[0] at beta
+          and z[1] at pi - beta with the gamma index reversed (m -> -m);
+        * gamma: the half axis E[:B] at twice the weight, as in the grid;
+        * beta: per degree, its stored table against both planes in one
+          matmul, on its slice for the rows m' >= 0 and on the mirrored
+          slice for the rows m' < 0.
+
+        By d_{-m',-m} = (-1)^{m'-m} d_{m'm} and d_{m'm}(pi - beta) =
+        (-1)^{l+m'} d_{m',-m}(beta), a row's sum over all betas is the
+        table against z[0] plus (-1)^{l+m'} times the table against z[1]
+        with the columns reversed, and a row m' < 0 carries (-1)^{m'-m}.
+        ``_mirror_signs`` puts every sign that does not depend on the degree
+        on the planes; the one that does, from ``_parity_slices``, picks add
+        or subtract."""
         E, tables = self._plan(grid, bandlimit)
         B, m = grid.axes["B"], values.shape[1]
-        g1 = np.einsum("aM,abcv->Mbcv", E * (1.0 / (2 * B)), values.reshape(2 * B, B, B, m),
-                       optimize=True)
-        # (N, M, b, re/im of v): real matmuls
-        g2 = np.tensordot(E[:B] * (1.0 / B), g1, axes=(0, 2)).view(float)
-        beta_w = grid.axes["beta_w"] / 2.0
-        blocks = []
-        for two_l, tab in enumerate(tables):
-            s = _degree_slice(2 * bandlimit, two_l)
-            t = np.matmul((tab * beta_w)[:, :, None], g2[s, s])  # (d, d, 1, 2m): sum over b
-            blocks.append(t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1))
+        half = B // 2
+        beta_w = grid.axes["beta_w"][half:] / 2.0  # symmetric about pi/2
+        values = values.reshape(2, B, B * B * m)
+        blocks = [None] * len(tables)
+        for p in (0, 1):
+            Ep = E[:B, p::2]
+            M = Ep.shape[1]
+            flip, rows = _mirror_signs(bandlimit, p)
+            fold = values[0] - values[1] if p else values[0] + values[1]
+            g1 = ((Ep.T * (1.0 / (2 * B))) @ fold).reshape(M, B, B, m)  # (M, b, c, v)
+            del fold
+            x = np.empty((2, B, M, half, m), dtype=complex)  # (half, c, M, b, v)
+            scale = rows[:, :, None, None] * beta_w[:, None]  # (half, M, b, 1)
+            np.multiply(g1[:, half:].transpose(2, 0, 1, 3), scale[0], out=x[0])
+            np.multiply(g1[:, half - 1::-1].transpose(2, 0, 1, 3), scale[1], out=x[1])
+            del g1
+            gamma = np.stack([Ep.T, Ep.T[::-1]]) * (1.0 / B)  # (half, N, c)
+            z = np.empty((2, M, M, half, m), dtype=complex)  # (half, N, M, b, v)
+            cut = bandlimit * half * m  # the rows m' < 0 lead each row of x and z
+            xs, zs = x.reshape(2, B, -1), z.reshape(2, M, -1)
+            np.matmul(gamma * flip[:, None], xs[..., :cut], out=zs[..., :cut])
+            np.matmul(gamma, xs[..., cut:], out=zs[..., cut:])
+            del x, xs, zs
+            z = z.view(float)  # re/im of v last: real matmuls
+            for two_l in range(p, len(tables), 2):
+                down, up, sign = _parity_slices(2 * bandlimit, two_l)
+                tab = tables[two_l][:, :, None]  # (d, h, 1, b)
+                d, h = tab.shape[:2]
+                combine = np.add if sign > 0 else np.subtract
+                t = np.empty((d, d, 1, 2 * m))  # sums over b of (d, h, 1, b) @ (d, h, b, 2m)
+                r = np.matmul(tab, z[:, down, down][:, :, :h])
+                combine(r[0], r[1, ::-1], out=t[:, :h])
+                r = np.matmul(tab[:, :d - h], z[:, up, up][:, :, :d - h])
+                combine(r[0, ::-1, ::-1], r[1, :, ::-1], out=t[:, h:])
+                blocks[two_l] = t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1)
+            del z
         return blocks
 
     def inverse_values(self, grid: QuadratureGrid, blocks, bandlimit: int) -> np.ndarray:
-        """(N, m) samples of the family on the grid: each degree's Wigner
-        table added into its strided plane, then the conjugate DFT matrices."""
+        """(N, m) samples of the family on the grid, ``forward_blocks`` run
+        backwards per spin parity: each degree's table added into both beta
+        planes on its slice and on the mirrored slice, the signs put on with
+        the conjugate DFT columns of gamma and then of the first alpha half.
+        The second alpha half repeats the integer spins and negates the
+        half-integer ones."""
         E, tables = self._plan(grid, bandlimit)
-        B, M, m = grid.axes["B"], E.shape[1], blocks[0].shape[1]
-        H = np.zeros((M, M, m, B), dtype=complex)  # (N, M, v, b): beta last, long inner loops
-        for two_l, (tab, t) in enumerate(zip(tables, blocks)):  # one block per degree
-            s = _degree_slice(2 * bandlimit, two_l)
-            H[s, s] += ((two_l + 1) * t[0].transpose(2, 1, 0))[..., None] * tab[:, :, None]
-        Ec = E.conj()  # e^{+i mu alpha}
-        # the half gamma axis first: a (B, M, m, B) temporary, half of alpha first
-        tmp = np.einsum("cN,NMvb->cMvb", Ec[:B], H, optimize=True)
-        vals = np.einsum("aM,cMvb->abcv", Ec, tmp, optimize=True)
-        return vals.reshape(-1, m)
+        B, m = grid.axes["B"], blocks[0].shape[1]
+        half = B // 2
+        out = np.empty((2, B, B, B, m), dtype=complex)  # one alpha half per parity first
+        for p in (0, 1):
+            Ec = E[:B, p::2].conj()  # e^{+i mu alpha}
+            M = Ec.shape[1]
+            flip, rows = _mirror_signs(bandlimit, p)
+            z = np.zeros((2, M, M, m, half), dtype=complex)  # (half, N, M, v, b): b last
+            for two_l in range(p, len(tables), 2):
+                down, up, sign = _parity_slices(2 * bandlimit, two_l)
+                tab = tables[two_l][:, :, None]  # (d, h, 1, b)
+                d, h = tab.shape[:2]
+                t = blocks[two_l][0].transpose(2, 1, 0)  # (d, d, m)
+                a = np.empty((2, d, d, m, 1), dtype=complex)
+                np.multiply(t, d, out=a[0, ..., 0])
+                np.multiply(t[::-1], sign * d, out=a[1, ..., 0])
+                z[:, down, down][:, :, :h] += a[:, :, :h] * tab
+                z[:, up, up][:, :, :d - h] += a[:, ::-1, ::-1][:, :, :d - h] * tab[:, :d - h]
+            gamma = np.stack([Ec, Ec[:, ::-1]])  # (half, c, N)
+            tmp = np.empty((2, B, M, m, half), dtype=complex)  # (half, c, M, v, b)
+            cut = bandlimit * m * half  # the rows m' < 0 lead each row of z and tmp
+            zs, ts = z.reshape(2, M, -1), tmp.reshape(2, B, -1)
+            np.matmul(gamma * flip, zs[..., :cut], out=ts[..., :cut])
+            np.matmul(gamma, zs[..., cut:], out=ts[..., cut:])
+            del z, zs, ts
+            # (half, c, a, v b): one (a, M) @ (M, v b) per half and gamma
+            vals = np.matmul((Ec * rows[:, None])[:, None], tmp.reshape(2, B, M, m * half))
+            del tmp
+            vals = vals.reshape(2, B, B, m, half)
+            out[p][:, half:] = vals[0].transpose(1, 3, 0, 2)
+            out[p][:, half - 1::-1] = vals[1].transpose(1, 3, 0, 2)
+            del vals
+        even, odd = out
+        even += odd
+        odd *= -2.0
+        odd += even  # even - odd, with no temporary
+        return out.reshape(-1, m)
 
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
         """(n, m) values of the family at arbitrary points from the rows

@@ -250,9 +250,11 @@ class TestFactorize:
         assert bundle["action_residual"] <= 1e-9
         assert bundle["orbit_residual"] <= 1e-9
 
-    @pytest.mark.parametrize("mode", ["supported", "vector"])
+    @pytest.mark.parametrize("mode", ["global", "supported", "vector"])
     def test_bundle_records_resolved_h_prime(self, tmp_path, mode):
+        # without --h-prime, the bundle and the manifest both record h' = 2h
         argv = {
+            "global": ["--group", "t1", "--bandlimit", "8", "--builtin", "poisson:2.0"],
             "supported": ["--group", "t1", "--bandlimit", "64", "--builtin", "poisson:2.0",
                           "--supported", "--pieces", "8", "--weight", "gevrey:s=0.5"],
             "vector": ["--group", "su2", "--bandlimit", "2", "--vector", "--rep", "0,1,2",
@@ -261,7 +263,8 @@ class TestFactorize:
         h = 0.5
         assert run(["factorize", *argv, "--h", str(h), "--out", str(tmp_path / "o")]) == 0
         bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
-        assert bundle["params"]["h_prime"] == 2 * h
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert bundle["params"]["h_prime"] == manifest["config"]["h_prime"] == 2 * h
 
     def test_vector_without_rep_exits_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

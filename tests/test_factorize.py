@@ -24,7 +24,7 @@ from liefact.factorize import (
     strong_factorize,
     supported_factorize,
 )
-from liefact.fourier import GridFunction, convolve, forward, inverse
+from liefact.fourier import GridFunction, convolve, evaluate, forward, inverse
 from liefact.groups import SU2, Torus, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_coefficients,
@@ -369,6 +369,16 @@ class TestVectorFactorization:
         res = factorize_vector(rep, v, gevrey_weight(1.0), 1.0, 2.0)
         assert res.action_residual < 1e-9
         assert res.orbit_residual < 1e-9
+
+    @pytest.mark.parametrize("group, labels", REPS, ids=["t1", "t2", "su2"])
+    def test_v_tilde_is_f_prime_at_the_identity(self, group, labels, rng):
+        # v_tilde is read off the blocks as sum_xi d_xi Tr F(f')(xi), since
+        # xi(e) = Id: the value of f' at e that evaluate gives
+        rep = _rep(group, labels, rng)
+        v = rng.standard_normal(rep.total_dim) + 1j * rng.standard_normal(rep.total_dim)
+        res = factorize_vector(rep, v, gevrey_weight(1.0), 1.0, 2.0)
+        ref = evaluate(res.factorization.f_prime, group.identity())[0]
+        assert np.abs(res.v_tilde - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_torus_blocks(self, t1, rng):
         # exercises the g(x^-1) grid reindexing on the symmetric torus grid

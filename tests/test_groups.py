@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import liefact.fourier
+import liefact.groups
 from liefact._wigner import complete_level
 from liefact.errors import DomainError
 from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward
@@ -19,6 +20,7 @@ from liefact.groups import (
     parse_group_spec,
     weyl_summability,
 )
+from test_wigner import wigner_d_sum
 
 
 class TestDualEnumeration:
@@ -256,6 +258,15 @@ class TestIrrepBlocks:
         assert count == 33
         assert peak < 0.9 * every_level
 
+    def test_su2_distinct_betas_skip_the_gather(self, su2, rng):
+        # distinct betas build the levels on the points' own betas; with one
+        # point repeated they go through np.unique and the gather: same rows
+        pts = np.array([su2.random_element(rng) for _ in range(40)])
+        dup = np.concatenate([pts, pts[5:6]])
+        for got, ref in zip(su2._degree_blocks(pts, 12), su2._degree_blocks(dup, 12)):
+            assert np.array_equal(got, ref[:-1])
+            assert np.array_equal(ref[-1], got[5])
+
     def test_coordinates_validated(self, t2, su2):
         with pytest.raises(DomainError):
             evaluate(FourierCoefficients.zeros(su2, 2), np.array([[0.0, -0.5, 0.0]]))
@@ -335,6 +346,43 @@ class TestQuadrature:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 5.0
             assert np.array_equal(haar_quadrature(g, 3).nodes, before)
+
+    def test_su2_plan_keeps_a_quarter_of_each_level(self, su2):
+        # rows m' >= 0 on the B/2 betas below pi/2: 3.41 MB of completed
+        # tables at L = 16 become 0.87 MB
+        grid = haar_quadrature(su2, 16)
+        B = grid.axes["B"]
+        for two_l, tab in enumerate(grid.axes["tables"]):
+            assert tab.shape == (two_l + 1, two_l // 2 + 1, B // 2)
+        assert sum(tab.nbytes for tab in grid.axes["tables"]) <= 0.9e6
+
+    def test_su2_stored_tables_pin_both_mirror_signs(self):
+        # every entry of a level at beta and at pi - beta is a signed stored
+        # entry: d_{-m',-m}(b) = (-1)^{m'-m} d_{m'm}(b) and
+        # d_{m'm}(pi - b) = (-1)^{l+m'} d_{m',-m}(b), against the sum formula
+        # (whose own cancellation reaches 1.2e-8 at 2l = 64; a wrong sign
+        # would miss by twice the entry)
+        u = np.array([-0.9, -0.35, 0.35, 0.9])
+        betas = np.arccos(u)  # falling from pi, symmetric about pi/2 like the grid's
+        tables = liefact.groups._wigner_plan(np.zeros(1), betas, 64)["tables"]
+        for two_l in (0, 1, 2, 7, 20, 33, 64):
+            tab, d = tables[two_l], two_l + 1
+            tol = 1e-11 if two_l <= 33 else 5e-8
+            for k, b in enumerate(betas[2:]):
+                for i in range(two_l // 2 + 1):  # row m' = l - i >= 0
+                    two_mp = two_l - 2 * i
+                    for j in range(d):
+                        two_m = two_l - 2 * j
+                        stored = tab[j, i, k]
+                        row = (-1) ** ((two_mp - two_m) // 2)
+                        beta = (-1) ** ((two_l + two_mp) // 2)  # (-1)^{l+m'}
+                        beta_of_row = (-1) ** ((two_l - two_mp) // 2)  # of row -m'
+                        cases = [(two_mp, two_m, b, stored),
+                                 (-two_mp, -two_m, b, row * stored),
+                                 (two_mp, -two_m, np.pi - b, beta * stored),
+                                 (-two_mp, two_m, np.pi - b, beta_of_row * row * stored)]
+                        for mp, m, angle, got in cases:
+                            assert abs(got - wigner_d_sum(two_l, mp, m, angle)) < tol
 
     def test_torus1_uniform_rule(self, t1):
         grid = haar_quadrature(t1, 2)
