@@ -115,18 +115,21 @@ def wigner_d_matrices(two_l_max: int, beta):
         yield mat
 
 
-def complete_level(upper: np.ndarray) -> np.ndarray:
+def complete_level(upper: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
     """The full (..., 2l+1, 2l+1) level from its upper rows m' >= 0.
 
     The rows m' < 0 are the mirror X_{-m',-m} = (-1)^{m'-m} conj(X_{m'm}), which
-    holds for d^l(beta) (real) and for D^l(x) with the ZYZ phases alike.
+    holds for d^l(beta) (real) and for D^l(x) with the ZYZ phases alike.  They
+    are taken from the upper rows of ``mirror`` when given: the SU(2) forward
+    transform mirrors those of conj f.
     """
     h, d = upper.shape[-2:]
     k = np.arange(d)
     out = np.empty(upper.shape[:-2] + (d, d), dtype=upper.dtype)
     out[..., :h, :] = upper
     lower = out[..., h:, :]
+    mirror = upper if mirror is None else mirror
     # (-1)^{m'-m} = (-1)^{i+j} on indices
-    np.multiply(upper[..., d - h - 1::-1, ::-1], 1 - 2 * ((k[h:, None] + k) % 2), out=lower)
+    np.multiply(mirror[..., d - h - 1::-1, ::-1], 1 - 2 * ((k[h:, None] + k) % 2), out=lower)
     np.conjugate(lower, out=lower)
     return out

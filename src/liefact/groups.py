@@ -14,20 +14,22 @@ mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
 
 The transform is here too, and so is the grid layout: ``forward_blocks``,
 ``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
-they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  SU(2)
-evaluates on the rows m' >= 0, each coefficient row -m' folded onto row m'.
-Its transform runs the integer and the half-integer spins as two half-size
-transforms, since a degree 2l meets only the 2m of its own parity: per parity
-the uniform alpha/gamma axes are contracted with that parity's columns of
-exact DFT matrices E, then one Wigner-d matmul in beta per degree runs on the
-plane of the parity's axis cut by a contiguous reversed slice.  The SU(2)
-grid covers the group once: alpha runs over [0, 4pi) and gamma over
-[0, 2pi), since (alpha, beta, gamma) and (alpha + 2pi, beta, gamma + 2pi) are
-one element.  E and the tables, the plan, are read-only grid data built with
-the SU(2) grid.  The tables keep a quarter of each Wigner level, the rows
-m' >= 0 at the betas below pi/2; the transforms reach the rest by the row
-mirror and by beta -> pi - beta.  A band limit L' below the grid's slices
-that one plan.
+they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  On SU(2)
+no stage holds a row m' < 0.  The forward runs the integer and the
+half-integer spins apart (a degree 2l meets only the 2m of its own parity),
+each on the rows m' >= 0 of f and of conj f as 2m value columns: the alpha
+axis against that parity's columns of an exact DFT matrix E, the betas split
+into two planes at beta < pi/2 and at pi - beta, the gamma axis against E,
+then one Wigner-d matmul per degree on a contiguous reversed slice of both
+planes; ``complete_level`` mirrors conj f's rows into the rows m' < 0 of
+F(f).  The inverse is the forward's adjoint, stage by stage in reverse, and
+it and ``evaluate_values`` first fold each block's rows m' < 0 onto its rows
+m' > 0 (``_fold_level``).  The SU(2) grid covers the group once: alpha runs
+over [0, 4pi) and gamma over [0, 2pi), since (alpha, beta, gamma) and
+(alpha + 2pi, beta, gamma + 2pi) are one element.  E and the tables, the
+plan, are read-only grid data built with the SU(2) grid.  The tables keep a
+quarter of each Wigner level, the rows m' >= 0 at the betas below pi/2.  A
+band limit L' below the grid's slices that one plan.
 
 Coordinates and normalizations
 ------------------------------
@@ -148,22 +150,30 @@ def dual_layout(group, bandlimit: int) -> DualLayout:
     return DualLayout(*group.dual_arrays(bandlimit))
 
 
-def _degree_slice(two_L: int, two_l: int) -> slice:
-    """Rows m = l..-l of degree 2l on the axis 2m = -2L..2L, as a basic slice."""
-    stop = two_L - two_l - 1
-    return slice(two_L + two_l, stop if stop >= 0 else None, -2)
-
-
-def _parity_slices(two_L: int, two_l: int) -> tuple[slice, slice, int]:
-    """Rows m = l..-l of degree 2l on its parity's axis k = 0..2L-p of the
-    2m = -2L+p, ..., 2L-p (p = 2l mod 2): a basic slice falling from 2m = 2l,
-    its mirror rising from 2m = -2l, and the sign (-1)^{top+p} that the
-    mirrored beta plane takes on this degree (top: the slice's first k)."""
-    p = two_l % 2
-    top = (two_L + two_l - p) // 2
+def _parity_slice(two_L: int, two_l: int) -> slice:
+    """Rows m = l..-l of degree 2l on its parity's axis, every second 2m of
+    -2L..2L from (2L + 2l) mod 2 (from p = 2l mod 2 when 2L is even): a
+    basic slice falling from 2m = 2l."""
+    top = (two_L + two_l) // 2
     bottom = top - two_l
-    sign = 1 if (top + p) % 2 == 0 else -1
-    return slice(top, bottom - 1 if bottom else None, -1), slice(bottom, top + 1), sign
+    return slice(top, bottom - 1 if bottom else None, -1)
+
+
+def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of a flat work buffer, as an array of ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _fold_level(level: np.ndarray) -> np.ndarray:
+    """(2, ..., h, d) from a full (..., d, d) level X: its rows m' >= 0, and
+    its rows m' < 0 moved onto them, (-1)^{m'-m} X_{-m',-m} in row m' > 0
+    (zero in row m' = 0).  Up to the conjugate, ``complete_level`` undoes it."""
+    d = level.shape[-1]
+    h, k = (d + 1) // 2, np.arange(d)
+    out = np.zeros((2,) + level.shape[:-2] + (h, d), dtype=level.dtype)
+    out[0] = level[..., :h, :]
+    out[1, ..., :d - h, :] = level[..., :h - 1:-1, ::-1] * (1 - 2 * ((k[:d - h, None] + k) % 2))
+    return out
 
 
 def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
@@ -175,7 +185,7 @@ def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
     A quarter of each Wigner level is kept, the rows m' >= 0 on the last
     B/2 betas (beta < pi/2): tables[2l][j, i, b] = d^l_{m_i m_j}(betas[B/2 + b])
     for i < 2l//2 + 1, the gamma index first like the phase-stage planes,
-    whose degree view [s, s] (s from ``_parity_slices``) lines up with it
+    whose degree view [s, -h:] (s from ``_parity_slice``) lines up with it
     entry by entry.  The transforms reach the other rows and betas by the
     two mirrors (``SU2.forward_blocks``).
     """
@@ -185,19 +195,6 @@ def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
         tables.append(np.ascontiguousarray(upper.transpose(2, 1, 0)))
         tables[-1].flags.writeable = False
     return {"E": E, "tables": tuple(tables)}
-
-
-def _mirror_signs(bandlimit: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, rows): the signs of the two beta planes of parity p (see
-    ``SU2.forward_blocks``) on their axis k = 0..2L-p, whose first L are
-    the rows m' < 0.  Those rows carry (-1)^{k_N + k_M}: flip = (-1)^k on the
-    gamma index, and the alpha index's (-1)^k in rows[0].  The mirrored
-    plane z[1] carries a further (-1)^{k_M}, so rows[1] is (-1)^k on the rows
-    m' >= 0 only."""
-    k = np.arange(2 * bandlimit + 1 - p)
-    flip = 1.0 - 2 * (k % 2)
-    low = k < bandlimit
-    return flip, np.stack([np.where(low, flip, 1.0), np.where(low, 1.0, flip)])
 
 
 class _Group:
@@ -483,9 +480,9 @@ class SU2(_Group):
         right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
         for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
             if two_l >= first:
-                s = _degree_slice(two_L, two_l)
-                block = left[:, s][:, :d.shape[1], None] * d[where]
-                block *= right[:, None, s]
+                q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
+                block = left[:, q::2][:, s][:, :d.shape[1], None] * d[where]
+                block *= right[:, q::2][:, None, s]
                 yield block
 
     # -- quadrature and transform -------------------------------------------
@@ -517,113 +514,104 @@ class SU2(_Group):
 
     @staticmethod
     def _plan(grid: QuadratureGrid, bandlimit: int):
-        """(E, tables) at ``bandlimit`` L', sliced from the grid's plan of 2L+1 tables."""
-        E, tables = grid.axes["E"], grid.axes["tables"]
+        """(tables, stages) at ``bandlimit`` L', sliced from the grid's plan of
+        2L+1 tables, with per spin parity p the (A, C, sign) read off E[:B]'s
+        columns on the axis 2m = -2L'+p, ..., 2L'-p: A the alpha columns
+        m' >= 0 falling, then those of -m'; C the gamma columns as rows, at
+        beta and, reversed (m -> -m), at pi - beta; sign the (-1)^{L'+r} of
+        row r (m' falling from the top) of the plane at pi - beta."""
+        E, tables, B = grid.axes["E"], grid.axes["tables"], grid.axes["B"]
         cut = len(tables) - 1 - 2 * bandlimit
-        return E[:, cut:E.shape[1] - cut], tables[:2 * bandlimit + 1]
+        stages = []
+        for Ep in (E[:B, cut:E.shape[1] - cut:2], E[:B, cut + 1:E.shape[1] - cut:2]):
+            H = (Ep.shape[1] + 1) // 2
+            stages.append((np.hstack([Ep[:, ::-1][:, :H], Ep[:, :H]]), np.stack([Ep.T, Ep.T[::-1]]),
+                           (-1.0) ** (bandlimit + np.arange(H))))
+        return tables[:2 * bandlimit + 1], stages
 
     def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
-        """One (1, m, d, d) block per degree, the integer and the half-integer
-        spins as two half-size transforms, one per parity p of 2l, on the
-        axis k = 0..2L-p of the 2m = -2L+p, ..., 2L-p:
+        """One (1, m, d, d) block per degree: the integer and the half-integer
+        spins as two half-size transforms, one per parity p of 2l, each on
+        the rows m' >= 0 only, of f and of conj f as 2m value columns, with
+        the stages of ``_plan``:
 
         * alpha: alpha + 2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the
-          two alpha halves fold into one, contracted with E[:B, p::2];
-        * the beta weights go on, and the betas split into the stored half
-          beta < pi/2 and its mirror pi - beta, as two planes: z[0] at beta
-          and z[1] at pi - beta with the gamma index reversed (m -> -m);
-        * gamma: the half axis E[:B] at twice the weight, as in the grid;
-        * beta: per degree, its stored table against both planes in one
-          matmul, on its slice for the rows m' >= 0 and on the mirrored
-          slice for the rows m' < 0.
+          two halves fold into one, against A (conj f's half conjugated);
+        * the beta weights, and two planes: the stored betas < pi/2 and
+          pi - beta;
+        * gamma: C over the half axis at twice the weight, as in the grid;
+        * beta: one matmul per degree of its table against both planes.  By
+          d_{m'm}(pi - beta) = (-1)^{l+m'} d_{m',-m}(beta), l + m' being
+          (h - 1) + (L - r) on row r, the plane at pi - beta carries
+          (-1)^{L+r} and the degree's (-1)^{h-1} picks add or subtract.
 
-        By d_{-m',-m} = (-1)^{m'-m} d_{m'm} and d_{m'm}(pi - beta) =
-        (-1)^{l+m'} d_{m',-m}(beta), a row's sum over all betas is the
-        table against z[0] plus (-1)^{l+m'} times the table against z[1]
-        with the columns reversed, and a row m' < 0 carries (-1)^{m'-m}.
-        ``_mirror_signs`` puts every sign that does not depend on the degree
-        on the planes; the one that does, from ``_parity_slices``, picks add
-        or subtract."""
-        E, tables = self._plan(grid, bandlimit)
+        By xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), ``complete_level`` fills
+        the rows m' < 0 of F(f) from the rows m' > 0 of F(conj f).  The
+        stages write into two work buffers in turn."""
+        tables, stages = self._plan(grid, bandlimit)
         B, m = grid.axes["B"], values.shape[1]
         half = B // 2
         beta_w = grid.axes["beta_w"][half:] / 2.0  # symmetric about pi/2
         values = values.reshape(2, B, B * B * m)
         blocks = [None] * len(tables)
-        for p in (0, 1):
-            Ep = E[:B, p::2]
-            M = Ep.shape[1]
-            flip, rows = _mirror_signs(bandlimit, p)
-            fold = values[0] - values[1] if p else values[0] + values[1]
-            g1 = ((Ep.T * (1.0 / (2 * B))) @ fold).reshape(M, B, B, m)  # (M, b, c, v)
-            del fold
-            x = np.empty((2, B, M, half, m), dtype=complex)  # (half, c, M, b, v)
-            scale = rows[:, :, None, None] * beta_w[:, None]  # (half, M, b, 1)
-            np.multiply(g1[:, half:].transpose(2, 0, 1, 3), scale[0], out=x[0])
-            np.multiply(g1[:, half - 1::-1].transpose(2, 0, 1, 3), scale[1], out=x[1])
-            del g1
-            gamma = np.stack([Ep.T, Ep.T[::-1]]) * (1.0 / B)  # (half, N, c)
-            z = np.empty((2, M, M, half, m), dtype=complex)  # (half, N, M, b, v)
-            cut = bandlimit * half * m  # the rows m' < 0 lead each row of x and z
-            xs, zs = x.reshape(2, B, -1), z.reshape(2, M, -1)
-            np.matmul(gamma * flip[:, None], xs[..., :cut], out=zs[..., :cut])
-            np.matmul(gamma, xs[..., cut:], out=zs[..., cut:])
-            del x, xs, zs
-            z = z.view(float)  # re/im of v last: real matmuls
+        work = np.empty((2, B * B * B * m), dtype=complex)  # each stage's output, in turn
+        for p, (A, C, sign) in enumerate(stages):
+            H, M = len(sign), C.shape[1]
+            fold = (np.subtract if p else np.add)(*values, out=_take(work[0], B, B * B * m))
+            g = np.matmul(A.T * (1.0 / (2 * B)), fold, out=_take(work[1], 2 * H, B * B * m))
+            np.conjugate(g[H:], out=g[H:])  # (f|conj f r, b c v)
+            gt = g.reshape(2, H, B, B, m).transpose(3, 1, 0, 4, 2)  # (c, r, f|conj f, v, b)
+            x = _take(work[0], 2, B, H, 2, m, half)  # (plane, c, r, f|conj f, v, b)
+            np.multiply(gt[..., half:], beta_w, out=x[0])
+            np.multiply(gt[..., half - 1::-1], sign[:, None, None, None] * beta_w, out=x[1])
+            z = _take(work[1], 2, M, H, 2 * m, half)  # (plane, N, r, 2m, b)
+            np.matmul(C * (1.0 / B), x.reshape(2, B, -1), out=z.reshape(2, M, -1))
             for two_l in range(p, len(tables), 2):
-                down, up, sign = _parity_slices(2 * bandlimit, two_l)
-                tab = tables[two_l][:, :, None]  # (d, h, 1, b)
-                d, h = tab.shape[:2]
-                combine = np.add if sign > 0 else np.subtract
-                t = np.empty((d, d, 1, 2 * m))  # sums over b of (d, h, 1, b) @ (d, h, b, 2m)
-                r = np.matmul(tab, z[:, down, down][:, :, :h])
-                combine(r[0], r[1, ::-1], out=t[:, :h])
-                r = np.matmul(tab[:, :d - h], z[:, up, up][:, :, :d - h])
-                combine(r[0, ::-1, ::-1], r[1, :, ::-1], out=t[:, h:])
-                blocks[two_l] = t.view(complex)[None, :, :, 0].transpose(0, 3, 2, 1)
-            del z
+                tab = tables[two_l][..., None]  # (d, h, b, 1)
+                h = tab.shape[1]
+                r = np.matmul(z[:, _parity_slice(2 * bandlimit, two_l), -h:], tab)[..., 0]
+                u = (r[0] + r[1, ::-1] if h % 2 else r[0] - r[1, ::-1]).transpose(2, 1, 0)
+                blocks[two_l] = complete_level(u[:m], u[m:])[None]
         return blocks
 
     def inverse_values(self, grid: QuadratureGrid, blocks, bandlimit: int) -> np.ndarray:
-        """(N, m) samples of the family on the grid, ``forward_blocks`` run
-        backwards per spin parity: each degree's table added into both beta
-        planes on its slice and on the mirrored slice, the signs put on with
-        the conjugate DFT columns of gamma and then of the first alpha half.
+        """(N, m) samples of the family on the grid: the adjoint of
+        ``forward_blocks``, its stages transposed in reverse on the same
+        planes and layout, without the quadrature weights.  Each block,
+        times d, folds its rows m' < 0 onto its rows m' > 0 (``_fold_level``),
+        conjugated, as the conj f columns; its table adds it into both beta
+        planes, with the forward's signs; then come the conjugate gamma
+        columns, the beta planes joined, and the conjugate alpha columns.
         The second alpha half repeats the integer spins and negates the
-        half-integer ones."""
-        E, tables = self._plan(grid, bandlimit)
+        half-integer ones.  z, then g, take one work buffer; out[p] holds
+        the rest until its values land."""
+        tables, stages = self._plan(grid, bandlimit)
         B, m = grid.axes["B"], blocks[0].shape[1]
         half = B // 2
         out = np.empty((2, B, B, B, m), dtype=complex)  # one alpha half per parity first
-        for p in (0, 1):
-            Ec = E[:B, p::2].conj()  # e^{+i mu alpha}
-            M = Ec.shape[1]
-            flip, rows = _mirror_signs(bandlimit, p)
-            z = np.zeros((2, M, M, m, half), dtype=complex)  # (half, N, M, v, b): b last
+        work = np.empty(B * B * B * m, dtype=complex)  # z, then g; out[p] holds the rest
+        for p, (A, C, sign) in enumerate(stages):
+            H, M = len(sign), C.shape[1]
+            spare = out[p].reshape(-1)
+            z = _take(work, 2, M, H, 2 * m, half)  # (plane, N, r, 2m, b)
+            z.fill(0)
             for two_l in range(p, len(tables), 2):
-                down, up, sign = _parity_slices(2 * bandlimit, two_l)
                 tab = tables[two_l][:, :, None]  # (d, h, 1, b)
                 d, h = tab.shape[:2]
-                t = blocks[two_l][0].transpose(2, 1, 0)  # (d, d, m)
-                a = np.empty((2, d, d, m, 1), dtype=complex)
-                np.multiply(t, d, out=a[0, ..., 0])
-                np.multiply(t[::-1], sign * d, out=a[1, ..., 0])
-                z[:, down, down][:, :, :h] += a[:, :, :h] * tab
-                z[:, up, up][:, :, :d - h] += a[:, ::-1, ::-1][:, :, :d - h] * tab[:, :d - h]
-            gamma = np.stack([Ec, Ec[:, ::-1]])  # (half, c, N)
-            tmp = np.empty((2, B, M, m, half), dtype=complex)  # (half, c, M, v, b)
-            cut = bandlimit * m * half  # the rows m' < 0 lead each row of z and tmp
-            zs, ts = z.reshape(2, M, -1), tmp.reshape(2, B, -1)
-            np.matmul(gamma * flip, zs[..., :cut], out=ts[..., :cut])
-            np.matmul(gamma, zs[..., cut:], out=ts[..., cut:])
-            del z, zs, ts
-            # (half, c, a, v b): one (a, M) @ (M, v b) per half and gamma
-            vals = np.matmul((Ec * rows[:, None])[:, None], tmp.reshape(2, B, M, m * half))
-            del tmp
-            vals = vals.reshape(2, B, B, m, half)
-            out[p][:, half:] = vals[0].transpose(1, 3, 0, 2)
-            out[p][:, half - 1::-1] = vals[1].transpose(1, 3, 0, 2)
-            del vals
+                q = _fold_level(blocks[two_l][0])  # (f|conj f, v, h, d)
+                np.conjugate(q[1], out=q[1])
+                a = np.multiply(q.transpose(3, 2, 0, 1), d, order="C").reshape(d, h, 2 * m, 1)
+                s, t = _parity_slice(2 * bandlimit, two_l), _take(spare, d, h, 2 * m, half)
+                z[0, s, -h:] += np.multiply(a, tab, out=t)
+                z[1, s, -h:] += np.multiply(a[::-1] if h % 2 else -a[::-1], tab, out=t)
+            x = _take(spare, 2, B, H, 2, m, half)  # (plane, c, r, f|conj f, v, b)
+            np.matmul(C.conj().transpose(0, 2, 1), z.reshape(2, M, -1), out=x.reshape(2, B, -1))
+            g = _take(work, 2 * H, B * B * m)  # (f|conj f r, b c v)
+            gt = g.reshape(2, H, B, B, m).transpose(3, 1, 0, 4, 2)  # (c, r, f|conj f, v, b)
+            gt[..., half:] = x[0]
+            np.multiply(x[1], sign[:, None, None, None], out=gt[..., half - 1::-1])
+            np.conjugate(g[H:], out=g[H:])
+            np.matmul(A.conj(), g, out=out[p].reshape(B, -1))
         even, odd = out
         even += odd
         odd *= -2.0
@@ -633,20 +621,16 @@ class SU2(_Group):
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
         """(n, m) values of the family at arbitrary points from the rows
         D = X + iY of ``_degree_blocks``: by the mirror, sum_ij conj(xi_ij) a_ij
-        (a = d T) is conj(D) a + D (p - a) over the upper rows, where the fold
-        p adds each row -m' of a, reversed and signed, to row m'; one real
-        product [X | Y] @ [p; i(p - 2a)] per degree."""
+        (a = d T) is conj(D) a + D (p - a) over the upper rows, where p adds
+        the rows m' < 0 of a, folded by ``_fold_level``, to its rows m' >= 0;
+        one real product [X | Y] @ [p; i(p - 2a)] per degree."""
         m = blocks[0].shape[1]
         coefs = []  # (h d re/im, re/im of m): rows interleaved like D.view(float)
         for t in blocks:  # one (1, m, d, d) block per degree
-            d = t.shape[-1]
-            h, k = (d + 1) // 2, np.arange(d)
-            a = np.multiply(np.moveaxis(t[0], 0, -1), d, order="C")  # (d, d, m)
-            p = a[:h].copy()
-            sign = 1 - 2 * ((k[:d - h, None] + k) % 2)
-            p[:d - h] += sign[:, :, None] * a[:h - 1:-1, ::-1]
-            pq = np.stack([p, 1j * (p - 2 * a[:h])], axis=-2)  # (h, d, 2, m)
-            coefs.append(pq.reshape(-1, m).view(float))
+            a, folded = _fold_level(t[0] * t.shape[-1])  # (m, h, d) each
+            p = a + folded
+            pq = np.stack([p, 1j * (p - 2 * a)], axis=-1)  # (m, h, d, 2)
+            coefs.append(pq.transpose(1, 2, 3, 0).copy().reshape(-1, m).view(float))
         out = np.zeros((len(points), m), dtype=complex)
         # chunk x sum d^2 entries bounds the rows of xi(x) one chunk holds
         chunk = max(128, 4_000_000 // sum(t.shape[-1] ** 2 for t in blocks))

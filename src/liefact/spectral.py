@@ -91,6 +91,19 @@ class SeminormReport:
     argmax_j: int
     saturated: bool  # some iterate overflowed before the early stop
 
+    @property
+    def reached(self) -> bool:
+        """Whether the early-stop rule fired, so ``value`` is the sup: false
+        when the terms still climb at j_max, or when an iterate overflowed."""
+        return not self.saturated and _early_stop(self.weighted_terms)
+
+
+def _early_stop(terms) -> bool:
+    """The last three weighted terms each fell below 1e-3 of the running sup."""
+    w = np.asarray(terms)
+    below = w < 1e-3 * np.maximum(np.maximum.accumulate(w), 1e-300)
+    return len(w) >= 3 and bool(below[-3:].all())
+
 
 def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
                      j_max: int = 40) -> SeminormReport:
@@ -108,7 +121,6 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
     best = 0.0
     argmax = 0
     saturated = False
-    below = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, sup in enumerate(_iterate_sups(f, j_max)):
             saturated = sup == np.inf
@@ -117,8 +129,7 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
             weighted.append(term)
             if term > best:
                 best, argmax = term, j
-            below = below + 1 if term < 1e-3 * max(best, 1e-300) else 0
-            if below >= 3 or saturated:
+            if saturated or _early_stop(weighted):
                 break
     supnorms = np.array(supnorms)
     weighted = np.array(weighted)

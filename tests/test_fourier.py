@@ -173,11 +173,34 @@ class TestInverse:
         for two_l, (got, ref) in enumerate(zip(back.blocks, blocks)):
             assert np.abs(got - ref).max() <= (1e-12 if two_l % 2 == 0 else 1e-14) * scale
 
+    @pytest.mark.parametrize("group, L, Lp", [
+        (Torus(1), 16, 16), (Torus(2), 6, 4), (SU2(), 3, 3), (SU2(), 16, 16), (SU2(), 8, 5)],
+        ids=["t1-16", "t2-6-at-4", "su2-3", "su2-16", "su2-8-at-5"])
+    def test_inverse_is_the_adjoint_of_forward(self, group, L, Lp, rng):
+        # on arbitrary grid data, not only band-limited, with m = 3 and every
+        # degree's block random (both spin parities on SU(2)):
+        # sum_x w_x <inverse(T)(x), f(x)> = sum_xi d_xi <T_xi, forward(f, L')_xi>_HS,
+        # relative to the Cauchy-Schwarz bound ||inverse(T)|| ||f|| of the left side
+        grid = haar_quadrature(group, L)
+        f = GridFunction(group, grid, rng.standard_normal((grid.size, 3, 2)) @ [1, 1j])
+        layout = dual_layout(group, Lp)
+        T = FourierCoefficients(group, Lp, [
+            rng.standard_normal((len(idx), 3, d, d, 2)) @ [1, 1j]
+            for d, idx in zip(layout.dims, layout.members)])
+        back = inverse(T, grid).values
+        left = np.sum(grid.weights[:, None] * back.conj() * f.values)
+        F = forward(f, Lp)
+        right = sum(d * np.vdot(t, c) for d, t, c in zip(layout.dims, T.blocks, F.blocks))
+        scale = np.sqrt(grid.weights @ np.abs(back) ** 2 @ np.ones(3)
+                        * (grid.weights @ np.abs(f.values) ** 2 @ np.ones(3)))
+        assert abs(left - right) <= 1e-13 * scale
+
     def test_su2_transform_peak_memory(self, su2, rng):
-        # per spin parity, the phase stage holds (2L+1)^2-sized planes of its
-        # own parity only; the values are 2.5 MB at L = 16, m = 2, and the
-        # peaks 2.9 MB (forward) and 5.2 MB (inverse), against 9.4 and 12.1 MB
-        # with full (4L+1)^2 planes and completed tables
+        # per spin parity, the stages hold the rows m' >= 0 of f and conj f in
+        # two work buffers (the inverse: one, and its output's own half); the
+        # values are 2.5 MB at L = 16, m = 2, and the peaks 3.2 MB (forward)
+        # and 4.2 MB (inverse), against 9.4 and 12.1 MB with full (4L+1)^2
+        # planes and completed tables
         import tracemalloc
 
         grid = haar_quadrature(su2, 16)

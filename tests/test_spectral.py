@@ -131,6 +131,30 @@ class TestIterateSeminorm:
         r40 = iterate_seminorm(f, gevrey_weight(1.0), 0.5, j_max=40)
         assert r40.value > 10.0 * r20.value
 
+    def test_climb_cut_at_j_max_is_not_reached(self, t1):
+        # outside the class the weighted terms still climb at j_max = 40: the
+        # value (5.35e33) is the last term computed, not a sup; with j_max = 80
+        # they peak at j = 64 (1.5e38) and have not fallen by 1e-3 at j = 80
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        r40 = iterate_seminorm(f, gevrey_weight(1.0), 0.5, j_max=40)
+        r80 = iterate_seminorm(f, gevrey_weight(1.0), 0.5, j_max=80)
+        assert r40.argmax_j == 40 and r80.value > 1e3 * r40.value
+        for rep, j_max in ((r40, 40), (r80, 80)):
+            assert not rep.saturated and not rep.reached
+            assert len(rep.js) == j_max + 1
+
+    def test_early_stop_reaches_the_sup(self, t1, su2):
+        # the rule fires at j = 44 for h = 1.2 (three terms below 1e-3 of the
+        # sup at j = 26), so j_max = 40 stops before it does
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        r40 = iterate_seminorm(f, gevrey_weight(1.0), 1.2, j_max=40)
+        r80 = iterate_seminorm(f, gevrey_weight(1.0), 1.2, j_max=80)
+        assert r80.reached and len(r80.js) < 81 and r80.argmax_j == r40.argmax_j
+        assert not r40.reached and not r40.saturated
+        zero = GridFunction(su2, haar_quadrature(su2, 2), np.zeros(haar_quadrature(su2, 2).size))
+        rep = iterate_seminorm(zero, gevrey_weight(1.0), 1.0)
+        assert rep.reached and rep.value == 0.0 and len(rep.js) == 3
+
     def test_saturation_flag_on_overflow(self, t1):
         # lambda = 1e6 overflows the iterates near j = 51 while the weighted
         # terms are still climbing, so the sup saturates instead of converging
@@ -139,6 +163,7 @@ class TestIterateSeminorm:
         rep = iterate_seminorm(f, gevrey_weight(1.0), 1.0, j_max=80)
         assert rep.saturated
         assert np.isinf(rep.value)
+        assert not rep.reached
 
     def test_step_precondition(self, t1, rng):
         xi = enumerate_dual(t1, 2)[0]
