@@ -40,10 +40,19 @@ the interior is the upper rows of level 2l-2, and level 2l-4's upper rows
 sit inside it (the d^{l-1} coefficient vanishes on the ring |m'| = l or
 |m| = l).  Level 2 is the degenerate first step d^1_00 = u.  Each interior
 is written in place into its slice of the output, so a level allocates one
-(angles, h, d) temporary, the product with d^{l-1}.  The recursion is stable
-upward in l well past l = 128.  The levels are streamed, as in SOFT (Kostelec
-& Rockmore, FFTs on the Rotation Group, 2008), which also uses the mirror:
-each level is yielded when done, and only the four below it are kept.
+temporary, the product with d^{l-1}.  The recursion is stable upward in l
+well past l = 128.
+
+Each level is stored (h, d, angle), and the power tables (exponent, angle):
+the angle axis, the long one, is innermost, so every border, product,
+subtraction and division runs along it as numpy's inner loop.  Each entry
+is computed per angle with the same operations in the same order whatever
+the layout and the batch, so a level is bit for bit the same on any batch
+of its angles.  A level is yielded as the read-only transposed view
+(angle, h, d) of its storage, not a copy.  The levels are streamed, as in
+SOFT (Kostelec & Rockmore, FFTs on the Rotation Group, 2008), which also
+uses the mirror: each level is yielded when done, and only the four below
+it are kept.
 """
 
 from __future__ import annotations
@@ -54,19 +63,20 @@ import numpy as np
 
 def _fill_borders(mat: np.ndarray, two_l: int, pow_c: np.ndarray, pow_s: np.ndarray,
                   lf: np.ndarray) -> None:
-    """Row m' = l and columns |m| = l of the upper rows of level two_l, by the
-    closed forms; lf[n] = log(n!)."""
+    """Row m' = l and columns |m| = l of the (h, d, angle) upper rows of level
+    two_l, by the closed forms; pow_c/pow_s are (exponent, angle) and
+    lf[n] = log(n!)."""
     k = np.arange(two_l + 1)  # row or column index: m = l - k
     binom = np.exp(0.5 * (lf[two_l] - lf[two_l - k] - lf[k]))
     alt = np.where(k % 2 == 0, 1.0, -1.0) * binom  # (-1)^k sqrt(C(2l, k))
-    np.multiply(alt, pow_c[:, two_l - k], out=mat[:, 0, :])
-    mat[:, 0, :] *= pow_s[:, k]
-    i = k[1:mat.shape[1]]
-    np.multiply(binom[i], pow_c[:, two_l - i], out=mat[:, 1:, 0])
-    mat[:, 1:, 0] *= pow_s[:, i]
+    np.multiply(alt[:, None], pow_c[two_l - k], out=mat[0])
+    mat[0] *= pow_s[k]
+    i = k[1:mat.shape[0]]
+    np.multiply(binom[i, None], pow_c[two_l - i], out=mat[1:, 0])
+    mat[1:, 0] *= pow_s[i]
     # column m = -l carries (-1)^(2l - i) sqrt(C(2l, i))
-    np.multiply((-1.0) ** two_l * alt[i], pow_c[:, i], out=mat[:, 1:, two_l])
-    mat[:, 1:, two_l] *= pow_s[:, two_l - i]
+    np.multiply(((-1.0) ** two_l * alt[i])[:, None], pow_c[i], out=mat[1:, two_l])
+    mat[1:, two_l] *= pow_s[two_l - i]
 
 
 def wigner_d_matrices(two_l_max: int, beta):
@@ -74,7 +84,8 @@ def wigner_d_matrices(two_l_max: int, beta):
     of angles, in order.
 
     Yields level two_l, read-only, of shape (len(beta), two_l//2 + 1, 2l+1)
-    with axes ordered (angle, row m' = l..m' >= 0, column m = l..-l); only
+    with axes ordered (angle, row m' = l..m' >= 0, column m = l..-l): a
+    transposed view of (h, d, angle) storage, so not C-contiguous.  Only
     levels 2l-1..2l-4, which the recursion still needs, are kept alive.
     ``complete_level`` adds the rows m' < 0.
     """
@@ -82,37 +93,37 @@ def wigner_d_matrices(two_l_max: int, beta):
     n, u = len(beta), np.cos(beta)
     ch = np.cos(beta / 2.0)
     sh = np.sin(beta / 2.0)
-    # (angle, exponent); scalar exponents keep numpy's exact x**2 path
-    pow_c = np.stack([np.power(ch, p) for p in range(two_l_max + 1)], axis=1)
-    pow_s = np.stack([np.power(sh, p) for p in range(two_l_max + 1)], axis=1)
+    # (exponent, angle); scalar exponents keep numpy's exact x**2 path
+    pow_c = np.stack([np.power(ch, p) for p in range(two_l_max + 1)])
+    pow_s = np.stack([np.power(sh, p) for p in range(two_l_max + 1)])
     del beta, ch, sh
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, two_l_max + 2, dtype=float)))])
-    below = deque(maxlen=4)  # levels two_l-4 .. two_l-1
+    below = deque(maxlen=4)  # levels two_l-4 .. two_l-1, stored (h, d, angle)
     for two_l in range(two_l_max + 1):
         h = two_l // 2 + 1
-        mat = np.zeros((n, h, two_l + 1))
+        mat = np.empty((h, two_l + 1, n))  # borders and interior cover it
         _fill_borders(mat, two_l, pow_c, pow_s, lf)
         if two_l == 2:
-            mat[:, 1, 1] = u  # d^1_00 = u d^0_00
+            mat[1, 1] = u  # d^1_00 = u d^0_00
         elif two_l > 2:
             # step l -> l+1 from the two previous levels, l = (two_l - 2) / 2;
             # rows 1..h-1 here are the h-1 upper rows of level two_l-2
             l = (two_l - 2) / 2.0
             ms = l - np.arange(two_l - 1)  # m = l..-l
-            interior = mat[:, 1:, 1:-1]
-            np.subtract((l * (l + 1) * u)[:, None, None], np.multiply.outer(ms[:h - 1], ms),
+            interior = mat[1:, 1:-1]
+            np.subtract(l * (l + 1) * u, np.multiply.outer(ms[:h - 1], ms)[..., None],
                         out=interior)
             interior *= 2 * l + 1
             interior *= below[-2]
             if two_l > 3:
                 drop = l * l - ms ** 2
                 b = (l + 1) * np.sqrt(np.multiply.outer(drop[1:h - 1], drop[1:-1]))
-                interior[:, 1:, 1:-1] -= b * below[-4]
+                interior[1:, 1:-1] -= b[..., None] * below[-4]
             lift = (l + 1) ** 2 - ms ** 2
-            interior /= l * np.sqrt(np.multiply.outer(lift[:h - 1], lift))
+            interior /= (l * np.sqrt(np.multiply.outer(lift[:h - 1], lift)))[..., None]
         mat.flags.writeable = False
         below.append(mat)
-        yield mat
+        yield mat.transpose(2, 0, 1)
 
 
 def complete_level(upper: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:

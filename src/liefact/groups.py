@@ -465,12 +465,14 @@ class SU2(_Group):
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
         return complete_level(next(self._degree_blocks(points, int(two_l), first=int(two_l))))
 
-    def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0):
+    def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0, buf=None):
         """The rows m' >= 0 of xi(x) for the degrees 2l = first..two_L, one
-        (n, h, d) array at a time: the phases of every 2m, made once, times
-        each streamed Wigner level on the distinct betas (a product grid
-        repeats few); when no beta repeats, on the points' own betas, with
-        no gather."""
+        C-ordered (n, h, d) array at a time: the phases of every 2m, made
+        once, times each streamed Wigner level on the distinct betas (a
+        product grid repeats few); when no beta repeats, on the points' own
+        betas, with no gather.  Each block is a new array or, given a flat
+        complex ``buf`` that holds the top degree's, a view of ``buf`` that
+        the next degree overwrites."""
         pts = self.validate_coords(np.atleast_2d(points))
         two_ms = np.arange(-two_L, two_L + 1)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
@@ -481,7 +483,9 @@ class SU2(_Group):
         for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
             if two_l >= first:
                 q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
-                block = left[:, q::2][:, s][:, :d.shape[1], None] * d[where]
+                shape = (len(pts),) + d.shape[1:]
+                block = np.empty(shape, dtype=complex) if buf is None else _take(buf, *shape)
+                np.multiply(left[:, q::2][:, s][:, :shape[1], None], d[where], out=block)
                 block *= right[:, q::2][:, None, s]
                 yield block
 
@@ -623,7 +627,9 @@ class SU2(_Group):
         D = X + iY of ``_degree_blocks``: by the mirror, sum_ij conj(xi_ij) a_ij
         (a = d T) is conj(D) a + D (p - a) over the upper rows, where p adds
         the rows m' < 0 of a, folded by ``_fold_level``, to its rows m' >= 0;
-        one real product [X | Y] @ [p; i(p - 2a)] per degree."""
+        one real product [X | Y] @ [p; i(p - 2a)] per degree.  Every
+        degree's block, in every chunk of points, is written into one work
+        buffer that holds the top degree's block for one chunk."""
         m = blocks[0].shape[1]
         coefs = []  # (h d re/im, re/im of m): rows interleaved like D.view(float)
         for t in blocks:  # one (1, m, d, d) block per degree
@@ -634,9 +640,11 @@ class SU2(_Group):
         out = np.zeros((len(points), m), dtype=complex)
         # chunk x sum d^2 entries bounds the rows of xi(x) one chunk holds
         chunk = max(128, 4_000_000 // sum(t.shape[-1] ** 2 for t in blocks))
+        top = blocks[-1].shape[-1]  # the top degree's block holds every other
+        buf = np.empty(min(chunk, len(points)) * (top // 2 + 1) * top, dtype=complex)
         for start in range(0, len(points), chunk):
             sl = slice(start, start + chunk)
-            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit), coefs):
+            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit, buf=buf), coefs):
                 out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
         return out
 

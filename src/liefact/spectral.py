@@ -149,12 +149,16 @@ class IteratesDecayReport:
     consistent: bool
     seminorm_function_side: float     # p_{w,h}(f)
     seminorm_coefficient_side: float  # sup_xi ||F f(xi)||_HS e^{w(sqrt(lambda))/h}
+    function_side_reached: bool       # SeminormReport.reached: the sup, not a cut climb
 
 
 def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
                             j_max: int = 24) -> IteratesDecayReport:
     """Empirical constants for the iterate/decay inequalities plus the
-    weighted-seminorm shadow on both sides of the transform."""
+    weighted-seminorm shadow on both sides of the transform.  The function
+    side is ``iterate_seminorm`` at its default j_max, and
+    ``function_side_reached`` is its ``reached``: false when the value is
+    the last term of a climb cut at j_max, not the sup."""
     n = f.group.dim
     T = forward(f)
     sup = iterate_supnorms(f, j_max)
@@ -174,10 +178,11 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
     if log_norms.size:
         bound = np.max(log_norms[None, :] + (js + n)[:, None] * log1p_lam[None, :], axis=1)
         c2 = float(np.max(np.exp(log_sup - bound), initial=0.0))
-    func_side = iterate_seminorm(f, w, h).value
+    func_side = iterate_seminorm(f, w, h)
     coef_side = decay_seminorm(T, w, h)
     consistent = bool(np.isfinite(c1) and np.isfinite(c2))
     return IteratesDecayReport(
         c1=c1, c2=c2, consistent=consistent,
-        seminorm_function_side=func_side, seminorm_coefficient_side=coef_side,
+        seminorm_function_side=func_side.value, seminorm_coefficient_side=coef_side,
+        function_side_reached=func_side.reached,
     )

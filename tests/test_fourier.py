@@ -244,6 +244,36 @@ class TestInverse:
         idx = rng.choice(grid.size, 64, replace=False)
         assert np.abs(evaluate(T, grid.nodes[idx]) - inverse(T, grid).values[idx]).max() < 1e-12
 
+    def test_su2_evaluate_chunks_are_independent(self, su2, rng):
+        # sum_{2l <= 32} (2l+1)^2 = 12529 entries per point puts 319 points in
+        # a chunk: 321 points run as 319 and 2 through one block buffer, so a
+        # stale row left in it from the first chunk would show in the last two
+        assert 4_000_000 // sum(d * d for d in range(1, 34)) == 319
+        grid = haar_quadrature(su2, 16)
+        T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
+        pts = np.array([su2.random_element(rng) for _ in range(321)])
+        whole = evaluate(T, pts)
+        assert np.array_equal(whole, np.concatenate([evaluate(T, pts[:319]),
+                                                     evaluate(T, pts[319:])]))
+
+    def test_su2_evaluate_peak_memory(self, su2, rng):
+        # the streamed levels, one (n, h, d) block buffer for the top degree
+        # and the folded coefficients peak at 9.5 MB (256 points, L = 16,
+        # m = 2); the bound is the peak with a new block per degree, so the
+        # buffer may not become a second live block
+        import tracemalloc
+
+        grid = haar_quadrature(su2, 16)
+        T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
+        pts = np.array([su2.random_element(rng) for _ in range(256)])
+        tracemalloc.start()
+        try:
+            evaluate(T, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.0e6
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_evaluate_torus_off_grid_matches_character_sum(self, d, rng):
         # oracle f(x) = sum_k T_k e^{i k.x}, written out per label

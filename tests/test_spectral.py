@@ -193,6 +193,15 @@ class TestIteratesVsDecay:
         rep = iterates_vs_decay_check(f, gevrey_weight(1.0), 1.0)
         assert rep.consistent
         assert rep.c1 == 0.0 and rep.c2 == 0.0
+        assert rep.function_side_reached and rep.seminorm_function_side == 0.0
+
+    def test_function_side_says_when_the_climb_is_cut(self, t1):
+        # outside the class (h* = 1) the weighted iterates still climb at
+        # j_max = 40: the last term, 5.35e33, is reported but is not the sup
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        rep = iterates_vs_decay_check(f, gevrey_weight(1.0), 0.5)
+        assert rep.seminorm_function_side > 1e33
+        assert not rep.function_side_reached
 
 
 class TestOperatorProperties:

@@ -171,3 +171,13 @@ def test_completed_rows_are_the_signed_mirror_of_the_upper_rows():
                 mirror = upper[:, (two_l + two_mp) // 2, (two_l + two_m) // 2]
                 sign = -1.0 if (two_mp - two_m) // 2 % 2 else 1.0
                 assert np.array_equal(full[:, row, col], sign * mirror)
+
+
+def test_levels_do_not_depend_on_the_batch():
+    # every entry is computed per angle, so a level on a batch of 64 betas
+    # (0 and pi included) is the levels of its betas one at a time, bit for bit
+    rng = np.random.default_rng(29)
+    betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 62)])
+    singles = [list(wigner_d_matrices(64, beta)) for beta in betas]
+    for two_l, level in enumerate(wigner_d_matrices(64, betas)):
+        assert np.array_equal(level, np.concatenate([one[two_l] for one in singles]))
