@@ -171,6 +171,8 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
     The grid must be exact at the requested band limit (precondition).
     """
     L = f.grid.bandlimit if bandlimit is None else int(bandlimit)
+    if L < 1:
+        raise DomainError("band limit must be >= 1")
     if L > f.grid.bandlimit:
         raise BandlimitMismatchError(
             f"grid is exact to L = {f.grid.bandlimit}, requested {L}"

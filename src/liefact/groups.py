@@ -15,21 +15,10 @@ mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
 The transform is here too, and so is the grid layout: ``forward_blocks``,
 ``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
 they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  On SU(2)
-no stage holds a row m' < 0.  The forward runs the integer and the
-half-integer spins apart (a degree 2l meets only the 2m of its own parity),
-each on the rows m' >= 0 of f and of conj f as 2m value columns: the alpha
-axis against that parity's columns of an exact DFT matrix E, the betas split
-into two planes at beta < pi/2 and at pi - beta, the gamma axis against E,
-then one Wigner-d matmul per degree on a contiguous reversed slice of both
-planes; ``complete_level`` mirrors conj f's rows into the rows m' < 0 of
-F(f).  The inverse is the forward's adjoint, stage by stage in reverse, and
-it and ``evaluate_values`` first fold each block's rows m' < 0 onto its rows
-m' > 0 (``_fold_level``).  The SU(2) grid covers the group once: alpha runs
-over [0, 4pi) and gamma over [0, 2pi), since (alpha, beta, gamma) and
-(alpha + 2pi, beta, gamma + 2pi) are one element.  E and the tables, the
-plan, are read-only grid data built with the SU(2) grid.  The tables keep a
-quarter of each Wigner level, the rows m' >= 0 at the betas below pi/2.  A
-band limit L' below the grid's slices that one plan.
+the forward runs ``_STAGES`` per spin parity and the inverse their adjoints
+in reverse; the stage functions' docstrings give the stage list.  No stage
+holds a row m' < 0.  The plan (``_wigner_plan``) is read-only grid data,
+which a band limit L' below the grid's slices.
 
 Coordinates and normalizations
 ------------------------------
@@ -53,8 +42,10 @@ xi(x), product, inverse and evaluation goes through it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -177,24 +168,102 @@ def _fold_level(level: np.ndarray) -> np.ndarray:
 
 
 def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
-    """The SU(2) transform plan to degree 2L on a product grid (the grid
-    makes E read-only with its other axes; the tables are made read-only here).
+    """The SU(2) transform plan to degree 2L on a product grid, which makes
+    it read-only: E[c, 2L + 2m] = e^{-i m phases_c} on the gamma axis, the
+    first B = len(betas) phases (the grid's Gauss-Legendre betas, falling
+    from pi to 0), and tables[2l][j, i, b] = d^l_{m_i m_j}(betas[B/2 + b])
+    for i < 2l//2 + 1, a quarter of each level: the rows m' >= 0 at the
+    betas below pi/2, laid out like a degree's view of z (``SU2._plan``)."""
+    E = np.exp(-0.5j * np.outer(phases[:len(betas)], np.arange(-two_L, two_L + 1)))
+    levels = wigner_d_matrices(two_L, betas[len(betas) // 2:])
+    return {"E": E, "tables": tuple(np.ascontiguousarray(d.transpose(2, 1, 0)) for d in levels)}
 
-    E[a, 2L + 2m] = e^{-i m alpha_a}.  ``betas`` are the grid's B
-    Gauss-Legendre betas, falling from pi to 0 and symmetric about pi/2.
-    A quarter of each Wigner level is kept, the rows m' >= 0 on the last
-    B/2 betas (beta < pi/2): tables[2l][j, i, b] = d^l_{m_i m_j}(betas[B/2 + b])
-    for i < 2l//2 + 1, the gamma index first like the phase-stage planes,
-    whose degree view [s, -h:] (s from ``_parity_slice``) lines up with it
-    entry by entry.  The transforms reach the other rows and betas by the
-    two mirrors (``SU2.forward_blocks``).
-    """
-    E = np.exp(-0.5j * np.outer(phases, np.arange(-two_L, two_L + 1)))
-    tables = []
-    for upper in wigner_d_matrices(two_L, betas[len(betas) // 2:]):
-        tables.append(np.ascontiguousarray(upper.transpose(2, 1, 0)))
-        tables[-1].flags.writeable = False
-    return {"E": E, "tables": tuple(tables)}
+
+_Parity = namedtuple("_Parity", "p m A C sign w degrees z")  # laid out by SU2._plan
+
+
+def _alpha_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
+    """Stage 1, alpha, on the alpha halves [0, 2pi) and [2pi, 4pi) of the
+    (N, m) ``values``, each (B, n) with columns (b, c, v).  Forward: alpha +
+    2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the halves fold into one
+    (their sum, or their difference for half-integer spins); A takes it to
+    g, the rows m' >= 0 of f and conj f (2H, n), weighted 1/(2B), and conj
+    f's rows are conjugated.  Adjoint: those conjugated back, A^* g into the
+    parity's half."""
+    H, halves = len(par.sign), values.reshape(2, len(par.A), -1)
+    g = _take(gz, 2 * H, halves.shape[2])  # (f|conj f r, b c v)
+    if not adjoint:
+        fold = (np.subtract if par.p else np.add)(*halves, out=_take(spare, *halves.shape[1:]))
+        np.matmul(par.A.T * (1.0 / (2 * len(par.A))), fold, out=g)
+    np.conjugate(g[H:], out=g[H:])
+    if adjoint:
+        np.matmul(par.A.conj(), g, out=halves[par.p])
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> None:
+    """The adjoint of both parities' alpha folds, in place: the parity
+    halves (y0, y1) become the alpha halves (y0 + y1, y0 - y1)."""
+    even += odd
+    odd *= -2.0
+    odd += even  # even - odd, with no temporary
+
+
+def _gamma_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
+    """Stage 2, beta planes and gamma: g as (c, r, f|conj f, v, b); x, in
+    ``spare``, its two beta planes (plane, c, r, f|conj f, v, b), the betas
+    below pi/2 and, times ``sign``, their mirrors pi - beta.  Forward: the
+    beta weights go on as g splits into x, and C takes each plane's gamma
+    axis c to N in z, weighted 1/B: the half axis at twice the weight, as in
+    the grid.  Adjoint: C^* takes z to x, which fills g."""
+    B, H, half = len(par.A), len(par.sign), len(par.w)
+    gt = _take(gz, 2, H, B, B, par.m).transpose(3, 1, 0, 4, 2)
+    x = _take(spare, 2, B, H, 2, par.m, half)
+    z = _take(gz, *par.z).reshape(2, par.z[1], -1)
+    if adjoint:
+        np.matmul(par.C.conj().transpose(0, 2, 1), z, out=x.reshape(2, B, -1))
+        gt[..., half:] = x[0]
+        np.multiply(x[1], par.sign, out=gt[..., half - 1::-1])
+        return
+    np.multiply(gt[..., half:], par.w, out=x[0])
+    np.multiply(gt[..., half - 1::-1], par.sign * par.w, out=x[1])
+    np.matmul(par.C * (1.0 / B), x.reshape(2, B, -1), out=z)
+
+
+def _beta_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
+    """Stage 3, beta: per degree 2l, its table against its view of both
+    planes.  By d_{m'm}(pi - beta) = (-1)^{l+m'} d_{m',-m}(beta), l + m'
+    being (h - 1) + (L' - r) on row r, the plane at pi - beta carries
+    (-1)^{L'+r} (stage 2) and the degree's (-1)^{h-1} picks add or subtract.
+    Forward: by xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), ``complete_level``
+    fills the rows m' < 0 of F(f) from the rows m' > 0 of F(conj f) in
+    ``blocks[2l]``.  Adjoint, for the inner product sum_xi d <., .>_HS: each
+    block times d, its rows m' < 0 folded onto its rows m' > 0
+    (``_fold_level``) and conjugated as conj f's, is added into z, zeroed
+    first."""
+    z, m = _take(gz, *par.z), par.m
+    if adjoint:
+        z.fill(0)
+    for two_l, s, table in par.degrees:
+        d, h, b = table.shape
+        planes, mirror = z[:, s, -h:], (np.add if h % 2 else np.subtract)
+        if not adjoint:
+            r = np.matmul(planes, table[..., None])[..., 0]  # (plane, d, h, 2m)
+            u = mirror(r[0], r[1, ::-1]).transpose(2, 1, 0)
+            blocks[two_l] = complete_level(u[:m], u[m:])[None]
+            continue
+        q = _fold_level(blocks[two_l][0])  # (f|conj f, v, h, d)
+        np.conjugate(q[1], out=q[1])
+        a = np.multiply(q.transpose(3, 2, 0, 1), d, order="C").reshape(d, h, 2 * m, 1)
+        t = _take(spare, d, h, 2 * m, b)
+        planes[0] += np.multiply(a, table[:, :, None], out=t)
+        mirror(planes[1], np.multiply(a[::-1], table[:, :, None], out=t), out=planes[1])
+
+
+# One spin parity of the SU(2) transform, each stage written once with its
+# adjoint, in two flat work buffers: gz holds g, then z (the adjoint: z, then
+# g), spare the rest.  The forward runs the stages in order with the
+# quadrature weights, the inverse their adjoints in reverse, then _unfold.
+_STAGES = (_alpha_stage, _gamma_stage, _beta_stage)
 
 
 class _Group:
@@ -233,7 +302,7 @@ class QuadratureGrid:
         self.group, self.bandlimit, self.nodes, self.weights = group, int(bandlimit), nodes, weights
         self.axes = axes
         # haar_quadrature is lru_cached, so every caller shares these arrays
-        for arr in (nodes, weights, *axes.values()):
+        for arr in (nodes, weights, *axes.values(), *axes.get("tables", ())):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
@@ -463,31 +532,26 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        return complete_level(next(self._degree_blocks(points, int(two_l), first=int(two_l))))
+        return complete_level([*self._degree_blocks(points, int(two_l))][-1])
 
-    def _degree_blocks(self, points: np.ndarray, two_L: int, first: int = 0, buf=None):
-        """The rows m' >= 0 of xi(x) for the degrees 2l = first..two_L, one
-        C-ordered (n, h, d) array at a time: the phases of every 2m, made
-        once, times each streamed Wigner level on the distinct betas (a
-        product grid repeats few); when no beta repeats, on the points' own
-        betas, with no gather.  Each block is a new array or, given a flat
-        complex ``buf`` that holds the top degree's, a view of ``buf`` that
-        the next degree overwrites."""
+    def _degree_blocks(self, points: np.ndarray, two_L: int):
+        """The rows m' >= 0 of xi(x) for the degrees 2l = 0..two_L, each an
+        (n, h, d) view of one buffer that the next degree overwrites: the
+        phases of every 2m, made once, times each streamed Wigner level on
+        the distinct betas, or, when no beta repeats, the points' own."""
         pts = self.validate_coords(np.atleast_2d(points))
-        two_ms = np.arange(-two_L, two_L + 1)
+        buf = np.empty(len(pts) * (two_L // 2 + 1) * (two_L + 1), dtype=complex)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
         if len(betas) == len(pts):
             betas, where = pts[:, 1], slice(None)
-        left = np.exp(-0.5j * np.outer(pts[:, 0], two_ms))
-        right = np.exp(-0.5j * np.outer(pts[:, 2], two_ms))
+        left = np.exp(-0.5j * np.outer(pts[:, 0], np.arange(-two_L, two_L + 1)))
+        right = np.exp(-0.5j * np.outer(pts[:, 2], np.arange(-two_L, two_L + 1)))
         for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
-            if two_l >= first:
-                q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
-                shape = (len(pts),) + d.shape[1:]
-                block = np.empty(shape, dtype=complex) if buf is None else _take(buf, *shape)
-                np.multiply(left[:, q::2][:, s][:, :shape[1], None], d[where], out=block)
-                block *= right[:, q::2][:, None, s]
-                yield block
+            q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
+            block = _take(buf, len(pts), *d.shape[1:])
+            np.multiply(left[:, q::2][:, s][:, :block.shape[1], None], d[where], out=block)
+            block *= right[:, q::2][:, None, s]
+            yield block
 
     # -- quadrature and transform -------------------------------------------
 
@@ -517,109 +581,47 @@ class SU2(_Group):
                                     **_wigner_plan(phases, betas, 2 * bandlimit))
 
     @staticmethod
-    def _plan(grid: QuadratureGrid, bandlimit: int):
-        """(tables, stages) at ``bandlimit`` L', sliced from the grid's plan of
-        2L+1 tables, with per spin parity p the (A, C, sign) read off E[:B]'s
-        columns on the axis 2m = -2L'+p, ..., 2L'-p: A the alpha columns
-        m' >= 0 falling, then those of -m'; C the gamma columns as rows, at
-        beta and, reversed (m -> -m), at pi - beta; sign the (-1)^{L'+r} of
-        row r (m' falling from the top) of the plane at pi - beta."""
-        E, tables, B = grid.axes["E"], grid.axes["tables"], grid.axes["B"]
-        cut = len(tables) - 1 - 2 * bandlimit
-        stages = []
-        for Ep in (E[:B, cut:E.shape[1] - cut:2], E[:B, cut + 1:E.shape[1] - cut:2]):
-            H = (Ep.shape[1] + 1) // 2
-            stages.append((np.hstack([Ep[:, ::-1][:, :H], Ep[:, :H]]), np.stack([Ep.T, Ep.T[::-1]]),
-                           (-1.0) ** (bandlimit + np.arange(H))))
-        return tables[:2 * bandlimit + 1], stages
+    def _plan(grid: QuadratureGrid, bandlimit: int, m: int):
+        """Per spin parity p, the ``_Parity`` of m value columns at
+        ``bandlimit`` L', sliced from the grid's plan (2L+1 tables, E's
+        columns 2m = -2L..2L) onto the axis 2m = -2L'+p, ..., 2L'-p: A the
+        columns m' >= 0 falling, then those of -m'; C the columns as rows,
+        at beta and, reversed (m -> -m), at pi - beta; sign the (-1)^{L'+r}
+        of row r (m' falling) of the plane at pi - beta; w the halved weights
+        of the betas below pi/2; degrees the (2l, s, table) of 2l = p, p+2,
+        ..., 2L', s its rows m = l..-l on the axis (``_parity_slice``); z the
+        shape (plane, N, r, 2m, b) of the beta planes after the gamma DFT, N
+        on the axis, b the betas below pi/2: a degree's view z[:, s, -h:]
+        is its table's."""
+        E, tables, half = grid.axes["E"], grid.axes["tables"], grid.axes["B"] // 2
+        two_L, cut = 2 * bandlimit, len(tables) - 1 - 2 * bandlimit
+        w = grid.axes["beta_w"][half:] / 2.0  # symmetric about pi/2
+        for p, H in ((0, bandlimit + 1), (1, bandlimit)):  # H rows m' >= 0
+            Ep = E[:, cut + p:E.shape[1] - cut:2]
+            A, C = np.hstack([Ep[:, ::-1][:, :H], Ep[:, :H]]), np.stack([Ep.T, Ep.T[::-1]])
+            sign = (-1.0) ** (bandlimit + np.arange(H))[:, None, None, None]
+            degrees = [(k, _parity_slice(two_L, k), tables[k]) for k in range(p, two_L + 1, 2)]
+            yield _Parity(p, m, A, C, sign, w, degrees, (2, Ep.shape[1], H, 2 * m, half))
 
     def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
-        """One (1, m, d, d) block per degree: the integer and the half-integer
-        spins as two half-size transforms, one per parity p of 2l, each on
-        the rows m' >= 0 only, of f and of conj f as 2m value columns, with
-        the stages of ``_plan``:
-
-        * alpha: alpha + 2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the
-          two halves fold into one, against A (conj f's half conjugated);
-        * the beta weights, and two planes: the stored betas < pi/2 and
-          pi - beta;
-        * gamma: C over the half axis at twice the weight, as in the grid;
-        * beta: one matmul per degree of its table against both planes.  By
-          d_{m'm}(pi - beta) = (-1)^{l+m'} d_{m',-m}(beta), l + m' being
-          (h - 1) + (L - r) on row r, the plane at pi - beta carries
-          (-1)^{L+r} and the degree's (-1)^{h-1} picks add or subtract.
-
-        By xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), ``complete_level`` fills
-        the rows m' < 0 of F(f) from the rows m' > 0 of F(conj f).  The
-        stages write into two work buffers in turn."""
-        tables, stages = self._plan(grid, bandlimit)
-        B, m = grid.axes["B"], values.shape[1]
-        half = B // 2
-        beta_w = grid.axes["beta_w"][half:] / 2.0  # symmetric about pi/2
-        values = values.reshape(2, B, B * B * m)
-        blocks = [None] * len(tables)
-        work = np.empty((2, B * B * B * m), dtype=complex)  # each stage's output, in turn
-        for p, (A, C, sign) in enumerate(stages):
-            H, M = len(sign), C.shape[1]
-            fold = (np.subtract if p else np.add)(*values, out=_take(work[0], B, B * B * m))
-            g = np.matmul(A.T * (1.0 / (2 * B)), fold, out=_take(work[1], 2 * H, B * B * m))
-            np.conjugate(g[H:], out=g[H:])  # (f|conj f r, b c v)
-            gt = g.reshape(2, H, B, B, m).transpose(3, 1, 0, 4, 2)  # (c, r, f|conj f, v, b)
-            x = _take(work[0], 2, B, H, 2, m, half)  # (plane, c, r, f|conj f, v, b)
-            np.multiply(gt[..., half:], beta_w, out=x[0])
-            np.multiply(gt[..., half - 1::-1], sign[:, None, None, None] * beta_w, out=x[1])
-            z = _take(work[1], 2, M, H, 2 * m, half)  # (plane, N, r, 2m, b)
-            np.matmul(C * (1.0 / B), x.reshape(2, B, -1), out=z.reshape(2, M, -1))
-            for two_l in range(p, len(tables), 2):
-                tab = tables[two_l][..., None]  # (d, h, b, 1)
-                h = tab.shape[1]
-                r = np.matmul(z[:, _parity_slice(2 * bandlimit, two_l), -h:], tab)[..., 0]
-                u = (r[0] + r[1, ::-1] if h % 2 else r[0] - r[1, ::-1]).transpose(2, 1, 0)
-                blocks[two_l] = complete_level(u[:m], u[m:])[None]
+        """One (1, m, d, d) block per degree: per spin parity (a degree 2l
+        meets only the 2m of its own parity), ``_STAGES`` in order."""
+        blocks = [None] * (2 * bandlimit + 1)
+        spare, gz = np.empty((2, values.size // 2), dtype=complex)
+        for par, stage in itertools.product(self._plan(grid, bandlimit, values.shape[1]), _STAGES):
+            stage(par, values, blocks, gz, spare)
         return blocks
 
     def inverse_values(self, grid: QuadratureGrid, blocks, bandlimit: int) -> np.ndarray:
-        """(N, m) samples of the family on the grid: the adjoint of
-        ``forward_blocks``, its stages transposed in reverse on the same
-        planes and layout, without the quadrature weights.  Each block,
-        times d, folds its rows m' < 0 onto its rows m' > 0 (``_fold_level``),
-        conjugated, as the conj f columns; its table adds it into both beta
-        planes, with the forward's signs; then come the conjugate gamma
-        columns, the beta planes joined, and the conjugate alpha columns.
-        The second alpha half repeats the integer spins and negates the
-        half-integer ones.  z, then g, take one work buffer; out[p] holds
-        the rest until its values land."""
-        tables, stages = self._plan(grid, bandlimit)
-        B, m = grid.axes["B"], blocks[0].shape[1]
-        half = B // 2
-        out = np.empty((2, B, B, B, m), dtype=complex)  # one alpha half per parity first
-        work = np.empty(B * B * B * m, dtype=complex)  # z, then g; out[p] holds the rest
-        for p, (A, C, sign) in enumerate(stages):
-            H, M = len(sign), C.shape[1]
-            spare = out[p].reshape(-1)
-            z = _take(work, 2, M, H, 2 * m, half)  # (plane, N, r, 2m, b)
-            z.fill(0)
-            for two_l in range(p, len(tables), 2):
-                tab = tables[two_l][:, :, None]  # (d, h, 1, b)
-                d, h = tab.shape[:2]
-                q = _fold_level(blocks[two_l][0])  # (f|conj f, v, h, d)
-                np.conjugate(q[1], out=q[1])
-                a = np.multiply(q.transpose(3, 2, 0, 1), d, order="C").reshape(d, h, 2 * m, 1)
-                s, t = _parity_slice(2 * bandlimit, two_l), _take(spare, d, h, 2 * m, half)
-                z[0, s, -h:] += np.multiply(a, tab, out=t)
-                z[1, s, -h:] += np.multiply(a[::-1] if h % 2 else -a[::-1], tab, out=t)
-            x = _take(spare, 2, B, H, 2, m, half)  # (plane, c, r, f|conj f, v, b)
-            np.matmul(C.conj().transpose(0, 2, 1), z.reshape(2, M, -1), out=x.reshape(2, B, -1))
-            g = _take(work, 2 * H, B * B * m)  # (f|conj f r, b c v)
-            gt = g.reshape(2, H, B, B, m).transpose(3, 1, 0, 4, 2)  # (c, r, f|conj f, v, b)
-            gt[..., half:] = x[0]
-            np.multiply(x[1], sign[:, None, None, None], out=gt[..., half - 1::-1])
-            np.conjugate(g[H:], out=g[H:])
-            np.matmul(A.conj(), g, out=out[p].reshape(B, -1))
-        even, odd = out
-        even += odd
-        odd *= -2.0
-        odd += even  # even - odd, with no temporary
+        """(N, m) samples on the grid: the adjoint of ``forward_blocks``, per
+        parity the stages' adjoints in reverse, with the half of ``out`` that
+        the alpha stage writes last as spare, then ``_unfold``."""
+        m = blocks[0].shape[1]
+        out = np.empty((2, grid.size * m // 2), dtype=complex)
+        gz = np.empty_like(out[0])
+        for par, stage in itertools.product(self._plan(grid, bandlimit, m), _STAGES[::-1]):
+            stage(par, out, blocks, gz, out[par.p], adjoint=True)
+        _unfold(*out)
         return out.reshape(-1, m)
 
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
@@ -627,9 +629,7 @@ class SU2(_Group):
         D = X + iY of ``_degree_blocks``: by the mirror, sum_ij conj(xi_ij) a_ij
         (a = d T) is conj(D) a + D (p - a) over the upper rows, where p adds
         the rows m' < 0 of a, folded by ``_fold_level``, to its rows m' >= 0;
-        one real product [X | Y] @ [p; i(p - 2a)] per degree.  Every
-        degree's block, in every chunk of points, is written into one work
-        buffer that holds the top degree's block for one chunk."""
+        one real product [X | Y] @ [p; i(p - 2a)] per degree and chunk."""
         m = blocks[0].shape[1]
         coefs = []  # (h d re/im, re/im of m): rows interleaved like D.view(float)
         for t in blocks:  # one (1, m, d, d) block per degree
@@ -640,11 +640,9 @@ class SU2(_Group):
         out = np.zeros((len(points), m), dtype=complex)
         # chunk x sum d^2 entries bounds the rows of xi(x) one chunk holds
         chunk = max(128, 4_000_000 // sum(t.shape[-1] ** 2 for t in blocks))
-        top = blocks[-1].shape[-1]  # the top degree's block holds every other
-        buf = np.empty(min(chunk, len(points)) * (top // 2 + 1) * top, dtype=complex)
         for start in range(0, len(points), chunk):
             sl = slice(start, start + chunk)
-            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit, buf=buf), coefs):
+            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit), coefs):
                 out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
         return out
 

@@ -24,6 +24,7 @@ truncated dual (empirical, the equivalence itself is qualitative).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -58,14 +59,15 @@ def laplacian_fd_defect(group, xi: DualIndex, x, step: float = 1e-3) -> float:
     return float(np.max(np.abs(lap + xi.casimir * center)))
 
 
-def _iterate_sups(f: GridFunction, j_max: int):
-    """Yield sup|Lap^j f| for j = 0..j_max, computed spectrally (+inf on overflow)."""
-    cur = forward(f)
+def _iterate_sups(T: FourierCoefficients, grid, j_max: int):
+    """Yield sup|Lap^j f| on ``grid`` for j = 0..j_max from f's coefficients
+    T, computed spectrally (+inf on overflow): one inverse per iterate."""
+    cur = T
     for j in range(j_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if j:
                 cur = apply_laplacian(cur)
-            vals = inverse(cur, f.grid).values
+            vals = inverse(cur, grid).values
             sup = float(np.max(np.abs(vals))) if vals.size else 0.0
         yield sup if np.isfinite(sup) else np.inf
 
@@ -75,7 +77,10 @@ def iterate_supnorms(f: GridFunction, j_max: int) -> np.ndarray:
 
     Overflowing entries are reported as +inf, not raised.
     """
-    return np.fromiter(_iterate_sups(f, j_max), dtype=float, count=j_max + 1)
+    return np.fromiter(_iterate_sups(forward(f), f.grid, j_max), dtype=float, count=j_max + 1)
+
+
+_SEMINORM_J_MAX = 40  # iterate_seminorm's default last j
 
 
 @dataclass
@@ -106,13 +111,19 @@ def _early_stop(terms) -> bool:
 
 
 def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
-                     j_max: int = 40) -> SeminormReport:
+                     j_max: int = _SEMINORM_J_MAX) -> SeminormReport:
     """p_{w,h}(f) = sup_j sup|Lap^j f| exp(-(1/h) phi*(2jh)) over j = 0..j_max.
 
     Stops early once three successive weighted terms drop below 1e-3 of the
     running sup (the weighted sequence eventually decreases for band-limited f
     because phi*(t)/t -> infinity).
     """
+    return _weighted_sup(_iterate_sups(forward(f), f.grid, j_max), w, h, j_max)
+
+
+def _weighted_sup(sups, w: WeightFunction, h: float, j_max: int) -> SeminormReport:
+    """``iterate_seminorm`` on the iterates' sups, read from ``sups`` one at a
+    time up to j_max or the early stop, whichever comes first."""
     if not 0 < h < np.inf:
         raise DomainError("h must be positive and finite")
     penalty = young_conjugate(w, h, 2.0 * np.arange(j_max + 1))
@@ -122,10 +133,10 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
     argmax = 0
     saturated = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, sup in enumerate(_iterate_sups(f, j_max)):
+        for j, (pen, sup) in enumerate(zip(penalty, sups)):
             saturated = sup == np.inf
             supnorms.append(sup)
-            term = sup * np.exp(-penalty[j])
+            term = sup * np.exp(-pen)
             weighted.append(term)
             if term > best:
                 best, argmax = term, j
@@ -158,10 +169,13 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
     weighted-seminorm shadow on both sides of the transform.  The function
     side is ``iterate_seminorm`` at its default j_max, and
     ``function_side_reached`` is its ``reached``: false when the value is
-    the last term of a climb cut at j_max, not the sup."""
+    the last term of a climb cut at j_max, not the sup.  Both sides read
+    one pass of iterates: max(j_max, j_stop) + 1 inverse transforms, j_stop
+    the function side's last j."""
     n = f.group.dim
     T = forward(f)
-    sup = iterate_supnorms(f, j_max)
+    sups = _iterate_sups(T, f.grid, max(j_max, _SEMINORM_J_MAX))
+    sup = np.fromiter(itertools.islice(sups, j_max + 1), dtype=float, count=j_max + 1)
     finite = np.isfinite(sup) & (sup > 0)
     js = np.arange(j_max + 1)[finite]
     log_sup = np.log(sup[finite])
@@ -178,7 +192,7 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
     if log_norms.size:
         bound = np.max(log_norms[None, :] + (js + n)[:, None] * log1p_lam[None, :], axis=1)
         c2 = float(np.max(np.exp(log_sup - bound), initial=0.0))
-    func_side = iterate_seminorm(f, w, h)
+    func_side = _weighted_sup(itertools.chain(sup.tolist(), sups), w, h, _SEMINORM_J_MAX)
     coef_side = decay_seminorm(T, w, h)
     consistent = bool(np.isfinite(c1) and np.isfinite(c2))
     return IteratesDecayReport(

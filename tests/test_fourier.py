@@ -117,7 +117,18 @@ class TestForward:
             T, ref = forward(f, Lp), forward(GridFunction(su2, own[Lp], f.values), Lp)
             assert all(np.array_equal(a, b) for a, b in zip(T.blocks, ref.blocks))
             assert np.array_equal(inverse(T, grid).values, inverse(ref, own[Lp]).values)
-        assert grid.axes["E"].shape[1] == 4 * 12 + 1 and len(grid.axes["tables"]) == 2 * 12 + 1
+        assert grid.axes["E"].shape == (grid.axes["B"], 4 * 12 + 1)  # the B rows _plan reads
+        assert len(grid.axes["tables"]) == 2 * 12 + 1
+
+    @pytest.mark.parametrize("group", [Torus(1), Torus(2), SU2()], ids=["t1", "t2", "su2"])
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_bandlimit_below_one_is_a_domain_error(self, group, L):
+        # refused before any group call: SU(2) used to fail inside its plan
+        # with a bare numpy reshape error
+        grid = haar_quadrature(group, 3)
+        f = GridFunction(group, grid, np.ones(grid.size))
+        with pytest.raises(DomainError, match="band limit must be >= 1"):
+            forward(f, L)
 
     def test_bandlimit_mismatch(self, t1):
         grid = haar_quadrature(t1, 4)

@@ -224,11 +224,14 @@ class TestIrrepBlocks:
         grid = haar_quadrature(su2, L)
         random_pts = np.array([su2.random_element(rng) for _ in range(30)])
         for pts in (random_pts, grid.nodes[::7]):
-            blocks = list(su2._degree_blocks(pts, 2 * L))
-            assert len(blocks) == len(duals)
-            for xi, block in zip(duals, blocks):
+            # each block is a view of one buffer that the next degree
+            # overwrites, so it is checked before the next one is made
+            count = 0
+            for xi, block in zip(duals, su2._degree_blocks(pts, 2 * L), strict=True):
+                count += 1
                 assert block.shape == (len(pts), xi.label // 2 + 1, xi.dim)
                 assert np.array_equal(complete_level(block), su2.irrep_matrices(xi, pts))
+            assert count == len(duals)
 
     def test_torus_block_columns_equal_irrep_matrices(self, t1, t2, rng):
         # evaluate forms every phase k.x in one matrix product, a single xi
@@ -325,6 +328,76 @@ class TestElements:
             u = su2.defining_matrix(x)
             back = su2.coords_from_matrices(u)
             assert np.abs(su2.defining_matrix(back) - u).max() < 1e-13
+
+
+class TestSU2Stages:
+    """Each stage of the SU(2) transform against its adjoint, on random
+    complex input: Re<S x, y> = Re<x, S^+ y>, the real inner product since
+    the conj f half is antilinear, within 1e-13 of ||S x|| ||y||.  S is the
+    forward stage with its quadrature weights divided out; the blocks carry
+    the inner product sum_xi d_xi <., .>_HS that ``inverse`` is the adjoint
+    for."""
+
+    cases = pytest.mark.parametrize("L, m, p", [
+        (L, m, p) for L in (3, 16) for m in (1, 3) for p in (0, 1)])
+
+    @staticmethod
+    def _setup(L, m, p, rng):
+        grid = haar_quadrature(SU2(), L)
+        par = list(SU2._plan(grid, L, m))[p]
+        gz, spare = np.empty((2, grid.size * m // 2), dtype=complex)
+        return grid, par, gz, spare, lambda *shape: rng.standard_normal(shape + (2,)) @ [1, 1j]
+
+    @staticmethod
+    def _check(Sx, y, x, Sy):
+        left, right = np.vdot(Sx, y).real, np.vdot(x, Sy).real
+        assert abs(left - right) <= 1e-13 * np.linalg.norm(Sx) * np.linalg.norm(y)
+
+    @cases
+    def test_alpha_stage_adjoint(self, L, m, p, rng):
+        grid, par, gz, spare, randc = self._setup(L, m, p, rng)
+        B = grid.axes["B"]
+        n = 2 * len(par.sign) * B * B * m  # g: the rows m' >= 0 of f and conj f
+        x = randc(grid.size, m)
+        liefact.groups._alpha_stage(par, x, None, gz, spare)
+        Sx = gz[:n] * (2 * B)
+        y = randc(n)
+        gz[:n] = y
+        out = np.zeros((2, grid.size * m // 2), dtype=complex)  # the other parity's half 0
+        liefact.groups._alpha_stage(par, out, None, gz, None, adjoint=True)
+        liefact.groups._unfold(*out)
+        self._check(Sx, y, x, out.reshape(-1, m))
+
+    @cases
+    def test_gamma_stage_adjoint(self, L, m, p, rng):
+        grid, par, gz, spare, randc = self._setup(L, m, p, rng)
+        B = grid.axes["B"]
+        n = 2 * len(par.sign) * B * B * m  # g: the rows m' >= 0 of f and conj f
+        x = randc(n)
+        gz[:n] = x
+        liefact.groups._gamma_stage(par, None, None, gz, spare)
+        Sx = liefact.groups._take(gz, *par.z) * (B / par.w)
+        y = randc(*Sx.shape)
+        liefact.groups._take(gz, *par.z)[...] = y
+        liefact.groups._gamma_stage(par, None, None, gz, spare, adjoint=True)
+        self._check(Sx, y, x, gz[:n])
+
+    @cases
+    def test_beta_stage_adjoint(self, L, m, p, rng):
+        grid, par, gz, spare, randc = self._setup(L, m, p, rng)
+        z = liefact.groups._take(gz, *par.z)
+        x = randc(*z.shape)
+        z[...] = x
+        blocks = [None] * (2 * L + 1)
+        liefact.groups._beta_stage(par, None, blocks, gz, spare)
+        ys = [None] * (2 * L + 1)
+        for two_l, _, _ in par.degrees:
+            ys[two_l] = randc(1, m, two_l + 1, two_l + 1)
+        # sqrt(d) on both sides turns sum_xi d_xi <., .>_HS into a plain one
+        Sx = np.concatenate([np.sqrt(len(b[0, 0])) * b.ravel() for b in blocks if b is not None])
+        y = np.concatenate([np.sqrt(len(b[0, 0])) * b.ravel() for b in ys if b is not None])
+        liefact.groups._beta_stage(par, None, ys, gz, spare, adjoint=True)
+        self._check(Sx, y, x, z)
 
 
 class TestQuadrature:

@@ -195,6 +195,30 @@ class TestIteratesVsDecay:
         assert rep.c1 == 0.0 and rep.c2 == 0.0
         assert rep.function_side_reached and rep.seminorm_function_side == 0.0
 
+    @pytest.mark.parametrize("amplitude, h, j_max, calls", [
+        (0.0, 1.0, 24, 25), (1.0, 0.5, 24, 41), (1.0, 1.2, 50, 51)],
+        ids=["stop-at-2", "stop-at-40", "fit-to-50"])
+    def test_one_pass_of_iterates(self, t1, amplitude, h, j_max, calls, monkeypatch):
+        # the fit and the function side read one pass of iterates, so there
+        # are max(j_max, j_stop) + 1 inverse transforms, j_stop the function
+        # side's last j (2 on the zero function, 40 for the cut climb), not
+        # (j_max + 1) + (j_stop + 1)
+        import liefact.spectral
+
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        f = GridFunction(t1, f.grid, amplitude * f.values)
+        j_stop = len(iterate_seminorm(f, gevrey_weight(1.0), h).js) - 1
+        assert calls == max(j_max, j_stop) + 1
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return inverse(*args)
+
+        monkeypatch.setattr(liefact.spectral, "inverse", counting)
+        iterates_vs_decay_check(f, gevrey_weight(1.0), h, j_max=j_max)
+        assert len(seen) == calls
+
     def test_function_side_says_when_the_climb_is_cut(self, t1):
         # outside the class (h* = 1) the weighted iterates still climb at
         # j_max = 40: the last term, 5.35e33, is reported but is not the sup
