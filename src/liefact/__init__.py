@@ -89,7 +89,6 @@ from .spectral import (
 from .weights import (
     AxiomReport,
     WeightFunction,
-    YoungConjugate,
     YoungWitness,
     check_weight_axioms,
     eval_weight,

@@ -32,6 +32,8 @@ from .fourier import FourierCoefficients
 from .weights import WeightFunction, eval_weight, tabulated_weight
 
 _ZERO_FLOOR = 1e-300
+_FIT_GRID_POINTS = 512  # uniform knots of ``fit_weight_from_decay``'s table
+_FIT_N_CAP = 64  # and the cap on its order n
 
 
 def decay_seminorm(T: FourierCoefficients, w: WeightFunction, h: float) -> float:
@@ -127,8 +129,7 @@ def estimate_critical_h(T: FourierCoefficients, w: WeightFunction) -> DecayRepor
     )
 
 
-def fit_weight_from_decay(T: FourierCoefficients, grid_points: int = 512,
-                          n_cap: int = 64) -> WeightFunction:
+def fit_weight_from_decay(T: FourierCoefficients) -> WeightFunction:
     """Manufacture a tabulated weight from super-polynomially decaying T.
 
     Raises when the coefficients do not decay past the first polynomial order
@@ -150,13 +151,13 @@ def fit_weight_from_decay(T: FourierCoefficients, grid_points: int = 512,
             raise ParameterError(
                 "coefficients do not decay polynomially within the truncated dual"
             )
-    n_max = min(n_max, n_cap)
+    n_max = min(n_max, _FIT_N_CAP)
     ns = np.arange(0, n_max + 1)
     # log C_n = max_xi [log||T|| + n log(1+lambda)]
     log_c = np.max(np.log(norms)[None, :] + ns[:, None] * np.log1p(lams)[None, :], axis=1)
     t_max = float(np.sqrt(1.0 + lam_max)) if lam_max > 0 else float(n_max + 2)
     # a knot at exactly t = 1 pins the normalization point
-    ts = np.unique(np.concatenate([np.linspace(0.0, max(t_max, 2.0), grid_points), [1.0]]))
+    ts = np.unique(np.concatenate([np.linspace(0.0, max(t_max, 2.0), _FIT_GRID_POINTS), [1.0]]))
     terms = ns[None, :] * np.log1p(ts)[:, None] - log_c[None, :]
     feasible = ns[None, :] <= np.maximum(ts, 0.0)[:, None]
     feasible[:, 0] = True  # n = 0 always admissible

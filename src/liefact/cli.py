@@ -63,7 +63,9 @@ def _emit(config: argparse.Namespace, texts: dict[str, str]) -> None:
 
 
 def _resolve_input(config: argparse.Namespace):
-    """Build (group, grid, GridFunction) from --builtin or --input."""
+    """Build (group, grid, GridFunction) from --builtin or --input, not both."""
+    if config.builtin is not None and config.input_path is not None:
+        raise ParameterError("--builtin and --input cannot be combined: pass one of them")
     group = parse_group_spec(config.group)
     grid = group.haar_quadrature(config.bandlimit)
     if config.builtin:

@@ -42,7 +42,7 @@ xi(x), product, inverse and evaluation goes through it.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import itertools
@@ -532,13 +532,18 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        return complete_level([*self._degree_blocks(points, int(two_l))][-1])
+        levels, phased = self._phased_levels(points, int(two_l))
+        return complete_level(phased(int(two_l), deque(levels, maxlen=1)[0]))
 
     def _degree_blocks(self, points: np.ndarray, two_L: int):
-        """The rows m' >= 0 of xi(x) for the degrees 2l = 0..two_L, each an
-        (n, h, d) view of one buffer that the next degree overwrites: the
-        phases of every 2m, made once, times each streamed Wigner level on
-        the distinct betas, or, when no beta repeats, the points' own."""
+        """The rows m' >= 0 of xi(x) for the degrees 2l = 0..two_L, in order."""
+        levels, phased = self._phased_levels(points, two_L)
+        yield from map(phased, itertools.count(), levels)
+
+    def _phased_levels(self, points: np.ndarray, two_L: int):
+        """(levels, phased): the Wigner levels 2l = 0..two_L streamed on the
+        distinct betas, and phased(2l, d), the rows m' >= 0 of xi(x) from level
+        d (phases made once, times d), a view of one buffer the next call reuses."""
         pts = self.validate_coords(np.atleast_2d(points))
         buf = np.empty(len(pts) * (two_L // 2 + 1) * (two_L + 1), dtype=complex)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
@@ -546,12 +551,13 @@ class SU2(_Group):
             betas, where = pts[:, 1], slice(None)
         left = np.exp(-0.5j * np.outer(pts[:, 0], np.arange(-two_L, two_L + 1)))
         right = np.exp(-0.5j * np.outer(pts[:, 2], np.arange(-two_L, two_L + 1)))
-        for two_l, d in enumerate(wigner_d_matrices(two_L, betas)):
+        def phased(two_l: int, d: np.ndarray) -> np.ndarray:
             q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
             block = _take(buf, len(pts), *d.shape[1:])
             np.multiply(left[:, q::2][:, s][:, :block.shape[1], None], d[where], out=block)
             block *= right[:, q::2][:, None, s]
-            yield block
+            return block
+        return wigner_d_matrices(two_L, betas), phased
 
     # -- quadrature and transform -------------------------------------------
 

@@ -199,14 +199,19 @@ def gridfunction_from_csv(text: str, group, grid: QuadratureGrid) -> GridFunctio
     rows = [r for r in reader if r]
     if len(rows) < 2:
         raise ParameterError("grid CSV needs a header and at least one node row")
-    header = rows[0]
     cdim = grid.nodes.shape[1]
-    ncols = len(header)
+    ncols = len(rows[0])
     if (ncols - cdim) <= 0 or (ncols - cdim) % 2 != 0:
         raise ParameterError("grid CSV header must be coords plus re/im pairs")
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
-    if data.shape[1] != ncols:
-        raise ParameterError("every grid CSV row must have the header's column count")
+    data = np.empty((len(rows) - 1, ncols))
+    for i, r in enumerate(rows[1:]):
+        if len(r) != ncols:
+            raise ParameterError(f"grid CSV node row {i + 1} has {len(r)} fields, not the "
+                                 f"header's column count {ncols}")
+        try:
+            data[i] = [float(v) for v in r]
+        except ValueError:
+            raise ParameterError(f"grid CSV node row {i + 1} holds a non-number") from None
     if not np.all(np.isfinite(data)):
         raise ParameterError("grid CSV holds a non-finite value (nan or inf)")
     if data.shape[0] != grid.size:

@@ -124,8 +124,6 @@ def iterate_seminorm(f: GridFunction, w: WeightFunction, h: float,
 def _weighted_sup(sups, w: WeightFunction, h: float, j_max: int) -> SeminormReport:
     """``iterate_seminorm`` on the iterates' sups, read from ``sups`` one at a
     time up to j_max or the early stop, whichever comes first."""
-    if not 0 < h < np.inf:
-        raise DomainError("h must be positive and finite")
     penalty = young_conjugate(w, h, 2.0 * np.arange(j_max + 1))
     supnorms = []
     weighted = []

@@ -44,26 +44,56 @@ _U_MAX = 64.0
 _RESOLUTION = 1e-3
 # hulls kept at once, one per weight (at most ~1.5 MB each)
 _HULL_CACHE_SIZE = 8
+_WITNESS_K_MAX = 400  # largest k of the sup in ``young_inequality_witness``
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A weight function of one of the supported kinds.
+    """A weight function of one of the supported kinds, checked when made:
 
-    kind:
-        "gevrey"    w(t) = max(0, t^s - 1), 0 < s <= 1
+        "gevrey"    w(t) = max(0, t^s - 1), 0 < s = ``gevrey_s`` <= 1
         "log1p"     w(t) = log(1 + t)  (comparison class; fails (gamma))
-        "tabulated" piecewise-linear through ``knots``, the slope of the
-                    last segment is extrapolated beyond the final knot
+        "tabulated" piecewise-linear through two or more finite ``knots``
+                    (t, w), t increasing, w nonnegative and nondecreasing;
+                    the last segment's slope extends beyond the final knot
+
+    A kind takes its own parameter only; anything else raises DomainError.
+    (beta_0) w(t) = o(t) is derived: t^s - 1 = o(t) iff s < 1, log(1 + t) =
+    o(t), and a table is o(t) iff its last slope (the limit of w(t)/t) is 0.
     """
 
     kind: str
     gevrey_s: float | None = None
     knots: tuple[tuple[float, float], ...] | None = None
-    satisfies_beta0: bool = False
 
-    def __call__(self, t):
-        return eval_weight(self, t)
+    def __post_init__(self):
+        wanted = {"gevrey": ["gevrey_s"], "log1p": [], "tabulated": ["knots"]}.get(self.kind)
+        if wanted is None:
+            raise DomainError(f"unknown weight kind {self.kind!r}")
+        given = [name for name in ("gevrey_s", "knots") if getattr(self, name) is not None]
+        if given != wanted:
+            raise DomainError(f"a {self.kind} weight takes the parameters {wanted}, got {given}")
+        if self.kind == "gevrey":
+            if not 0.0 < self.gevrey_s <= 1.0:
+                raise DomainError(f"gevrey order must lie in (0, 1], got {self.gevrey_s}")
+        elif self.kind == "tabulated":
+            pts = tuple((float(t), float(v)) for t, v in self.knots)
+            if len(pts) < 2:
+                raise DomainError("tabulated weight needs at least two knots")
+            ts, vs = np.array(pts).T
+            if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+                raise DomainError("tabulated knots must be finite (no nan or inf)")
+            if np.any(np.diff(ts) <= 0):
+                raise DomainError("tabulated knots must have strictly increasing t")
+            if np.any(np.diff(vs) < 0) or np.any(vs < 0):
+                raise DomainError("tabulated weight values must be nonnegative and nondecreasing")
+            object.__setattr__(self, "knots", pts)
+
+    @property
+    def satisfies_beta0(self) -> bool:
+        if self.kind == "tabulated":
+            return self.knots[-1][1] == self.knots[-2][1]
+        return self.kind == "log1p" or self.gevrey_s < 1.0
 
     def spec_string(self) -> str:
         if self.kind == "gevrey":
@@ -75,31 +105,18 @@ class WeightFunction:
 
 def gevrey_weight(s: float) -> WeightFunction:
     """Gevrey weight of order s: w(t) = max(0, t^s - 1); (beta_0) iff s < 1."""
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"gevrey order must lie in (0, 1], got {s}")
-    return WeightFunction(kind="gevrey", gevrey_s=float(s), satisfies_beta0=s < 1.0)
+    return WeightFunction("gevrey", gevrey_s=s)
 
 
 def log1p_weight() -> WeightFunction:
     """w(t) = log(1+t).  Not a weight in the strict sense (log t = o(w) fails);
     used as the comparison class whose decay spaces are the smooth functions."""
-    return WeightFunction(kind="log1p", satisfies_beta0=True)
+    return WeightFunction("log1p")
 
 
-def tabulated_weight(knots, satisfies_beta0: bool = False) -> WeightFunction:
+def tabulated_weight(knots) -> WeightFunction:
     """Weight given by sorted (t, w(t)) knots with linear interpolation."""
-    pts = tuple((float(t), float(v)) for t, v in knots)
-    if len(pts) < 2:
-        raise DomainError("tabulated weight needs at least two knots")
-    ts = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
-        raise DomainError("tabulated knots must be finite (no nan or inf)")
-    if np.any(np.diff(ts) <= 0):
-        raise DomainError("tabulated knots must have strictly increasing t")
-    if np.any(np.diff(vs) < 0) or np.any(vs < 0):
-        raise DomainError("tabulated weight values must be nonnegative and nondecreasing")
-    return WeightFunction(kind="tabulated", knots=pts, satisfies_beta0=satisfies_beta0)
+    return WeightFunction("tabulated", knots=knots)
 
 
 def parse_weight_spec(spec: str) -> WeightFunction:
@@ -109,9 +126,8 @@ def parse_weight_spec(spec: str) -> WeightFunction:
     if spec.startswith("gevrey:s="):
         return gevrey_weight(float(spec[len("gevrey:s="):]))
     if spec.startswith("table:"):
-        path = spec[len("table:"):]
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return tabulated_weight([(row[0], row[1]) for row in data])
+        data = np.loadtxt(spec[len("table:"):], delimiter=",", skiprows=1, ndmin=2)
+        return tabulated_weight(data[:, :2])
     raise ParameterError(f"unrecognized weight spec {spec!r}")
 
 
@@ -124,18 +140,12 @@ def eval_weight(w: WeightFunction, t):
         out = np.maximum(0.0, np.power(arr, w.gevrey_s) - 1.0)
     elif w.kind == "log1p":
         out = np.log1p(arr)
-    elif w.kind == "tabulated":
-        ts = np.array([p[0] for p in w.knots])
-        vs = np.array([p[1] for p in w.knots])
-        out = np.interp(arr, ts, vs)
+    else:
+        ts, vs = np.array(w.knots).T
         # extrapolate with the final segment's slope so the conjugate stays
         # well-defined (keeps w superlinear in u = log t)
-        if len(ts) >= 2:
-            slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
-            beyond = arr > ts[-1]
-            out = np.where(beyond, vs[-1] + slope * (arr - ts[-1]), out)
-    else:
-        raise DomainError(f"unknown weight kind {w.kind!r}")
+        slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
+        out = np.where(arr > ts[-1], vs[-1] + slope * (arr - ts[-1]), np.interp(arr, ts, vs))
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -206,21 +216,6 @@ def _shaped_conjugate(kernel, w: WeightFunction, h: float, t):
     return np.reshape(out, arr.shape)
 
 
-@dataclass(frozen=True)
-class YoungConjugate:
-    """Evaluator for the scaled Young conjugate t |-> (1/h) phi*(h t)."""
-
-    source: WeightFunction
-    h: float
-
-    def __post_init__(self):
-        if not 0 < self.h < np.inf:
-            raise DomainError("h must be positive and finite")
-
-    def __call__(self, t):
-        return young_conjugate(self.source, self.h, t)
-
-
 def young_conjugate(w: WeightFunction, h: float, t):
     """Scaled Young conjugate (1/h) phi*(h t), phi(u) = w(e^u).
 
@@ -288,40 +283,33 @@ class YoungWitness:
     max_defect: float  # max over the grid of LHS - RHS - log C; <= 0 on success
 
 
-def young_inequality_witness(
-    w: WeightFunction,
-    h: float,
-    t_grid,
-    k_max: int = 400,
-    c_cap: float = 1e6,
-) -> YoungWitness:
+def young_inequality_witness(w: WeightFunction, h: float, t_grid,
+                             c_cap: float = 1e6) -> YoungWitness:
     """Search h' < h and C with (1/h) w(t) <= sup_k [k log t - (1/h') phi*(k h')] + log C.
 
     h' sweeps h * 2^-1, h * 2^-2, ...; the first h' whose required constant
-    stays below ``c_cap`` wins.
+    stays below ``c_cap`` wins.  The sup runs over k = 0.._WITNESS_K_MAX.
     """
-    if not 0 < h < np.inf:
-        raise DomainError("h must be positive and finite")
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0):
         raise DomainError("the inequality is evaluated at t > 0")
-    lhs = eval_weight(w, t) / h
-    k = np.arange(0, k_max + 1, dtype=float)
-    best = None
+    wt = eval_weight(w, t)
+    k = np.arange(0, _WITNESS_K_MAX + 1, dtype=float)
+    best = np.inf
     for i in range(1, 16):
         h_prime = h * 0.5**i
-        # (1/h') phi*(k h') = scaled conjugate at k
+        # (1/h') phi*(k h') = scaled conjugate at k; it refuses a bad h
         penalty = young_conjugate(w, h_prime, k)
         finite = np.isfinite(penalty)
         rhs = np.max(k[finite][None, :] * np.log(t)[:, None] - penalty[finite][None, :], axis=1)
-        needed = float(np.max(lhs - rhs))
-        if best is None or needed < best[1]:
-            best = (h_prime, needed)
+        gap = wt / h - rhs
+        needed = float(np.max(gap))
+        best = min(best, needed)
         if needed <= math.log(c_cap):
             C = math.exp(max(0.0, needed))
-            defect = float(np.max(lhs - rhs - math.log(C)))
+            defect = float(np.max(gap - math.log(C)))
             return YoungWitness(h_prime=h_prime, C=C, max_defect=defect)
     raise WitnessSearchError(
         f"no (h', C) witness with C <= {c_cap:g} found below h = {h}",
-        best_defect=best[1],
+        best_defect=best,
     )

@@ -104,6 +104,44 @@ class TestTransform:
         assert code == 2
         assert not (out / "coefficients.json").exists()
 
+    @pytest.mark.parametrize("bad", ["ragged", "non-numeric"])
+    def test_malformed_grid_row_exits_2(self, tmp_path, capsys, bad):
+        from liefact.groups import haar_quadrature
+        from liefact.serialize import gridfunction_to_csv
+        from liefact.signals import poisson_function
+
+        t1 = Torus(1)
+        lines = gridfunction_to_csv(poisson_function(t1, haar_quadrature(t1, 4), 1.0)).splitlines()
+        cells = lines[3].split(",")
+        if bad == "ragged":
+            cells.append("0.0")
+        else:
+            cells[1] = "abc"  # the re0 column
+        lines[3] = ",".join(cells)
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run(["transform", "--group", "t1", "--bandlimit", "4",
+                    "--input", str(csv_path), "--out", str(out)])
+        assert code == 2
+        assert "grid CSV node row 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_builtin_with_input_exits_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(Torus, "haar_quadrature", refuse)
+        source = ["--group", "t1", "--bandlimit", "4", "--builtin", "poisson:1.0",
+                  "--input", "/nonexistent.csv"]
+        for i, argv in enumerate((["transform", *source],
+                                  ["factorize", *source],
+                                  ["factorize", *source, "--supported"])):
+            out = tmp_path / str(i)
+            assert run([*argv, "--out", str(out)]) == 2
+            assert "--builtin and --input cannot be combined" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

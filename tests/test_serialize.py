@@ -387,6 +387,20 @@ class TestGridCsv:
         with pytest.raises(ParameterError):
             gridfunction_from_csv("x0,re0\n", t1, grid)
 
+    @pytest.mark.parametrize("row, message", [
+        ("{x!r},1.0\n", "node row 2 has 2 fields"),
+        ("{x!r},1.0,0.0,2.0\n", "node row 2 has 4 fields"),
+        ("{x!r},abc,0.0\n", "node row 2 holds a non-number"),
+    ], ids=["short", "long", "non-numeric"])
+    def test_bad_row_named(self, t1, row, message):
+        # the second node row is bad; every other row is well formed
+        grid = haar_quadrature(t1, 1)
+        xs = grid.nodes[:, 0].tolist()
+        rows = [f"{x!r},1.0,0.0\n" for x in xs]
+        rows[1] = row.format(x=xs[1])
+        with pytest.raises(ParameterError, match=message):
+            gridfunction_from_csv("x0,re0,im0\n" + "".join(rows), t1, grid)
+
     def test_row_wider_than_header_rejected(self, t1):
         grid = haar_quadrature(t1, 1)
         rows = "".join(f"{x!r},1.0,0.0,2.0,0.0\n" for x in grid.nodes[:, 0].tolist())

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liefact.classify import decay_seminorm
-from liefact.errors import DomainError, ParameterError, WitnessSearchError
-from liefact.factorize import build_partition
+from liefact.errors import DomainError, ParameterError, QuasianalyticError, WitnessSearchError
+from liefact.factorize import build_partition, supported_factorize
 from liefact.groups import Torus, haar_quadrature
 from liefact.signals import poisson_coefficients, poisson_function
 from liefact.spectral import iterate_seminorm
 from liefact.weights import (
-    YoungConjugate,
+    WeightFunction,
     check_weight_axioms,
     eval_weight,
     gevrey_weight,
@@ -189,16 +189,103 @@ class TestYoungConjugate:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_evaluator_object(self):
-        from liefact.weights import YoungConjugate
-
-        yc = YoungConjugate(gevrey_weight(1.0), h=2.0)
-        assert yc(0.0) == 0.0
-        assert yc(3.0) == pytest.approx(young_conjugate(gevrey_weight(1.0), 2.0, 3.0))
+        w = gevrey_weight(1.0)
+        assert young_conjugate(w, 2.0, 0.0) == 0.0
+        assert young_conjugate(w, 2.0, 3.0) == pytest.approx(
+            gevrey_conjugate_reference(1.0, 2.0, 3.0))
         ts = np.linspace(0.0, 20.0, 40)
-        vals = yc(ts)
+        vals = young_conjugate(w, 2.0, ts)
         assert np.all(np.diff(vals) >= -1e-12)  # nondecreasing
         mids = 0.5 * (vals[:-1] + vals[1:])
-        assert np.all(yc(0.5 * (ts[:-1] + ts[1:])) <= mids + 1e-10)  # convex
+        assert np.all(young_conjugate(w, 2.0, 0.5 * (ts[:-1] + ts[1:])) <= mids + 1e-10)  # convex
+
+
+REFUSED_GEVREY_ORDERS = [0.0, -0.5, 1.5, 3.0, np.nan, np.inf]
+REFUSED_TABLES = {
+    "one knot": [(0.0, 0.0)],
+    "no knots": [],
+    "nan t": [(0.0, 0.0), (np.nan, 1.0), (5.0, 4.0)],
+    "inf w": [(0.0, 0.0), (1.0, np.inf), (5.0, 4.0)],
+    "repeated t": [(0.0, 0.0), (1.0, 1.0), (1.0, 2.0)],
+    "falling t": [(0.0, 0.0), (2.0, 1.0), (1.0, 2.0)],
+    "falling w": [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)],
+    "negative w": [(0.0, -1.0), (1.0, 0.0), (2.0, 1.0)],
+}
+
+
+class TestWeightFunction:
+    """A WeightFunction is checked when made, however it is built."""
+
+    @pytest.mark.parametrize("s", REFUSED_GEVREY_ORDERS)
+    def test_gevrey_order_refused_by_both(self, s):
+        with pytest.raises(DomainError, match="gevrey order"):
+            gevrey_weight(s)
+        with pytest.raises(DomainError, match="gevrey order"):
+            WeightFunction("gevrey", gevrey_s=s)
+
+    @pytest.mark.parametrize("knots", REFUSED_TABLES.values(), ids=REFUSED_TABLES.keys())
+    def test_table_refused_by_both(self, knots):
+        with pytest.raises(DomainError) as built:
+            tabulated_weight(knots)
+        with pytest.raises(DomainError) as direct:
+            WeightFunction("tabulated", knots=knots)
+        assert str(direct.value) == str(built.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="cubic"),
+        dict(kind="gevrey"),
+        dict(kind="tabulated"),
+        dict(kind="log1p", gevrey_s=0.5),
+        dict(kind="log1p", knots=((0.0, 0.0), (1.0, 1.0))),
+        dict(kind="gevrey", gevrey_s=0.5, knots=((0.0, 0.0), (1.0, 1.0))),
+        dict(kind="tabulated", gevrey_s=0.5, knots=((0.0, 0.0), (1.0, 1.0))),
+    ], ids=["unknown kind", "gevrey without s", "table without knots", "log1p with s",
+            "log1p with knots", "gevrey with knots", "table with s"])
+    def test_kind_and_parameters_checked(self, kwargs):
+        with pytest.raises(DomainError):
+            WeightFunction(**kwargs)
+
+    def test_beta0_is_not_settable(self):
+        with pytest.raises(TypeError):
+            WeightFunction("gevrey", gevrey_s=1.0, satisfies_beta0=True)
+        with pytest.raises(TypeError):
+            tabulated_weight([(0.0, 0.0), (1.0, 1.0)], satisfies_beta0=True)
+
+    def test_parameters_normalized(self):
+        w = WeightFunction("tabulated", knots=[[0, 0], np.array([2, 1])])
+        assert w.knots == ((0.0, 0.0), (2.0, 1.0))
+        assert w == tabulated_weight([(0.0, 0.0), (2.0, 1.0)])
+        assert hash(w) == hash(tabulated_weight(((0, 0), (2, 1))))
+
+    @pytest.mark.parametrize("w, expected", [
+        (gevrey_weight(0.5), True),
+        (gevrey_weight(1.0), False),
+        (log1p_weight(), True),
+        (tabulated_weight([(0.0, 0.0), (1.0, 0.0), (4.0, 3.0)]), False),
+        (tabulated_weight([(0.0, 0.0), (1.0, 2.0), (4.0, 2.0)]), True),
+    ], ids=["gevrey 0.5", "gevrey 1", "log1p", "sloped table", "flat-tailed table"])
+    def test_beta0_derived(self, w, expected):
+        assert w.satisfies_beta0 is expected
+
+    def test_beta0_matches_the_growth_of_w(self):
+        # w(t)/t at t = 1e12 tends to 0 exactly for the (beta_0) weights
+        ws = [gevrey_weight(0.5), gevrey_weight(1.0), log1p_weight(),
+              tabulated_weight([(0.0, 0.0), (1.0, 0.0), (4.0, 3.0)]),
+              tabulated_weight([(0.0, 0.0), (1.0, 2.0), (4.0, 2.0)])]
+        for w in ws:
+            assert (eval_weight(w, 1e12) / 1e12 < 1e-5) == w.satisfies_beta0
+
+    @pytest.mark.parametrize("make", [
+        lambda: gevrey_weight(1.0),
+        lambda: gevrey_weight(1),
+        lambda: WeightFunction("gevrey", gevrey_s=1.0),
+        lambda: parse_weight_spec("gevrey:s=1"),
+    ], ids=["gevrey_weight", "gevrey_weight int", "WeightFunction", "spec"])
+    def test_analytic_class_cannot_reach_supported_factorize(self, make):
+        t1 = Torus(1)
+        f = poisson_function(t1, haar_quadrature(t1, 64), 2.0)
+        with pytest.raises(QuasianalyticError):
+            supported_factorize(f, 2.0, make(), 0.5, 1.0, k=8)
 
 
 class TestAxiomReports:
@@ -249,6 +336,12 @@ class TestYoungInequalityWitness:
         assert witness.C >= 1.0
         assert witness.max_defect <= 0.0
 
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_bad_h_refused_by_young_conjugate(self, h):
+        # the first use of h is the conjugate's check: no divide warning first
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            young_inequality_witness(gevrey_weight(1.0), h, [1.0, 2.0])
+
     def test_search_failure_carries_defect(self):
         # a cap below C = 1 is unsatisfiable at t = 1 (both sides vanish), so
         # the sweep must fail and report its best defect
@@ -287,7 +380,7 @@ class TestParsing:
 
 @pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("entry", [
-    "decay_seminorm", "young_conjugate", "young_conjugate_grid", "YoungConjugate",
+    "decay_seminorm", "young_conjugate", "young_conjugate_grid",
     "iterate_seminorm", "young_inequality_witness", "build_partition",
 ])
 def test_non_finite_h_rejected(entry, h):
@@ -298,7 +391,6 @@ def test_non_finite_h_rejected(entry, h):
                            lambda: decay_seminorm(poisson_coefficients(t1, 16, 1.0), w, h)),
         "young_conjugate": (DomainError, lambda: young_conjugate(w, h, [1.0, 2.0])),
         "young_conjugate_grid": (DomainError, lambda: young_conjugate_grid(w, h, [1.0, 2.0])),
-        "YoungConjugate": (DomainError, lambda: YoungConjugate(w, h)),
         "iterate_seminorm": (DomainError,
                              lambda: iterate_seminorm(poisson_function(t1, grid, 1.0), w, h)),
         "young_inequality_witness": (DomainError,
