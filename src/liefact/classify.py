@@ -171,12 +171,13 @@ def fit_weight_from_decay(T: FourierCoefficients) -> WeightFunction:
 def gevrey_order_estimate(T: FourierCoefficients) -> float:
     """Exponent s of the decay law ||T_xi||_HS ~ A exp(-c lambda^(s/2)).
 
-    Profiles s over a grid, solving -log||T|| ~ C + c (sqrt(lambda))^s by least
-    squares for each candidate and keeping the best residual.  (A plain
-    regression of log(-log||T||) on log sqrt(lambda) is the C = 0 special
-    case; the amplitude constant of compactly supported bumps biases it low
-    at desk-scale band limits, so the profiled form is used throughout.)
-    Values of s above 1 indicate decay outside the weight-function range.
+    Profiles s over a grid: -log||T|| ~ C + c (sqrt(lambda))^s is one centred
+    closed-form least-squares fit per candidate, all candidates at once, and
+    the best residual with c > 0 wins.  (A plain regression of log(-log||T||)
+    on log sqrt(lambda) is the C = 0 special case; the amplitude constant of
+    compactly supported bumps biases it low at desk-scale band limits, so the
+    profiled form is used throughout.)  Values of s above 1 indicate decay
+    outside the weight-function range.
     """
     lams, norms = _usable_points(T)
     mask = (norms < 1.0) & (lams > 1.0)
@@ -184,28 +185,24 @@ def gevrey_order_estimate(T: FourierCoefficients) -> float:
         raise EstimationError("too few decaying coefficients for an order fit")
     x = np.sqrt(lams[mask])
     y = -np.log(norms[mask])
+    if np.ptp(x) == 0:
+        raise EstimationError("the decaying coefficients sit on one eigenvalue: no order to fit")
     # decay classes are sup-defined, so fit the norm envelope: per log-bin in
-    # sqrt(lambda), keep the largest norm (smallest y); this irons out the
-    # oscillation near-zeros of compactly supported functions
+    # sqrt(lambda), keep the largest norm (smallest y), the first of each bin
+    # in one sort by (bin, y); this irons out the oscillation near-zeros of
+    # compactly supported functions
     if len(x) > 24:
-        bins = np.geomspace(float(np.min(x)), float(np.max(x)) * (1 + 1e-9), 25)
-        bx, by = [], []
-        for lo, hi in zip(bins[:-1], bins[1:]):
-            sel = (x >= lo) & (x < hi)
-            if sel.any():
-                i = np.argmin(y[sel])
-                bx.append(x[sel][i])
-                by.append(y[sel][i])
-        x, y = np.array(bx), np.array(by)
-    best_s, best_res = None, np.inf
-    for s in np.arange(0.05, 4.0 + 1e-9, 0.005):
-        design = np.stack([np.ones_like(x), x**s], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        if coef[1] <= 0:
-            continue
-        res = float(np.sum((y - design @ coef) ** 2))
-        if res < best_res:
-            best_s, best_res = float(s), res
-    if best_s is None:
+        edges = np.geomspace(float(np.min(x)), float(np.max(x)) * (1 + 1e-9), 25)
+        bins = np.searchsorted(edges, x, side="right")
+        order = np.lexsort((y, bins))
+        keep = order[np.r_[True, np.diff(bins[order]) != 0]]
+        x, y = x[keep], y[keep]
+    s = np.arange(0.05, 4.0 + 1e-9, 0.005)
+    xc = x ** s[:, None]
+    xc -= xc.mean(axis=1, keepdims=True)  # y - mean(y) ~ c (x^s - mean(x^s))
+    yc = y - y.mean()
+    c = (xc @ yc) / np.einsum("ij,ij->i", xc, xc)
+    res = np.sum((yc - c[:, None] * xc) ** 2, axis=1)
+    if not np.any(c > 0):
         raise EstimationError("no decaying power law fits the coefficients")
-    return best_s
+    return float(s[np.argmin(np.where(c > 0, res, np.inf))])

@@ -43,7 +43,9 @@ f = g * f' with g supported in V.  Per-xi results are arrays aligned with
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -92,9 +94,14 @@ class FiniteRep:
     @classmethod
     def from_labels(cls, group, labels, basis=None) -> "FiniteRep":
         """The rep with one block per dual label, looked up in the dual at the
-        labels' own band limit (``group.label_bandlimit``)."""
-        layout = dual_layout(group, max([1] + [group.label_bandlimit(lab) for lab in labels]))
-        pos = [layout.position(lab) for lab in labels]
+        labels' own band limit (``group.label_bandlimit``).  ParameterError
+        names the first label that band limit cannot read or the dual lacks."""
+        needs = [1]
+        for lab in labels:  # a label whose band limit reads as no integer adds none
+            with suppress(TypeError, ValueError, OverflowError):
+                needs.append(operator.index(group.label_bandlimit(lab)))
+        layout = dual_layout(group, max(needs))
+        pos = [layout.index([lab])[0] for lab in labels]
         for lab, i in zip(labels, pos):
             if i < 0:
                 raise ParameterError(f"unknown dual label {lab!r}")
@@ -408,6 +415,9 @@ def supported_factorize(f: GridFunction, delta: float, w: WeightFunction,
             "supported factorization needs a non-quasianalytic weight "
             "(satisfies_beta0)"
         )
+    if not w.satisfies_gamma:
+        raise DomainError(f"supported factorization needs log t = o(w(t)) (satisfies_gamma); "
+                          f"{w.spec_string()} fails it")
     h_prime = _resolve_h_prime(h, h_prime)
     grid = f.grid
     pieces = forward(build_partition(delta, k, bump_order, w, h_prime, grid))

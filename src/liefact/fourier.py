@@ -82,7 +82,7 @@ class _BlockEntries(MutableMapping):
         self._blocks, self._layout = blocks, layout
 
     def __getitem__(self, xi: DualIndex) -> np.ndarray:
-        i = self._layout.position(xi.label)
+        i = self._layout.index([xi.label])[0]
         if i < 0:
             raise KeyError(xi)
         return self._blocks[self._layout.block[i]][self._layout.slot[i]]

@@ -69,18 +69,20 @@ class DualLayout:
     Built from the group's arrays: ``labels`` (an (n, d) int array on T^d,
     the degrees 2l on SU(2)), ``dim`` and ``casimir``, all read-only and in
     dual order.  The labels fill an integer box row-major (k + L on T^d, 2l
-    on SU(2)), so ``index`` (an array of labels) and ``position`` (one label)
-    find positions by arithmetic.  Block b holds the duals of dimension
-    ``dims[b]`` at positions ``members[b]``; position i sits at
-    ``(block[i], slot[i])``.  ``wire`` lists the positions in the
-    order every output format uses (by Casimir, then label text).  ``duals``,
-    the ``DualIndex`` objects, is built on first access.
+    on SU(2)), so ``index`` finds the positions of an array of labels by
+    arithmetic; it is the one lookup, and the one judge of what a label is.
+    Block b holds the duals of dimension ``dims[b]`` at positions
+    ``members[b]``; position i sits at ``(block[i], slot[i])``.  ``wire``
+    lists the positions in the order every output format uses (by Casimir,
+    then label text).  ``duals``, the ``DualIndex`` objects, is built on
+    first access.
     """
 
     def __init__(self, labels: np.ndarray, dim: np.ndarray, casimir: np.ndarray):
         self.labels, self.dim, self.casimir = labels, dim, casimir
-        self._lo = tuple(np.atleast_1d(labels[0]).tolist())
-        self._side = tuple(np.atleast_1d(labels[-1] - labels[0] + 1).tolist())
+        self._lo = np.atleast_1d(labels[0])
+        self._side = np.atleast_1d(labels[-1] - labels[0] + 1)
+        self._stride = np.cumprod(np.r_[1, self._side[:0:-1]])[::-1]  # row-major
         firsts = np.unique(dim, return_index=True)[1]
         self.dims = tuple(dim[np.sort(firsts)].tolist())
         self.members = tuple(np.flatnonzero(dim == d) for d in self.dims)
@@ -103,39 +105,29 @@ class DualLayout:
                          self.casimir.tolist()))
 
     def index(self, labels) -> np.ndarray:
-        """The positions of an array of labels, -1 for a label outside this dual."""
-        lab = np.asarray(labels)
+        """The positions of an array of labels, -1 for anything that is not a
+        label of this dual: off the box, of another arity, not of int dtype,
+        and throughout a batch that numpy makes no one array of."""
+        try:
+            lab = np.asarray(labels)
+        except ValueError:  # ragged or nested: "inhomogeneous shape"
+            return np.full(len(labels), -1)
         if lab.dtype.kind != "i" or lab.shape[1:] != self.labels.shape[1:]:
             return np.full(len(lab), -1)
         off = (lab - self._lo).reshape(len(lab), -1)
-        inside = np.all((off >= 0) & (off < self._side), axis=1)
-        pos = np.ravel_multi_index(tuple(np.where(inside[:, None], off, 0).T), self._side)
-        return np.where(inside, pos, -1)
-
-    def position(self, label) -> int:
-        """The position of one label by the same arithmetic on Python ints (no
-        array is built), -1 for a label outside this dual, of another arity,
-        or with a component that is not an int."""
-        try:
-            key = tuple(label) if self.labels.ndim == 2 else (label,)
-        except TypeError:
-            return -1
-        if len(key) != len(self._side):
-            return -1
-        pos = 0
-        for k, lo, n in zip(key, self._lo, self._side):
-            if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 0 <= k - lo < n:
-                return -1
-            pos = pos * n + int(k - lo)
-        return pos
+        inside = ((off >= 0) & (off < self._side)).all(1)
+        return np.where(inside, off @ self._stride, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dual_layout(group, bandlimit: int) -> DualLayout:
     """The layout of ``group``'s dual at ``bandlimit``, shared by every family.
 
-    The only cache of the dual: the group builds its arrays once.
+    The only cache of the dual: the group builds its arrays once.  Keyed by
+    type, so a float band limit never hits an int's entry: it is always refused.
     """
+    if not isinstance(bandlimit, (int, np.integer)) or isinstance(bandlimit, bool):
+        raise DomainError(f"band limit must be an integer, got {bandlimit!r}")
     if bandlimit < 1:
         raise DomainError("band limit must be >= 1")
     return DualLayout(*group.dual_arrays(bandlimit))

@@ -44,17 +44,6 @@ from .groups import QuadratureGrid, Torus, parse_group_spec
 from .spectral import SeminormReport
 
 
-def _label_from_json(group, obj):
-    """The label of a JSON ``xi``: exact ints only (bool and float are not labels)."""
-    if isinstance(group, Torus):
-        if type(obj) is list and len(obj) == group.d and all(type(v) is int for v in obj):
-            return tuple(obj)
-        raise ParameterError(f"torus label {obj!r} is not a list of {group.d} integers")
-    if type(obj) is not int:
-        raise ParameterError(f"SU(2) label {obj!r} is not an integer")
-    return obj
-
-
 _ENCODE = json.JSONEncoder().encode  # json.dumps's C encoder: its float and int spelling
 
 
@@ -111,13 +100,20 @@ def _leaves(rows: list, shape: tuple, types: set) -> list:
     return level
 
 
-def _raise_first_fault(group, layout, m: int, entries) -> NoReturn:
+def _raise_first_fault(layout, m: int, entries) -> NoReturn:
     """Raise ParameterError naming the first faulty entry in file order: the
-    slow path, taken only once a vectorized check failed."""
-    seen = set()
+    slow path, taken only once a vectorized check failed.  Each label is
+    checked as the fast path checks the batch: its leaves, then ``index``."""
+    label_shape, seen = layout.labels.shape[1:], set()
     for item in entries:
-        label = _label_from_json(group, item["xi"])
-        i = layout.index(np.array([label]))[0]
+        label = item["xi"]
+        try:
+            _leaves([label], label_shape, {int})
+        except ValueError:  # exact ints only: bool and float are not labels
+            raise ParameterError(f"label {label!r} is not " + (
+                f"a list of {label_shape[0]} integers" if label_shape else "an integer")) from None
+        label = tuple(label) if label_shape else label  # as DualIndex holds it
+        i = layout.index([label])[0]
         if i < 0:
             raise ParameterError(f"label {label!r} outside the declared band limit")
         if i in seen:
@@ -172,7 +168,7 @@ def coefficients_from_json(text: str) -> FourierCoefficients:
                 view[slots] = np.array(_leaves(rows, (m, d, d), {float, int}),
                                        dtype=float).reshape(len(sel), m, d, d)
     except (ValueError, OverflowError):
-        _raise_first_fault(group, layout, m, entries)
+        _raise_first_fault(layout, m, entries)
     if not all(np.isfinite(b).all() for b in T.blocks):
         raise ParameterError(_NON_FINITE)
     return T

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import warnings
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class WeightFunction:
     A kind takes its own parameter only; anything else raises DomainError.
     (beta_0) w(t) = o(t) is derived: t^s - 1 = o(t) iff s < 1, log(1 + t) =
     o(t), and a table is o(t) iff its last slope (the limit of w(t)/t) is 0.
+    So is (gamma) log t = o(w(t)): it holds for t^s - 1, fails for log(1 + t),
+    and holds for a table iff its last slope is > 0 (else w is bounded).
     """
 
     kind: str
@@ -95,6 +98,12 @@ class WeightFunction:
             return self.knots[-1][1] == self.knots[-2][1]
         return self.kind == "log1p" or self.gevrey_s < 1.0
 
+    @property
+    def satisfies_gamma(self) -> bool:
+        if self.kind == "tabulated":
+            return self.knots[-1][1] > self.knots[-2][1]
+        return self.kind == "gevrey"
+
     def spec_string(self) -> str:
         if self.kind == "gevrey":
             return f"gevrey:s={self.gevrey_s:g}"
@@ -120,13 +129,28 @@ def tabulated_weight(knots) -> WeightFunction:
 
 
 def parse_weight_spec(spec: str) -> WeightFunction:
-    """Parse "gevrey:s=0.5", "log1p" or "table:<path.csv>" (columns t,omega)."""
+    """Parse "gevrey:s=0.5", "log1p" or "table:<path.csv>" (columns t,omega).
+
+    ParameterError names a spec whose order or table rows are not numbers; a
+    table file that cannot be opened raises OSError.
+    """
     if spec == "log1p":
         return log1p_weight()
     if spec.startswith("gevrey:s="):
-        return gevrey_weight(float(spec[len("gevrey:s="):]))
+        try:
+            s = float(spec[len("gevrey:s="):])
+        except ValueError:
+            raise ParameterError(f"weight spec {spec!r}: the Gevrey order is not a number") from None
+        return gevrey_weight(s)
     if spec.startswith("table:"):
-        data = np.loadtxt(spec[len("table:"):], delimiter=",", skiprows=1, ndmin=2)
+        try:
+            with warnings.catch_warnings():  # no rows: checked below, not warned
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(spec[len("table:"):], delimiter=",", skiprows=1, ndmin=2)
+        except ValueError:  # a non-number or a ragged row
+            data = np.empty((0, 0))
+        if data.shape[1] < 2:
+            raise ParameterError(f"weight spec {spec!r}: the table is not rows of numbers t,omega")
         return tabulated_weight(data[:, :2])
     raise ParameterError(f"unrecognized weight spec {spec!r}")
 

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from liefact.classify import (
+    _usable_points,
     decay_seminorm,
     estimate_critical_h,
     fit_weight_from_decay,
     gevrey_order_estimate,
 )
 from liefact.errors import EstimationError, InsufficientDataError, ParameterError
-from liefact.fourier import FourierCoefficients, forward
+from liefact.factorize import gevrey_bump
+from liefact.fourier import FourierCoefficients, GridFunction, forward
+from liefact.groups import SU2, Torus, haar_quadrature
 from liefact.serialize import coefficients_from_json, coefficients_to_json
-from liefact.signals import poisson_coefficients, poisson_function, synth_coefficients
+from liefact.signals import (
+    heat_coefficients,
+    poisson_coefficients,
+    poisson_function,
+    synth_coefficients,
+)
 from liefact.weights import eval_weight, gevrey_weight
 
 
@@ -158,7 +166,73 @@ class TestFitWeight:
             fit_weight_from_decay(T)
 
 
+def gevrey_order_by_loop(T: FourierCoefficients) -> float:
+    """The order fit as one lstsq per candidate s and a loop over the envelope
+    bins: the reference for ``gevrey_order_estimate``'s batched closed form."""
+    lams, norms = _usable_points(T)
+    mask = (norms < 1.0) & (lams > 1.0)
+    x, y = np.sqrt(lams[mask]), -np.log(norms[mask])
+    if len(x) > 24:
+        bins = np.geomspace(float(np.min(x)), float(np.max(x)) * (1 + 1e-9), 25)
+        bx, by = [], []
+        for lo, hi in zip(bins[:-1], bins[1:]):
+            sel = (x >= lo) & (x < hi)
+            if sel.any():
+                i = np.argmin(y[sel])
+                bx.append(x[sel][i])
+                by.append(y[sel][i])
+        x, y = np.array(bx), np.array(by)
+    best_s, best_res = None, np.inf
+    for s in np.arange(0.05, 4.0 + 1e-9, 0.005):
+        design = np.stack([np.ones_like(x), x**s], axis=1)
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        if coef[1] <= 0:
+            continue
+        res = float(np.sum((y - design @ coef) ** 2))
+        if res < best_res:
+            best_s, best_res = float(s), res
+    return best_s
+
+
+def _order_fit_input(case: str) -> FourierCoefficients:
+    kind, group, L, p = case.split(" ")
+    g = {"t1": Torus(1), "t2": Torus(2), "su2": SU2()}[group]
+    L, p = int(L), float(p)
+    if kind == "poisson":
+        return poisson_coefficients(g, L, p)
+    if kind == "heat":
+        return heat_coefficients(g, L, p)
+    if kind == "law":  # ||T|| = exp(-(1 + lambda)^(p/2)), a Gevrey-p law
+        return synth_coefficients(g, L, lambda lam: np.exp(-(1.0 + lam) ** (p / 2)))
+    if kind == "wavy":  # a decay law with an oscillating amplitude
+        return synth_coefficients(
+            g, L, lambda lam: np.exp(-p * np.sqrt(lam)) * (1.0 + 0.3 * np.cos(lam)))
+    s, halfwidth = map(float, kind.split("/")[1:])  # bump/s/halfwidth on T^1
+    return forward(gevrey_bump(s, 0.0, halfwidth, haar_quadrature(g, L)))
+
+
 class TestGevreyOrder:
+    @pytest.mark.parametrize("case", [
+        "law t1 64 1.0", "poisson t1 64 1.0", "poisson t1 256 2.0", "heat t1 64 0.05",
+        "law t1 256 0.5", "poisson t2 16 1.0", "heat t2 16 0.2", "law t2 32 0.3",
+        "wavy t2 16 0.7", "poisson su2 8 1.0", "heat su2 16 0.05", "law su2 16 0.8",
+        "wavy su2 8 1.3", "bump/1.5/1.0 t1 64 0", "bump/2.0/0.5 t1 128 0",
+        "bump/2.0/1.0 t1 256 0", "bump/3.0/1.5 t1 128 0",
+    ])
+    def test_batched_fit_matches_the_loop(self, case):
+        T = _order_fit_input(case)
+        assert gevrey_order_estimate(T) == gevrey_order_by_loop(T)
+
+    def test_one_eigenvalue_refused_before_the_fit(self, t2):
+        # the decaying coefficients at k = (1, 1), (1, -1) and their negatives
+        # share lambda = 2: no law in sqrt(lambda) is determined (the loop
+        # fit returns a meaningless 0.055 here)
+        grid = haar_quadrature(t2, 4)
+        x, y = grid.nodes.T
+        f = GridFunction(t2, grid, (0.5 * np.cos(x + y) + 0.25 * np.cos(x - y))[:, None])
+        with pytest.raises(EstimationError, match="one eigenvalue"):
+            gevrey_order_estimate(forward(f))
+
     def test_exponential_families(self, t1):
         cases = [(lambda lam: np.exp(-np.sqrt(lam)), 1.0, 0.05),
                  (lambda lam: np.exp(-lam**0.25), 0.5, 0.05),

@@ -233,6 +233,22 @@ class TestClassify:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "c" / "decay_report.json").exists()
 
+    @pytest.mark.parametrize("spec, body", [
+        ("gevrey:s=abc", None), ("table:{}", "0,0\n1,abc\n"), ("table:{}", "0\n1\n2\n"),
+    ], ids=["gevrey non-number", "table non-number", "table one column"])
+    def test_unreadable_weight_spec_exits_2(self, tmp_path, capsys, spec, body):
+        if body is not None:
+            table = tmp_path / "w.csv"
+            table.write_text("t,omega\n" + body)
+            spec = spec.format(table)
+        path = self._poisson_coeff_file(tmp_path, 2.0)
+        capsys.readouterr()
+        code = run(["classify", "--coefficients", str(path),
+                    "--weight", spec, "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "weight spec" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_heat_flags_super_omega(self, tmp_path, capsys):
         out = tmp_path / "t"
         run(["transform", "--group", "t1", "--bandlimit", "16",
@@ -265,6 +281,20 @@ class TestFactorize:
                     "--support-delta", "2.0", "--pieces", "8",
                     "--bump-order", "1.0", "--out", str(tmp_path / "f")])
         assert code == 2
+
+    @pytest.mark.parametrize("weight", ["log1p", "flat-tailed table"])
+    def test_supported_gamma_failure_exits_2(self, tmp_path, capsys, weight):
+        # (beta_0) holds, (gamma) fails: log t is not o(w) for log1p or a bounded w
+        if weight != "log1p":
+            table = tmp_path / "w.csv"
+            table.write_text("t,omega\n0,0\n1,0\n3,2\n4,2\n")
+            weight = f"table:{table}"
+        code = run(["factorize", "--group", "t1", "--bandlimit", "64",
+                    "--builtin", "poisson:2.0", "--supported", "--weight", weight,
+                    "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "satisfies_gamma" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_supported_runs(self, tmp_path, capsys):
         code = run(["factorize", "--group", "t1", "--bandlimit", "256",

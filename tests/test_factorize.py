@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from liefact.factorize import (
     supported_factorize,
 )
 from liefact.fourier import GridFunction, convolve, evaluate, forward, inverse
-from liefact.groups import SU2, Torus, enumerate_dual, haar_quadrature
+from liefact.groups import SU2, Torus, dual_layout, enumerate_dual, haar_quadrature
 from liefact.signals import (
     poisson_coefficients,
     poisson_function,
@@ -135,6 +137,27 @@ class TestFromLabels:
         for group, label in ((su2, -1), (t2, (1,)), (t1, (1, 2))):
             with pytest.raises(ParameterError):
                 FiniteRep.from_labels(group, [label])
+
+    @pytest.mark.parametrize("group, labels, first_bad", [
+        ("su2", ["a"], 0), ("su2", [None], 0), ("su2", [2.0], 0), ("su2", [3.0], 0), ("su2", [True], 0),
+        ("su2", [0, 1, 4.0, "b"], 2), ("t2", [(1, "x")], 0), ("t2", [(1, [2])], 0),
+        ("t2", [(0, 1), (2.0, 0)], 1), ("t2", [(0, 1), (1,), (3, 3)], 1), ("t1", [3], 0),
+        ("t1", [(float("inf"),)], 0),
+    ])
+    def test_non_labels_raise_parameter_error(self, group, labels, first_bad, request,
+                                              monkeypatch):
+        # the layout is built at an integer band limit only, then judges each label
+        seen = []
+
+        def spy(g, L):
+            seen.append(L)
+            return dual_layout(g, L)
+
+        monkeypatch.setattr(factorize, "dual_layout", spy)
+        with pytest.raises(ParameterError, match="unknown dual label " + re.escape(
+                repr(labels[first_bad]))):
+            FiniteRep.from_labels(request.getfixturevalue(group), labels)
+        assert seen and all(type(L) is int for L in seen)
 
     def test_non_unitary_basis_rejected(self, su2, rng):
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

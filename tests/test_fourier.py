@@ -581,9 +581,9 @@ class TestPackedCoefficients:
 
     def test_entries_resolve_every_label_and_refuse_outside_ones(self, t1, t2, su2):
         outside = {
-            t1: [(4,), (-4,), (0, 0), (1.0,), 2],
-            t2: [(4, 0), (0, -4), (1,), (1, 2, 3), (0.0, 1.0)],
-            su2: [7, -1, 2.0, (2,), True],
+            t1: [(4,), (-4,), (0, 0), (1.0,), 2, ("a",), (None,)],
+            t2: [(4, 0), (0, -4), (1,), (1, 2, 3), (0.0, 1.0), (1, [2]), (1, "x")],
+            su2: [7, -1, 2.0, (2,), True, "a", None, 2**70],
         }
         for g, labels in outside.items():
             T = FourierCoefficients.zeros(g, 3, value_dim=2)
@@ -595,6 +595,17 @@ class TestPackedCoefficients:
             for label in labels:
                 with pytest.raises(KeyError):
                     T.entries[DualIndex(label=label, dim=1, casimir=0.0)]
+
+    def test_entries_iterate_in_dual_order_and_write_through(self, t2, su2, rng):
+        for g in (t2, su2):
+            T = FourierCoefficients.zeros(g, 2, value_dim=2)
+            assert list(T.entries) == list(T.duals)
+            for i, xi in enumerate(T.entries):
+                T.entries[xi] = np.full((2, xi.dim, xi.dim), i + 0.5j)
+            for i, (xi, t) in enumerate(T.entries.items()):
+                lay = T.layout
+                assert np.array_equal(T.blocks[lay.block[i]][lay.slot[i]], t)
+                assert np.all(t == i + 0.5j)
 
     def test_dropped_family_is_freed_without_the_cycle_collector(self, t2, rng):
         T = forward(random_bandlimited(t2, haar_quadrature(t2, 4), rng))

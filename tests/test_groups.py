@@ -20,6 +20,7 @@ from liefact.groups import (
     parse_group_spec,
     weyl_summability,
 )
+from liefact.signals import reproducing_kernel, synth_coefficients
 from test_wigner import wigner_d_sum
 
 
@@ -100,6 +101,29 @@ class TestDualLayout:
         assert dual_layout(t1, 2).index([(1, 0)]).tolist() == [-1]
         assert dual_layout(su2, 2).index([1.0, 2.5]).tolist() == [-1, -1]
         assert dual_layout(su2, 2).index([]).tolist() == []
+
+    @pytest.mark.parametrize("group, labels", [
+        ("su2", ["a"]), ("su2", [None]), ("su2", [2.0]), ("su2", [True]), ("su2", [2**70]),
+        ("su2", [[2]]), ("t1", [3]), ("t1", [(1.0,)]), ("t1", [(True,)]), ("t2", [(1, "x")]),
+        ("t2", [(1, 2, 3)]), ("t2", [(1, [2])]), ("t2", [(1, 2), (1,)]), ("t2", [(0, 0), 1]),
+    ], ids=["str", "None", "float", "bool", "past 64 bits", "nested", "t1 bare int",
+            "t1 float", "t1 bool", "t2 str", "t2 arity 3", "t2 nested", "t2 ragged",
+            "t2 mixed"])
+    def test_index_reads_minus_one_for_what_is_not_a_label(self, group, labels, request):
+        # never numpy's error: a ragged batch reads -1 throughout
+        layout = dual_layout(request.getfixturevalue(group), 2)
+        assert layout.index(labels).tolist() == [-1] * len(labels)
+
+    def test_float_band_limit_refused_by_the_signal_constructors(self, su2):
+        for build in (reproducing_kernel, lambda g, L: synth_coefficients(g, L, np.exp)):
+            with pytest.raises(DomainError, match="band limit must be an integer"):
+                build(su2, 2.5)
+
+    @pytest.mark.parametrize("L", [1.5, 2.0, True, "2", None])
+    def test_dual_layout_refuses_a_non_integer_band_limit(self, su2, L):
+        dual_layout(su2, 2)  # an int entry at the same value is no way round the check
+        with pytest.raises(DomainError, match="band limit must be an integer"):
+            dual_layout(su2, L)
 
     def test_label_bandlimit_of_an_array_is_per_label(self, t1, t2, su2):
         for g, L in ((t1, 9), (t2, 6), (su2, 5)):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liefact.classify import decay_seminorm
 from liefact.errors import DomainError, ParameterError, QuasianalyticError, WitnessSearchError
+from liefact import factorize
 from liefact.factorize import build_partition, supported_factorize
 from liefact.groups import Torus, haar_quadrature
 from liefact.signals import poisson_coefficients, poisson_function
@@ -275,6 +278,36 @@ class TestWeightFunction:
         for w in ws:
             assert (eval_weight(w, 1e12) / 1e12 < 1e-5) == w.satisfies_beta0
 
+    @pytest.mark.parametrize("w, expected", [
+        (gevrey_weight(0.5), True),
+        (gevrey_weight(1.0), True),
+        (log1p_weight(), False),
+        (tabulated_weight([(0.0, 0.0), (1.0, 0.0), (4.0, 3.0)]), True),
+        (tabulated_weight([(0.0, 0.0), (1.0, 0.0), (3.0, 2.0), (4.0, 2.0)]), False),
+    ], ids=["gevrey 0.5", "gevrey 1", "log1p", "sloped table", "flat-tailed table"])
+    def test_gamma_derived(self, w, expected):
+        # (gamma) log t = o(w(t)): w(t)/log t at t = 1e12 is large exactly when it holds
+        assert w.satisfies_gamma is expected
+        assert (eval_weight(w, 1e12) / np.log(1e12) > 10.0) == expected
+
+    @pytest.mark.parametrize("w", [
+        log1p_weight(),
+        tabulated_weight([(0.0, 0.0), (1.0, 0.0), (3.0, 2.0), (4.0, 2.0)]),
+    ], ids=["log1p", "flat-tailed table"])
+    def test_gamma_failure_refused_by_supported_factorize(self, w, monkeypatch):
+        # (beta_0) holds, (gamma) fails: refused before any transform
+        t1 = Torus(1)
+        f = poisson_function(t1, haar_quadrature(t1, 64), 2.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(factorize, "forward", refuse)
+        monkeypatch.setattr(factorize, "build_partition", refuse)
+        assert w.satisfies_beta0
+        with pytest.raises(DomainError, match="satisfies_gamma"):
+            supported_factorize(f, 2.0, w, 0.5, 1.0, k=8)
+
     @pytest.mark.parametrize("make", [
         lambda: gevrey_weight(1.0),
         lambda: gevrey_weight(1),
@@ -368,6 +401,23 @@ class TestParsing:
             parse_weight_spec(f"table:{p}")
         with pytest.raises(DomainError, match="finite"):
             tabulated_weight([(0.0, 0.0), tuple(float(v) for v in row.split(",")), (5.0, 4.0)])
+
+    @pytest.mark.parametrize("spec, body", [
+        ("gevrey:s=abc", None), ("gevrey:s=", None), ("table:{}", "0,0\n1,abc\n"),
+        ("table:{}", "0\n1\n2\n"), ("table:{}", "0,0\n1\n"), ("table:{}", ""),
+    ], ids=["gevrey non-number", "gevrey empty", "table non-number", "table one column",
+            "table ragged", "table without rows"])
+    def test_unreadable_spec_raises_parameter_error(self, tmp_path, spec, body):
+        if body is not None:
+            p = tmp_path / "w.csv"
+            p.write_text("t,omega\n" + body)
+            spec = spec.format(p)
+        with pytest.raises(ParameterError, match="weight spec " + re.escape(repr(spec))):
+            parse_weight_spec(spec)
+
+    def test_missing_table_stays_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            parse_weight_spec(f"table:{tmp_path / 'absent.csv'}")
 
     def test_table_spec(self, tmp_path):
         p = tmp_path / "w.csv"
