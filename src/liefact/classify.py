@@ -102,7 +102,7 @@ def estimate_critical_h(T: FourierCoefficients, w: WeightFunction) -> DecayRepor
     lams, norms = _usable_points(T)
     if len(norms) < 8:
         raise InsufficientDataError("need at least 8 nonzero coefficients")
-    if len(np.unique(lams)) < 2:
+    if np.ptp(lams) == 0:  # np.unique would import numpy.ma (numpy 2)
         raise InsufficientDataError("need at least 2 distinct eigenvalues")
     wvals = eval_weight(w, np.sqrt(lams))
     y = np.log(norms)
@@ -111,12 +111,13 @@ def estimate_critical_h(T: FourierCoefficients, w: WeightFunction) -> DecayRepor
     h_star = _h_from_slope(inv_h)
     h_values = (h_star if np.isfinite(h_star) else 1.0) * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     seminorms = np.array([decay_seminorm(T, w, h) for h in h_values])
-    median = np.median(lams)
+    ordered = np.sort(lams)  # np.median would import numpy.ma (numpy 2)
+    median = 0.5 * (ordered[(len(lams) - 1) // 2] + ordered[len(lams) // 2])
     low, high = lams <= median, lams > median
     h_low = h_high = h_star
-    if np.count_nonzero(low) >= 3 and len(np.unique(lams[low])) >= 2:
+    if np.count_nonzero(low) >= 3 and np.ptp(lams[low]) > 0:
         h_low = _h_from_slope(_fit_inv_h(wvals[low], y[low])[1])
-    if np.count_nonzero(high) >= 3 and len(np.unique(lams[high])) >= 2:
+    if np.count_nonzero(high) >= 3 and np.ptp(lams[high]) > 0:
         h_high = _h_from_slope(_fit_inv_h(wvals[high], y[high])[1])
     super_omega = bool(
         np.isfinite(h_low) and np.isfinite(h_high) and h_high < 0.6 * h_low
@@ -157,7 +158,8 @@ def fit_weight_from_decay(T: FourierCoefficients) -> WeightFunction:
     log_c = np.max(np.log(norms)[None, :] + ns[:, None] * np.log1p(lams)[None, :], axis=1)
     t_max = float(np.sqrt(1.0 + lam_max)) if lam_max > 0 else float(n_max + 2)
     # a knot at exactly t = 1 pins the normalization point
-    ts = np.unique(np.concatenate([np.linspace(0.0, max(t_max, 2.0), _FIT_GRID_POINTS), [1.0]]))
+    ts = np.sort(np.append(np.linspace(0.0, max(t_max, 2.0), _FIT_GRID_POINTS), 1.0))
+    ts = ts[np.r_[True, ts[1:] > ts[:-1]]]
     terms = ns[None, :] * np.log1p(ts)[:, None] - log_c[None, :]
     feasible = ns[None, :] <= np.maximum(ts, 0.0)[:, None]
     feasible[:, 0] = True  # n = 0 always admissible

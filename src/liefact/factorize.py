@@ -105,7 +105,7 @@ class FiniteRep:
         for lab, i in zip(labels, pos):
             if i < 0:
                 raise ParameterError(f"unknown dual label {lab!r}")
-        return cls(group, [layout.duals[i] for i in pos], basis=basis)
+        return cls(group, layout.dual_indices(pos), basis=basis)
 
     @property
     def bandlimit(self) -> int:

@@ -41,6 +41,9 @@ import numpy as np
 from .errors import BandlimitMismatchError, DomainError, ParameterError
 from .groups import DualIndex, DualLayout, QuadratureGrid, dual_layout
 
+# points y^-1 x that ``convolve_by_quadrature`` evaluates per batch
+_ORACLE_BATCH_POINTS = 4096
+
 
 class GridFunction:
     """Samples of f : G -> C^m on a Haar quadrature grid.
@@ -241,14 +244,19 @@ def convolve(chi: GridFunction, f: GridFunction) -> GridFunction:
 
 
 def convolve_by_quadrature(chi: GridFunction, f: GridFunction) -> GridFunction:
-    """Direct nested-quadrature convolution (oracle; quadratic in grid size)."""
+    """Direct nested-quadrature convolution (oracle; quadratic in grid size).
+
+    Evaluates f at y^-1 x for a batch of translates y at a time, as many as
+    fit in ``_ORACLE_BATCH_POINTS`` points (at least one), so the memory it
+    holds is bounded by the batch, not by the number of translates.
+    """
     if chi.value_dim != 1:
         raise ParameterError("the left convolution factor must be scalar-valued")
     group, grid = f.group, f.grid
     Tf = forward(f)
     wchi = chi.grid.weights * chi.scalar_values
     out = np.zeros((grid.size, f.value_dim), dtype=complex)
-    block = max(1, 200_000 // grid.size)
+    block = max(1, _ORACLE_BATCH_POINTS // grid.size)
     for start in range(0, chi.grid.size, block):
         ys = chi.grid.nodes[start:start + block]
         pts = group.multiply(group.inverse_element(ys)[:, None], grid.nodes)  # y^-1 x

@@ -75,7 +75,7 @@ class DualLayout:
     ``members[b]``; position i sits at ``(block[i], slot[i])``.  ``wire``
     lists the positions in the order every output format uses (by Casimir,
     then label text).  ``duals``, the ``DualIndex`` objects, is built on
-    first access.
+    first access; ``dual_indices`` makes those of some positions alone.
     """
 
     def __init__(self, labels: np.ndarray, dim: np.ndarray, casimir: np.ndarray):
@@ -94,15 +94,20 @@ class DualLayout:
                     *self.members):
             arr.flags.writeable = False
 
-    def _label_objects(self) -> list:
+    def _label_objects(self, positions=slice(None)) -> list:
         """The labels as ``DualIndex`` holds them: int tuples on T^d, ints on SU(2)."""
-        labels = self.labels.tolist()
+        labels = self.labels[positions].tolist()
         return list(map(tuple, labels)) if self.labels.ndim == 2 else labels
+
+    def dual_indices(self, positions) -> tuple[DualIndex, ...]:
+        """The ``DualIndex`` objects at the given positions, made for them alone."""
+        pos = np.asarray(positions, dtype=int)
+        return tuple(map(DualIndex, self._label_objects(pos), self.dim[pos].tolist(),
+                         self.casimir[pos].tolist()))
 
     @cached_property
     def duals(self) -> tuple[DualIndex, ...]:
-        return tuple(map(DualIndex, self._label_objects(), self.dim.tolist(),
-                         self.casimir.tolist()))
+        return self.dual_indices(np.arange(len(self.dim)))
 
     def index(self, labels) -> np.ndarray:
         """The positions of an array of labels, -1 for anything that is not a

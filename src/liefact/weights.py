@@ -21,10 +21,12 @@ which the discrete conjugate must reproduce.  Every other kind is evaluated
 as the exact discrete Legendre transform of phi sampled on a uniform u-grid:
 since phi* = (conv phi)*, the sup over the samples is attained at a vertex of
 their lower convex hull, namely the first vertex whose right-hand hull slope
-reaches h t (a ``searchsorted`` on the hull, which one monotone-chain pass
-builds once per weight into a small cache).  The conjugate is +inf when h t
-exceeds the last hull slope by more than 1e-9, i.e. when h t u - phi(u) is
-still climbing at the grid end (condition (gamma) fails).
+reaches h t (a ``searchsorted`` on the hull, which array passes build once
+per weight into a small cache; Lucet, *Faster than the fast Legendre
+transform: the linear-time Legendre transform*, Numer. Algorithms 16, 1997).
+The conjugate is +inf when h t exceeds the last hull slope by more than
+1e-9, i.e. when h t u - phi(u) is still climbing at the grid end (condition
+(gamma) fails).
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .errors import DomainError, ParameterError, WitnessSearchError
 # supported t-range of the library.
 _U_MAX = 64.0
 _RESOLUTION = 1e-3
-# hulls kept at once, one per weight (at most ~1.5 MB each)
+# hulls kept at once, one per weight: three float arrays of at most 64,001
+# entries, so at most ~1.5 MB each (building one traces under 5 MB more)
 _HULL_CACHE_SIZE = 8
 _WITNESS_K_MAX = 400  # largest k of the sup in ``young_inequality_witness``
 
@@ -188,22 +191,33 @@ def _gevrey_scaled_conjugate(w: WeightFunction, h: float, t):
 def _lower_hull(w: WeightFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, phi, slopes) at the lower-hull vertices of phi(u) = w(e^u) on the u-grid.
 
-    One monotone-chain pass, kept per weight (the hull depends on neither h
-    nor t) and shared read-only; slopes[k] runs from vertex k to vertex k + 1.
+    Array passes over a linked chain of the samples: each pass drops every
+    interior vertex whose right slope is <= its left slope (the monotone
+    chain's rule, so collinear points go too), until none is left.  Only the
+    vertices next to a drop can change their verdict, so every pass after
+    the first looks at those alone; a concave kink of phi costs one pass per
+    sample its hull bridges on either side.  Kept per weight (the hull
+    depends on neither h nor t) and shared read-only; slopes[k] runs from
+    vertex k to vertex k + 1.
     """
     u = np.arange(0.0, _U_MAX + _RESOLUTION, _RESOLUTION)
     phi = eval_weight(w, np.exp(u))
-    us, ps = u.tolist(), phi.tolist()
-    verts, slopes = [0], []
-    for i in range(1, len(us)):
-        slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
-        while slopes and slope <= slopes[-1]:
-            verts.pop()
-            slopes.pop()
-            slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
-        verts.append(i)
-        slopes.append(slope)
-    hull = (u[verts], phi[verts], np.array(slopes))
+    n = len(u)
+    prv, nxt = np.arange(-1, n - 1), np.arange(1, n + 1)
+    right = np.append(np.diff(phi) / np.diff(u), np.inf)  # slope to the next vertex
+    alive = np.ones(n, dtype=bool)
+    check = np.arange(1, n - 1)
+    while check.size:
+        drop = check[right[check] <= right[prv[check]]]
+        alive[drop] = False
+        # each run of dropped vertices joins its surviving neighbours a < b
+        a, b = prv[drop[alive[prv[drop]]]], nxt[drop[alive[nxt[drop]]]]
+        nxt[a], prv[b] = b, a
+        right[a] = (phi[b] - phi[a]) / (u[b] - u[a])
+        check = np.stack((a, b), axis=1).ravel()  # sorted: a_0 < b_0 <= a_1 < ...
+        check = check[(np.diff(check, prepend=0) > 0) & (check < n - 1)]
+    verts = np.flatnonzero(alive)
+    hull = (u[verts], phi[verts], right[verts[:-1]])
     for arr in hull:
         arr.flags.writeable = False
     return hull

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liefact
 from liefact.classify import (
     _usable_points,
     decay_seminorm,
@@ -164,6 +168,26 @@ class TestFitWeight:
         T = synth_coefficients(t1, 16, lambda lam: 1.0)
         with pytest.raises(ParameterError):
             fit_weight_from_decay(T)
+
+
+def test_fits_import_no_numpy_ma():
+    # numpy 2's np.unique and np.median import numpy.ma (16-24 ms) on first use
+    code = "\n".join([
+        "import sys",
+        "from liefact.classify import estimate_critical_h, fit_weight_from_decay",
+        "from liefact.groups import Torus",
+        "from liefact.signals import poisson_coefficients",
+        "from liefact.weights import gevrey_weight",
+        "T = poisson_coefficients(Torus(1), 32, 1.0)",
+        "estimate_critical_h(T, gevrey_weight(1.0))",
+        "fit_weight_from_decay(T)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(liefact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def gevrey_order_by_loop(T: FourierCoefficients) -> float:

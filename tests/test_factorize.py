@@ -133,6 +133,13 @@ class TestFromLabels:
         rep = FiniteRep.from_labels(t2, [(70, 0)])
         assert rep.blocks[0].label == (70, 0) and rep.bandlimit == 70
 
+    def test_layout_duals_left_unbuilt(self, t2, su2):
+        # DualIndex objects for the given labels only, not for the whole box
+        for group, label, L, dim in ((t2, (41, -3), 41, 1), (su2, 79, 40, 80)):
+            rep = FiniteRep.from_labels(group, [label])
+            assert rep.blocks[0].label == label and rep.blocks[0].dim == dim
+            assert "duals" not in vars(dual_layout(group, L))
+
     def test_unknown_labels_rejected(self, t1, t2, su2):
         for group, label in ((su2, -1), (t2, (1,)), (t1, (1, 2))):
             with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liefact.classify import decay_seminorm
 from liefact.errors import DomainError, ParameterError, QuasianalyticError, WitnessSearchError
-from liefact import factorize
+from liefact import factorize, weights
 from liefact.factorize import build_partition, supported_factorize
 from liefact.groups import Torus, haar_quadrature
 from liefact.signals import poisson_coefficients, poisson_function
@@ -64,6 +65,60 @@ class TestEvalWeight:
         lo, hi = min(a, b), max(a, b)
         for w in (gevrey_weight(0.5), gevrey_weight(1.0), log1p_weight()):
             assert eval_weight(w, lo) <= eval_weight(w, hi) + 1e-12
+
+
+# (2, 3) -> (5, 3.5) and (10, 20) -> (20, 21) flatten w, so u |-> w(e^u) has
+# two concave kinks whose hull bridges span hundreds of grid points
+NONCONVEX_KNOTS = [(0, 0), (1, 0), (2, 3), (5, 3.5), (10, 20), (20, 21), (40, 80)]
+
+
+def monotone_chain_hull(w):
+    """The lower hull as one monotone-chain loop over the u-grid: the
+    reference that ``weights._lower_hull``'s array passes must reproduce."""
+    u = np.arange(0.0, weights._U_MAX + weights._RESOLUTION, weights._RESOLUTION)
+    phi = eval_weight(w, np.exp(u))
+    us, ps = u.tolist(), phi.tolist()
+    verts, slopes = [0], []
+    for i in range(1, len(us)):
+        slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
+        while slopes and slope <= slopes[-1]:
+            verts.pop()
+            slopes.pop()
+            slope = (ps[i] - ps[verts[-1]]) / (us[i] - us[verts[-1]])
+        verts.append(i)
+        slopes.append(slope)
+    return u[verts], phi[verts], np.array(slopes)
+
+
+class TestLowerHull:
+    @pytest.mark.parametrize("w", [
+        gevrey_weight(0.25), gevrey_weight(0.5), gevrey_weight(1.0), log1p_weight(),
+        tabulated_weight(NONCONVEX_KNOTS)], ids=["s=0.25", "s=0.5", "s=1", "log1p", "table"])
+    def test_bit_identical_to_monotone_chain(self, w):
+        weights._lower_hull.cache_clear()
+        for got, ref in zip(weights._lower_hull(w), monotone_chain_hull(w), strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_table_hull_needs_several_passes(self):
+        # the vertices that survive the first pass include some the hull drops
+        w = tabulated_weight(NONCONVEX_KNOTS)
+        u = np.arange(0.0, weights._U_MAX + weights._RESOLUTION, weights._RESOLUTION)
+        slopes = np.diff(eval_weight(w, np.exp(u))) / np.diff(u)
+        first_pass = 2 + np.count_nonzero(slopes[1:] > slopes[:-1])
+        assert first_pass > len(weights._lower_hull(w)[0]) + 100
+
+    @pytest.mark.parametrize("w", [gevrey_weight(0.5), tabulated_weight(NONCONVEX_KNOTS)],
+                             ids=["s=0.5", "table"])
+    def test_cold_hull_peak_memory(self, w):
+        # u, phi, the chain's links and a pass's gathers: no Python float lists
+        weights._lower_hull.cache_clear()
+        tracemalloc.start()
+        try:
+            weights._lower_hull(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestYoungConjugate:
@@ -133,7 +188,7 @@ class TestYoungConjugate:
     def test_hull_matches_brute_force_on_nonconvex_table(self):
         # u |-> w(e^u) is not convex here, so the maximizer skips whole
         # stretches of the grid; the hull must still find the sampled sup
-        w = tabulated_weight([(0, 0), (1, 0), (2, 3), (5, 3.5), (10, 20), (20, 21), (40, 80)])
+        w = tabulated_weight(NONCONVEX_KNOTS)
         u = np.arange(0.0, 64.0 + 1e-3, 1e-3)
         phi = eval_weight(w, np.exp(u))
         ts = np.concatenate([np.linspace(0.0, 30.0, 301), [1e3, 1e9, 1e20]])
@@ -146,8 +201,6 @@ class TestYoungConjugate:
         assert young_conjugate_grid(w, 1.0, 1.01 * last_slope) == np.inf
 
     def test_hull_built_once_per_weight(self, monkeypatch):
-        from liefact import weights
-
         weights._lower_hull.cache_clear()
         calls = []
 
@@ -166,8 +219,6 @@ class TestYoungConjugate:
 
     def test_grid_conjugate_peak_memory(self):
         # a dense (points x u-grid) objective would need ~100 MB per temporary
-        import tracemalloc
-
         ts = np.linspace(0.0, 50.0, 200)
         tracemalloc.start()
         try:
