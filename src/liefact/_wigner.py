@@ -53,11 +53,16 @@ of its angles.  A level is yielded as the read-only transposed view
 SOFT (Kostelec & Rockmore, FFTs on the Rotation Group, 2008), which also
 uses the mirror: each level is yielded when done, and only the four below
 it are kept.
+
+``wigner_d_half_pi`` keeps the full levels at the one angle pi/2, cached
+and read-only: through them every d^l(beta) is a Fourier series in beta,
+which is how ``SU2.evaluate_values`` reads a family off the grid.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,4 +148,21 @@ def complete_level(upper: np.ndarray, mirror: np.ndarray | None = None) -> np.nd
     # (-1)^{m'-m} = (-1)^{i+j} on indices
     np.multiply(mirror[..., d - h - 1::-1, ::-1], 1 - 2 * ((k[h:, None] + k) % 2), out=lower)
     np.conjugate(lower, out=lower)
+    return out
+
+
+@lru_cache(maxsize=None)
+def wigner_d_half_pi(two_l_max: int) -> tuple[np.ndarray, ...]:
+    """Delta^l = d^l(pi/2), each full (2l+1, 2l+1) level for 2l = 0..two_l_max.
+
+    They factor every d^l(beta) into a Fourier series in beta (Risbo 1996),
+
+        d^l_{m'm}(beta) = i^{m-m'} sum_k Delta^l_{km'} Delta^l_{km} e^{ik beta},
+
+    k = l..-l.  Built once per two_l_max and read-only, since every caller
+    shares them: 100 KB at two_l_max = 32.
+    """
+    out = tuple(complete_level(level[0]) for level in wigner_d_matrices(two_l_max, np.pi / 2))
+    for level in out:
+        level.flags.writeable = False
     return out

@@ -20,7 +20,9 @@ inputs up to roundoff.  This module names no group: ``forward`` and
 ``inverse`` check the band limits and hand the samples or blocks to the
 group's ``forward_blocks`` / ``inverse_values`` (see ``groups``), and
 ``evaluate`` hands the points to its third transform hook,
-``evaluate_values``.  A family and a grid, or two families, on different
+``evaluate_values``, which reads the family as one trigonometric sum in the
+coordinates (on SU(2) through Delta = d(pi/2), with no Wigner recursion at
+the points).  A family and a grid, or two families, on different
 groups are refused with ``ParameterError`` before any group call.  The nested
 quadrature oracle composes y^-1 x by the group's element arithmetic.
 

@@ -7,18 +7,17 @@ band-limited integrands, and the transform on that quadrature.
 
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family;
-``irrep_matrices`` builds one whole xi (``DomainError`` off the dual).  On
-SU(2) one per-degree builder over the streamed Wigner levels makes the rows
-m' >= 0 only (h = 2l//2 + 1), and ``irrep_matrices`` completes them by the
-mirror xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
+``irrep_matrices`` builds one whole xi (``DomainError`` off the dual), on
+SU(2) from the rows m' >= 0 of one streamed Wigner level by the mirror
+xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
 
 The transform is here too, and so is the grid layout: ``forward_blocks``,
 ``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
-they are numpy.fft read at k mod n and one product e^{ik.x} @ T.  On SU(2)
-the forward runs ``_STAGES`` per spin parity and the inverse their adjoints
-in reverse; the stage functions' docstrings give the stage list.  No stage
-holds a row m' < 0.  The plan (``_wigner_plan``) is read-only grid data,
-which a band limit L' below the grid's slices.
+the first two are numpy.fft read at k mod n; on SU(2) the forward runs
+``_STAGES`` per spin parity and the inverse their adjoints in reverse (the
+stages' docstrings give the list), no stage holds a row m' < 0, and the
+plan (``_wigner_plan``) is read-only grid data a band limit L' below the
+grid's slices.  Off the grid both sum one trigonometric series (``_trig_sum``).
 
 Coordinates and normalizations
 ------------------------------
@@ -50,7 +49,7 @@ import math
 
 import numpy as np
 
-from ._wigner import complete_level, wigner_d_matrices
+from ._wigner import complete_level, wigner_d_half_pi, wigner_d_matrices
 from .errors import DomainError, ParameterError
 
 
@@ -150,6 +149,26 @@ def _parity_slice(two_L: int, two_l: int) -> slice:
 def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The first entries of a flat work buffer, as an array of ``shape``."""
     return buf[:math.prod(shape)].reshape(shape)
+
+
+_TRIG_SUM_CHUNK = (1 << 19, 1024)  # per chunk in ``_trig_sum``: bytes of partial sums, points
+
+
+def _trig_sum(points: np.ndarray, freqs, F: np.ndarray) -> np.ndarray:
+    """(n, m) values sum_j F[j_d, :, j_1, ..., j_{d-1}] prod_a e^{i f_a[j_a] x_a} at the
+    (n, d) points, f_a = freqs[a]: per chunk, one GEMM over the last axis (F's first), then
+    matrix-vector products over the others.  Points are padded to whole chunks, so every
+    GEMM has one shape and a point's value does not depend on the others evaluated with it."""
+    chunk = max(1, min(_TRIG_SUM_CHUNK[0] // (16 * F[0].size), _TRIG_SUM_CHUNK[1]))
+    padded = np.pad(points, ((0, -len(points) % chunk), (0, 0))).reshape(-1, chunk, points.shape[1])
+    out = np.empty(padded.shape[:2] + F.shape[1:2], dtype=complex)
+    for x, y in zip(padded, out):
+        phases = [np.exp(1j * np.multiply.outer(xa, f)) for xa, f in zip(x.T, freqs)]
+        acc = (phases[-1] @ F.reshape(len(F), -1)).reshape(chunk, *F.shape[1:])
+        for e in phases[-2::-1]:  # one matrix-vector product per point
+            acc = (acc.reshape(chunk, -1, e.shape[1]) @ e[:, :, None]).reshape(acc.shape[:-1])
+        y[...] = acc
+    return out.reshape(-1, F.shape[1])[:len(points)]
 
 
 def _fold_level(level: np.ndarray) -> np.ndarray:
@@ -414,16 +433,10 @@ class Torus(_Group):
         return vals.reshape(-1, m)
 
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
-        """(n, m) values of the family at arbitrary points: sum_k T_k e^{ik.x},
-        one complex product per chunk of points."""
-        pts = self.validate_coords(points)
-        K = dual_layout(self, bandlimit).labels.astype(float)
-        coef = blocks[0][:, :, 0, 0]  # (n_dual, m)
-        out = np.empty((len(pts), coef.shape[1]), dtype=complex)
-        chunk = max(128, 4_000_000 // len(K))  # chunk x n_dual phases at a time
-        for start in range(0, len(pts), chunk):
-            out[start:start + chunk] = np.exp(1j * pts[start:start + chunk] @ K.T) @ coef
-        return out
+        """(n, m) values at arbitrary points: T is the trigonometric sum sum_k T_k e^{ik.x}."""
+        pts, k, d = self.validate_coords(points), np.arange(-bandlimit, bandlimit + 1.0), self.d
+        coef = blocks[0][:, :, 0, 0].reshape((len(k),) * d + (-1,))  # (k_1, ..., k_d, m)
+        return _trig_sum(pts, (k,) * d, np.moveaxis(coef, (-2, -1), (0, 1)))
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
         n = grid.axes["points_per_axis"]
@@ -529,32 +542,19 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        levels, phased = self._phased_levels(points, int(two_l))
-        return complete_level(phased(int(two_l), deque(levels, maxlen=1)[0]))
+        return complete_level(self._phased_levels(points, int(two_l)))
 
-    def _degree_blocks(self, points: np.ndarray, two_L: int):
-        """The rows m' >= 0 of xi(x) for the degrees 2l = 0..two_L, in order."""
-        levels, phased = self._phased_levels(points, two_L)
-        yield from map(phased, itertools.count(), levels)
-
-    def _phased_levels(self, points: np.ndarray, two_L: int):
-        """(levels, phased): the Wigner levels 2l = 0..two_L streamed on the
-        distinct betas, and phased(2l, d), the rows m' >= 0 of xi(x) from level
-        d (phases made once, times d), a view of one buffer the next call reuses."""
+    def _phased_levels(self, points: np.ndarray, two_l: int) -> np.ndarray:
+        """The rows m' >= 0 of xi(x) at degree 2l, from its Wigner level on the distinct betas."""
         pts = self.validate_coords(np.atleast_2d(points))
-        buf = np.empty(len(pts) * (two_L // 2 + 1) * (two_L + 1), dtype=complex)
         betas, where = np.unique(pts[:, 1], return_inverse=True)
         if len(betas) == len(pts):
             betas, where = pts[:, 1], slice(None)
-        left = np.exp(-0.5j * np.outer(pts[:, 0], np.arange(-two_L, two_L + 1)))
-        right = np.exp(-0.5j * np.outer(pts[:, 2], np.arange(-two_L, two_L + 1)))
-        def phased(two_l: int, d: np.ndarray) -> np.ndarray:
-            q, s = (two_L + two_l) % 2, _parity_slice(two_L, two_l)
-            block = _take(buf, len(pts), *d.shape[1:])
-            np.multiply(left[:, q::2][:, s][:, :block.shape[1], None], d[where], out=block)
-            block *= right[:, q::2][:, None, s]
-            return block
-        return wigner_d_matrices(two_L, betas), phased
+        d = deque(wigner_d_matrices(two_l, betas), maxlen=1)[0]
+        two_m = np.arange(two_l, -two_l - 1, -2)  # columns m = l..-l
+        block = np.exp(-0.5j * np.outer(pts[:, 0], two_m[:d.shape[1]]))[:, :, None] * d[where]
+        block *= np.exp(-0.5j * np.outer(pts[:, 2], two_m))[:, None, :]
+        return block
 
     # -- quadrature and transform -------------------------------------------
 
@@ -628,25 +628,24 @@ class SU2(_Group):
         return out.reshape(-1, m)
 
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
-        """(n, m) values of the family at arbitrary points from the rows
-        D = X + iY of ``_degree_blocks``: by the mirror, sum_ij conj(xi_ij) a_ij
-        (a = d T) is conj(D) a + D (p - a) over the upper rows, where p adds
-        the rows m' < 0 of a, folded by ``_fold_level``, to its rows m' >= 0;
-        one real product [X | Y] @ [p; i(p - 2a)] per degree and chunk."""
-        m = blocks[0].shape[1]
-        coefs = []  # (h d re/im, re/im of m): rows interleaved like D.view(float)
-        for t in blocks:  # one (1, m, d, d) block per degree
-            a, folded = _fold_level(t[0] * t.shape[-1])  # (m, h, d) each
-            p = a + folded
-            pq = np.stack([p, 1j * (p - 2 * a)], axis=-1)  # (m, h, d, 2)
-            coefs.append(pq.transpose(1, 2, 3, 0).copy().reshape(-1, m).view(float))
-        out = np.zeros((len(points), m), dtype=complex)
-        # chunk x sum d^2 entries bounds the rows of xi(x) one chunk holds
-        chunk = max(128, 4_000_000 // sum(t.shape[-1] ** 2 for t in blocks))
-        for start in range(0, len(points), chunk):
-            sl = slice(start, start + chunk)
-            for D, c in zip(self._degree_blocks(points[sl], 2 * bandlimit), coefs):
-                out[sl] += (D.reshape(len(D), -1).view(float) @ c).view(complex)
+        """(n, m) values of the family at arbitrary points, one trigonometric sum
+        per spin parity (``_trig_sum``): as d^l_{m'm}(beta) = i^{m-m'} sum_k D_{km'}
+        D_{km} e^{ik beta}, D = d^l(pi/2) (``wigner_d_half_pi``), e^{i(m' alpha + k beta
+        + m gamma)} has the coefficient sum_l d i^{m-m'} D_{km'} D_{km} (T_l)_{m'm}."""
+        pts, two_L, out = self.validate_coords(points), 2 * bandlimit, 0
+        deltas, idx = wigner_d_half_pi(two_L), np.arange(two_L + 1)
+        ipow = np.array([1, 1j, -1, -1j])[(idx[:, None] - idx) % 4]  # i^{b-a} at row b, column a
+        for p in (0, 1):
+            axis = np.arange(p - two_L, two_L + 1, 2) / 2.0  # the parity's m, rising
+            F = np.zeros((len(axis), blocks[0].shape[1]) + (len(axis),) * 2, dtype=complex)
+            for two_l in range(p, two_L + 1, 2):  # F[m, :, m', k]: each degree's slice, rows k >= 0
+                s, D, d, h = _parity_slice(two_L, two_l), deltas[two_l].T, two_l + 1, two_l // 2 + 1
+                t = (blocks[two_l][0] * (d * ipow[:d, :d])).transpose(2, 0, 1)[..., None]
+                F[s, :, s, s.start:s.start - h:-1] += (D[:, None, :h] * D[:, :h])[:, None] * t
+            # rows k < 0: F_{m'(-k)m} = i^{2(m-m')} F_{m'km}, as D_{-k,m} = (-1)^{l+m} D_{km}
+            np.multiply(F[..., :-bandlimit - 1:-1], ipow[:len(F), None, :len(F), None] ** 2,
+                        out=F[..., :bandlimit])
+            out = out + _trig_sum(pts, (axis,) * 3, F)
         return out
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:

@@ -165,14 +165,15 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
                             j_max: int = 24) -> IteratesDecayReport:
     """Empirical constants for the iterate/decay inequalities plus the
     weighted-seminorm shadow on both sides of the transform.  The function
-    side is ``iterate_seminorm`` at its default j_max, and
+    side is ``iterate_seminorm`` to max(j_max, its default j_max), and
     ``function_side_reached`` is its ``reached``: false when the value is
-    the last term of a climb cut at j_max, not the sup.  Both sides read
-    one pass of iterates: max(j_max, j_stop) + 1 inverse transforms, j_stop
-    the function side's last j."""
+    the last term of a climb cut there, not the sup.  Both sides read one
+    pass of iterates: max(j_max, j_stop) + 1 inverse transforms, j_stop the
+    function side's last j."""
     n = f.group.dim
     T = forward(f)
-    sups = _iterate_sups(T, f.grid, max(j_max, _SEMINORM_J_MAX))
+    j_func = max(j_max, _SEMINORM_J_MAX)
+    sups = _iterate_sups(T, f.grid, j_func)
     sup = np.fromiter(itertools.islice(sups, j_max + 1), dtype=float, count=j_max + 1)
     finite = np.isfinite(sup) & (sup > 0)
     js = np.arange(j_max + 1)[finite]
@@ -190,7 +191,7 @@ def iterates_vs_decay_check(f: GridFunction, w: WeightFunction, h: float,
     if log_norms.size:
         bound = np.max(log_norms[None, :] + (js + n)[:, None] * log1p_lam[None, :], axis=1)
         c2 = float(np.max(np.exp(log_sup - bound), initial=0.0))
-    func_side = _weighted_sup(itertools.chain(sup.tolist(), sups), w, h, _SEMINORM_J_MAX)
+    func_side = _weighted_sup(itertools.chain(sup.tolist(), sups), w, h, j_func)
     coef_side = decay_seminorm(T, w, h)
     consistent = bool(np.isfinite(c1) and np.isfinite(c2))
     return IteratesDecayReport(

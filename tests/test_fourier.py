@@ -235,43 +235,45 @@ class TestInverse:
         vals = evaluate(T, grid.nodes[idx])
         assert np.abs(vals - f.values[idx]).max() < 1e-11
 
-    def test_evaluate_builds_wigner_on_distinct_betas(self, su2, rng, monkeypatch):
+    def test_evaluate_builds_no_wigner_level_at_the_points(self, su2, rng, monkeypatch):
+        # off the grid, evaluate reads the cached Delta = d(pi/2) tables: it
+        # runs the Wigner recursion on no beta of its points
         import liefact.groups
 
         grid = haar_quadrature(su2, 4)
         T = forward(random_bandlimited(su2, grid, rng))
-        angles = []
-        wigner = liefact.groups.wigner_d_matrices
-
-        def spy(two_l_max, beta):
-            angles.append(np.size(beta))
-            return wigner(two_l_max, beta)
-
-        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", spy)
+        calls = []
+        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", lambda *args: calls.append(args))
         evaluate(T, grid.nodes[rng.choice(grid.size, 40, replace=False)])
-        assert angles and max(angles) <= grid.axes["B"]
+        assert calls == []
+        monkeypatch.undo()
         grid = haar_quadrature(su2, 16)
         T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
         idx = rng.choice(grid.size, 64, replace=False)
         assert np.abs(evaluate(T, grid.nodes[idx]) - inverse(T, grid).values[idx]).max() < 1e-12
 
     def test_su2_evaluate_chunks_are_independent(self, su2, rng):
-        # sum_{2l <= 32} (2l+1)^2 = 12529 entries per point puts 319 points in
-        # a chunk: 321 points run as 319 and 2 through one block buffer, so a
-        # stale row left in it from the first chunk would show in the last two
-        assert 4_000_000 // sum(d * d for d in range(1, 34)) == 319
+        # at L = 16, m = 2 a chunk of 2**19 bytes of partial sums holds 15
+        # points of the integer spins (33 x 2 x 33 each) and 16 of the
+        # half-integer ones, and the points are padded to whole chunks: every
+        # GEMM has one shape, so 319 + 2 points, or one point at a time, give
+        # the values of all 321 at once bit for bit
+        import liefact.groups
+
+        assert liefact.groups._TRIG_SUM_CHUNK == (1 << 19, 1024)
         grid = haar_quadrature(su2, 16)
         T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
         pts = np.array([su2.random_element(rng) for _ in range(321)])
         whole = evaluate(T, pts)
         assert np.array_equal(whole, np.concatenate([evaluate(T, pts[:319]),
                                                      evaluate(T, pts[319:])]))
+        assert np.array_equal(whole[::40], np.concatenate([evaluate(T, p) for p in pts[::40]]))
 
     def test_su2_evaluate_peak_memory(self, su2, rng):
-        # the streamed levels, one (n, h, d) block buffer for the top degree
-        # and the folded coefficients peak at 9.5 MB (256 points, L = 16,
-        # m = 2); the bound is the peak with a new block per degree, so the
-        # buffer may not become a second live block
+        # the coefficients of both spin parities' trigonometric sums (1.1 MB
+        # each at L = 16, m = 2) and one chunk of partial sums peak at 2.3 MB
+        # for 256 points; the bound is the 10 MB of the Wigner-level path
+        # this replaced
         import tracemalloc
 
         grid = haar_quadrature(su2, 16)
@@ -284,6 +286,29 @@ class TestInverse:
         finally:
             tracemalloc.stop()
         assert peak <= 10.0e6
+
+    @pytest.mark.parametrize("L, r", [(16, 0.3), (32, 0.5)])
+    def test_su2_evaluate_matches_the_s3_poisson_kernel(self, su2, rng, L, r):
+        # an oracle with no transform and no Wigner code: the S^3 Poisson
+        # kernel (1 - r^2) / (1 - 2r cos phi + r^2)^2, cos phi = cos(beta/2)
+        # cos((alpha + gamma)/2), is sum_l (2l + 1) r^{2l} chi_l, so its
+        # coefficients are r^{2l} I; the terms past 2L are below 1e-15 here
+        T = FourierCoefficients.diagonal(su2, L, r ** dual_layout(su2, L).labels.astype(float))
+        pts = np.array([su2.random_element(rng) for _ in range(500)])
+        c = np.cos(pts[:, 1] / 2) * np.cos((pts[:, 0] + pts[:, 2]) / 2)
+        kernel = (1 - r * r) / (1 - 2 * r * c + r * r) ** 2
+        vals = evaluate(T, pts)[:, 0]
+        assert np.abs(vals - kernel).max() <= 1e-10 * kernel.min()
+
+    def test_t2_evaluate_matches_the_product_poisson_kernel(self, t2, rng):
+        # the product of two circle Poisson kernels has the coefficients
+        # r^{|k1| + |k2|}; at L = 64, r = 0.6 the rest is below 1e-13
+        L, r = 64, 0.6
+        T = FourierCoefficients.diagonal(t2, L, r ** np.abs(dual_layout(t2, L).labels).sum(1))
+        pts = rng.uniform(0.0, 2 * np.pi, (500, 2))
+        kernel = np.prod((1 - r * r) / (1 - 2 * r * np.cos(pts) + r * r), axis=1)
+        vals = evaluate(T, pts)[:, 0]
+        assert np.abs(vals - kernel).max() <= 1e-10 * kernel.min()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_evaluate_torus_off_grid_matches_character_sum(self, d, rng):
@@ -423,6 +448,24 @@ class TestConvolution:
         grid = haar_quadrature(su2, L)
         chi = random_bandlimited(su2, grid, rng)
         f = random_bandlimited(su2, grid, rng, value_dim=2)
+        tracemalloc.start()
+        try:
+            slow = convolve_by_quadrature(chi, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert np.abs(slow.values - convolve(chi, f).values).max() < 1e-9
+
+    def test_t2_quadrature_oracle_memory(self, t2, rng):
+        # T^2 L = 8: 324 translates of 324 nodes, 27 batches of 3,888 points;
+        # each is one trigonometric sum with a phase table per axis, not an
+        # exp of every (point, label) phase (36 MB traced when it was)
+        import tracemalloc
+
+        grid = haar_quadrature(t2, 8)
+        chi = random_bandlimited(t2, grid, rng)
+        f = random_bandlimited(t2, grid, rng, value_dim=2)
         tracemalloc.start()
         try:
             slow = convolve_by_quadrature(chi, f)

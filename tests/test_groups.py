@@ -6,7 +6,6 @@ import pytest
 
 import liefact.fourier
 import liefact.groups
-from liefact._wigner import complete_level
 from liefact.errors import DomainError
 from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward
 from liefact.groups import (
@@ -237,30 +236,29 @@ class TestMatrixCoefficients:
 
 
 class TestIrrepBlocks:
-    """The blocks of xi(x) that ``evaluate_values`` contracts: on SU(2) the
-    rows m' >= 0 of ``_degree_blocks``, each completed level equal to the
-    one-xi ``irrep_matrices`` bit for bit; on the torus the phases of one
-    complex product, read out by one-hot families."""
+    """``evaluate_values`` against xi(x) from ``irrep_matrices``, read out by
+    one-hot families: on SU(2) through the Delta = d(pi/2) factorization, on
+    the torus through one phase table per axis; and ``irrep_matrices``
+    itself, which streams the Wigner levels of one xi."""
 
     def test_su2_degrees_equal_irrep_matrices(self, su2, rng):
+        # a family one-hot in value column (m', m) of degree 2l evaluates to
+        # d conj(xi_{m'm}(x)) there: every entry of every degree in one call
         L = 4
-        duals = enumerate_dual(su2, L)
         grid = haar_quadrature(su2, L)
         random_pts = np.array([su2.random_element(rng) for _ in range(30)])
-        for pts in (random_pts, grid.nodes[::7]):
-            # each block is a view of one buffer that the next degree
-            # overwrites, so it is checked before the next one is made
-            count = 0
-            for xi, block in zip(duals, su2._degree_blocks(pts, 2 * L), strict=True):
-                count += 1
-                assert block.shape == (len(pts), xi.label // 2 + 1, xi.dim)
-                assert np.array_equal(complete_level(block), su2.irrep_matrices(xi, pts))
-            assert count == len(duals)
+        for xi in enumerate_dual(su2, L):
+            d = xi.dim
+            T = FourierCoefficients.zeros(su2, L, value_dim=d * d)
+            T.blocks[xi.label][0] = np.eye(d * d).reshape(d * d, d, d)
+            for pts in (random_pts, grid.nodes[::7]):
+                vals = evaluate(T, pts).reshape(len(pts), d, d)
+                assert np.abs(vals - d * su2.irrep_matrices(xi, pts).conj()).max() <= 1e-13 * d
 
     def test_torus_block_columns_equal_irrep_matrices(self, t1, t2, rng):
-        # evaluate forms every phase k.x in one matrix product, a single xi
-        # in a vector product; on T^2 the two sums may round apart in the last
-        # bit of k.x (|k.x| < 40 here, so by well under 1e-14)
+        # evaluate multiplies one phase table per axis, a single xi takes
+        # e^{-ik.x} whole; on T^1 both are exp(i k x) of the same product, on
+        # T^2 they may round apart in the last bits (well under 1e-14 here)
         for g in (t1, t2):
             pts = np.array([g.random_element(rng) for _ in range(30)])
             for i, xi in enumerate(enumerate_dual(g, 3)):
@@ -272,17 +270,18 @@ class TestIrrepBlocks:
                 assert np.abs(vals - np.conj(mats[:, 0])).max() <= (0.0 if g is t1 else 1e-14)
 
     def test_su2_blocks_stream_in_bounded_memory(self, su2, rng):
-        # one degree's Wigner level and block at a time: a table of every
-        # level on the 256 distinct betas would alone take every_level bytes
+        # irrep_matrices keeps one degree's Wigner levels at a time: a table
+        # of every level on the 256 distinct betas would alone take every_level
+        # bytes
         pts = np.array([su2.random_element(rng) for _ in range(256)])
         every_level = sum(256 * d * d * 8 for d in range(1, 34))
         tracemalloc.start()
         try:
-            count = sum(1 for _ in su2._degree_blocks(pts, 32))
+            mats = su2.irrep_matrices(enumerate_dual(su2, 16)[32], pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == 33
+        assert mats.shape == (256, 33, 33)
         assert peak < 0.9 * every_level
 
     def test_su2_distinct_betas_skip_the_gather(self, su2, rng):
@@ -290,7 +289,8 @@ class TestIrrepBlocks:
         # point repeated they go through np.unique and the gather: same rows
         pts = np.array([su2.random_element(rng) for _ in range(40)])
         dup = np.concatenate([pts, pts[5:6]])
-        for got, ref in zip(su2._degree_blocks(pts, 12), su2._degree_blocks(dup, 12)):
+        for xi in enumerate_dual(su2, 6):
+            got, ref = su2.irrep_matrices(xi, pts), su2.irrep_matrices(xi, dup)
             assert np.array_equal(got, ref[:-1])
             assert np.array_equal(ref[-1], got[5])
 

@@ -228,6 +228,18 @@ class TestIteratesVsDecay:
         assert not rep.function_side_reached
 
 
+    def test_function_side_runs_to_the_larger_j_max(self, t1):
+        # inside the class (h = 1.2 > h* = 1) the weighted terms fall below
+        # the early-stop rule only at j = 44: the default 40 cuts them, and
+        # j_max = 48 reaches the sup; the value is the same either way
+        f = poisson_function(t1, haar_quadrature(t1, 64), 1.0)
+        cut = iterates_vs_decay_check(f, gevrey_weight(1.0), 1.2)
+        full = iterates_vs_decay_check(f, gevrey_weight(1.0), 1.2, j_max=48)
+        assert not cut.function_side_reached and full.function_side_reached
+        for rep in (cut, full):
+            assert rep.seminorm_function_side == pytest.approx(2445176.3, rel=1e-7)
+
+
 class TestOperatorProperties:
     def _inner(self, f, g):
         return complex(np.sum(f.grid.weights[:, None] * f.values * g.values.conj()))
