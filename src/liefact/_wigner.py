@@ -54,9 +54,11 @@ SOFT (Kostelec & Rockmore, FFTs on the Rotation Group, 2008), which also
 uses the mirror: each level is yielded when done, and only the four below
 it are kept.
 
-``wigner_d_half_pi`` keeps the full levels at the one angle pi/2, cached
-and read-only: through them every d^l(beta) is a Fourier series in beta,
-which is how ``SU2.evaluate_values`` reads a family off the grid.
+The recursion runs for ``wigner_d_half_pi`` and for ``irrep_matrices``
+alone.  ``wigner_d_half_pi`` keeps the full levels at the one angle pi/2,
+cached and read-only: through them every d^l(beta) is a Fourier series in
+beta, which is how the SU(2) transform and ``SU2.evaluate_values`` read
+d^l(beta), on the grid and off it.  No other table of levels is stored.
 """
 
 from __future__ import annotations
@@ -131,22 +133,19 @@ def wigner_d_matrices(two_l_max: int, beta):
         yield mat.transpose(2, 0, 1)
 
 
-def complete_level(upper: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+def complete_level(upper: np.ndarray) -> np.ndarray:
     """The full (..., 2l+1, 2l+1) level from its upper rows m' >= 0.
 
     The rows m' < 0 are the mirror X_{-m',-m} = (-1)^{m'-m} conj(X_{m'm}), which
-    holds for d^l(beta) (real) and for D^l(x) with the ZYZ phases alike.  They
-    are taken from the upper rows of ``mirror`` when given: the SU(2) forward
-    transform mirrors those of conj f.
+    holds for d^l(beta) (real) and for D^l(x) with the ZYZ phases alike.
     """
     h, d = upper.shape[-2:]
     k = np.arange(d)
     out = np.empty(upper.shape[:-2] + (d, d), dtype=upper.dtype)
     out[..., :h, :] = upper
     lower = out[..., h:, :]
-    mirror = upper if mirror is None else mirror
     # (-1)^{m'-m} = (-1)^{i+j} on indices
-    np.multiply(mirror[..., d - h - 1::-1, ::-1], 1 - 2 * ((k[h:, None] + k) % 2), out=lower)
+    np.multiply(upper[..., d - h - 1::-1, ::-1], 1 - 2 * ((k[h:, None] + k) % 2), out=lower)
     np.conjugate(lower, out=lower)
     return out
 
@@ -160,7 +159,7 @@ def wigner_d_half_pi(two_l_max: int) -> tuple[np.ndarray, ...]:
         d^l_{m'm}(beta) = i^{m-m'} sum_k Delta^l_{km'} Delta^l_{km} e^{ik beta},
 
     k = l..-l.  Built once per two_l_max and read-only, since every caller
-    shares them: 100 KB at two_l_max = 32.
+    shares them: 100 KB at two_l_max = 32, 5.8 MB at 128.
     """
     out = tuple(complete_level(level[0]) for level in wigner_d_matrices(two_l_max, np.pi / 2))
     for level in out:

@@ -218,12 +218,13 @@ def strong_factorize(f: GridFunction, w: WeightFunction, h: float,
     mult = np.exp(w_sqrt_lam / h_prime)
     g_hat = FourierCoefficients.diagonal(f.group, T.bandlimit, 1.0 / mult)
     fprime_hat = T.scaled(mult)
-    recombined = inverse(compose(g_hat, fprime_hat), f.grid)
+    residual = inverse(compose(g_hat, fprime_hat), f.grid).values
+    residual -= f.values  # in place: at SU(2) L=64 each is 70 MB
     h_eff = 1.0 / (1.0 / h - 1.0 / h_prime)
     source = decay_seminorm(T, w, h)
     return FactorizationResult(
         g=g_hat, f_prime=fprime_hat, multipliers=mult, weight=w, h=h, h_prime=h_prime,
-        slot_residuals=np.max(np.abs(recombined.values - f.values), axis=0),
+        slot_residuals=np.max(np.abs(residual), axis=0),
         transfer_margins=source - fprime_hat.hs_norms() * np.exp(w_sqrt_lam / h_eff),
         source_seminorm=source, h_effective=h_eff,
     )

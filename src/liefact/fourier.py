@@ -17,14 +17,16 @@ psi^*(x) = conj(psi(x^-1)) into the Hermitian adjoint of the coefficients.
 Everything is computed by quadrature on grids that are exact for products of
 band-limited factors, so forward/inverse are mutually inverse on band-limited
 inputs up to roundoff.  This module names no group: ``forward`` and
-``inverse`` check the band limits and hand the samples or blocks to the
-group's ``forward_blocks`` / ``inverse_values`` (see ``groups``), and
-``evaluate`` hands the points to its third transform hook,
-``evaluate_values``, which reads the family as one trigonometric sum in the
-coordinates (on SU(2) through Delta = d(pi/2), with no Wigner recursion at
-the points).  A family and a grid, or two families, on different
-groups are refused with ``ParameterError`` before any group call.  The nested
-quadrature oracle composes y^-1 x by the group's element arithmetic.
+``inverse`` check the band limits (an integer, ``groups.checked_bandlimit``)
+and hand the samples or blocks to the group's ``forward_blocks`` /
+``inverse_values`` (see ``groups``), and ``evaluate`` hands the points to
+its third transform hook, ``evaluate_values``, which reads the family as one
+trigonometric sum in the coordinates.  On SU(2) all three read d^l(beta)
+through the cached Delta = d(pi/2) levels and share one per-degree fold, so
+no Wigner table is stored and no recursion runs at the points.  A family and
+a grid, or two families, on different groups are refused with
+``ParameterError`` before any group call.  The nested quadrature oracle
+composes y^-1 x by the group's element arithmetic.
 
 Coefficients are packed: a family holds one complex (count, m, d, d) block
 per distinct irrep dimension d, laid out by ``groups.dual_layout``, so
@@ -41,7 +43,7 @@ from collections.abc import MutableMapping
 import numpy as np
 
 from .errors import BandlimitMismatchError, DomainError, ParameterError
-from .groups import DualIndex, DualLayout, QuadratureGrid, dual_layout
+from .groups import DualIndex, DualLayout, QuadratureGrid, checked_bandlimit, dual_layout
 
 # points y^-1 x that ``convolve_by_quadrature`` evaluates per batch
 _ORACLE_BATCH_POINTS = 4096
@@ -118,7 +120,7 @@ class FourierCoefficients:
     """
 
     def __init__(self, group, bandlimit: int, blocks):
-        self.group, self.bandlimit = group, int(bandlimit)
+        self.group, self.bandlimit = group, checked_bandlimit(bandlimit)
         self.layout = dual_layout(group, self.bandlimit)
         self.blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
         self.value_dim = self.blocks[0].shape[1] if self.blocks and self.blocks[0].ndim == 4 else 0
@@ -129,7 +131,7 @@ class FourierCoefficients:
 
     @classmethod
     def zeros(cls, group, bandlimit: int, value_dim: int = 1) -> "FourierCoefficients":
-        layout = dual_layout(group, int(bandlimit))
+        layout = dual_layout(group, checked_bandlimit(bandlimit))
         return cls(group, bandlimit, [
             np.zeros((len(idx), value_dim, d, d), dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
@@ -137,7 +139,7 @@ class FourierCoefficients:
     @classmethod
     def diagonal(cls, group, bandlimit: int, c) -> "FourierCoefficients":
         """The scalar family T_xi = c_xi Id, c an array aligned with the dual order."""
-        layout = dual_layout(group, int(bandlimit))
+        layout = dual_layout(group, checked_bandlimit(bandlimit))
         return cls(group, bandlimit, [
             c[idx, None, None, None] * np.eye(d, dtype=complex)
             for d, idx in zip(layout.dims, layout.members)])
@@ -175,9 +177,7 @@ def forward(f: GridFunction, bandlimit: int | None = None) -> FourierCoefficient
 
     The grid must be exact at the requested band limit (precondition).
     """
-    L = f.grid.bandlimit if bandlimit is None else int(bandlimit)
-    if L < 1:
-        raise DomainError("band limit must be >= 1")
+    L = f.grid.bandlimit if bandlimit is None else checked_bandlimit(bandlimit)
     if L > f.grid.bandlimit:
         raise BandlimitMismatchError(
             f"grid is exact to L = {f.grid.bandlimit}, requested {L}"

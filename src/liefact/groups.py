@@ -15,9 +15,12 @@ The transform is here too, and so is the grid layout: ``forward_blocks``,
 ``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
 the first two are numpy.fft read at k mod n; on SU(2) the forward runs
 ``_STAGES`` per spin parity and the inverse their adjoints in reverse (the
-stages' docstrings give the list), no stage holds a row m' < 0, and the
-plan (``_wigner_plan``) is read-only grid data a band limit L' below the
-grid's slices.  Off the grid both sum one trigonometric series (``_trig_sum``).
+stages' docstrings give the list).  SU(2) reads every d^l(beta) through the
+cached levels Delta^l = d^l(pi/2) (``wigner_d_half_pi``), so the grid
+stores no Wigner table: its plan is the gamma phases E, read-only grid data
+a band limit L' below the grid's slices.  Off the grid both sum one
+trigonometric series (``_trig_sum``); SU(2) takes its coefficients from the
+adjoint of the transform's last stage, ``_fold``.
 
 Coordinates and normalizations
 ------------------------------
@@ -123,6 +126,17 @@ class DualLayout:
         return np.where(inside, off @ self._stride, -1)
 
 
+def checked_bandlimit(bandlimit) -> int:
+    """``bandlimit`` as an int, if it is an integer >= 1 (numpy's too, bool
+    not); ``DomainError`` otherwise.  Every entry point that takes a band
+    limit checks it here."""
+    if not isinstance(bandlimit, (int, np.integer)) or isinstance(bandlimit, bool):
+        raise DomainError(f"band limit must be an integer, got {bandlimit!r}")
+    if bandlimit < 1:
+        raise DomainError("band limit must be >= 1")
+    return int(bandlimit)
+
+
 @lru_cache(maxsize=None, typed=True)
 def dual_layout(group, bandlimit: int) -> DualLayout:
     """The layout of ``group``'s dual at ``bandlimit``, shared by every family.
@@ -130,20 +144,7 @@ def dual_layout(group, bandlimit: int) -> DualLayout:
     The only cache of the dual: the group builds its arrays once.  Keyed by
     type, so a float band limit never hits an int's entry: it is always refused.
     """
-    if not isinstance(bandlimit, (int, np.integer)) or isinstance(bandlimit, bool):
-        raise DomainError(f"band limit must be an integer, got {bandlimit!r}")
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
-    return DualLayout(*group.dual_arrays(bandlimit))
-
-
-def _parity_slice(two_L: int, two_l: int) -> slice:
-    """Rows m = l..-l of degree 2l on its parity's axis, every second 2m of
-    -2L..2L from (2L + 2l) mod 2 (from p = 2l mod 2 when 2L is even): a
-    basic slice falling from 2m = 2l."""
-    top = (two_L + two_l) // 2
-    bottom = top - two_l
-    return slice(top, bottom - 1 if bottom else None, -1)
+    return DualLayout(*group.dual_arrays(checked_bandlimit(bandlimit)))
 
 
 def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -151,7 +152,9 @@ def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-_TRIG_SUM_CHUNK = (1 << 19, 1024)  # per chunk in ``_trig_sum``: bytes of partial sums, points
+# per chunk in ``_trig_sum``: at least 16 points, as many more as fill 2**19
+# bytes of partial sums, at most 1024
+_TRIG_SUM_CHUNK = (16, 1 << 19, 1024)
 
 
 def _trig_sum(points: np.ndarray, freqs, F: np.ndarray) -> np.ndarray:
@@ -159,7 +162,8 @@ def _trig_sum(points: np.ndarray, freqs, F: np.ndarray) -> np.ndarray:
     (n, d) points, f_a = freqs[a]: per chunk, one GEMM over the last axis (F's first), then
     matrix-vector products over the others.  Points are padded to whole chunks, so every
     GEMM has one shape and a point's value does not depend on the others evaluated with it."""
-    chunk = max(1, min(_TRIG_SUM_CHUNK[0] // (16 * F[0].size), _TRIG_SUM_CHUNK[1]))
+    least, budget, most = _TRIG_SUM_CHUNK
+    chunk = min(max(least, budget // (16 * F[0].size)), most)
     padded = np.pad(points, ((0, -len(points) % chunk), (0, 0))).reshape(-1, chunk, points.shape[1])
     out = np.empty(padded.shape[:2] + F.shape[1:2], dtype=complex)
     for x, y in zip(padded, out):
@@ -171,49 +175,20 @@ def _trig_sum(points: np.ndarray, freqs, F: np.ndarray) -> np.ndarray:
     return out.reshape(-1, F.shape[1])[:len(points)]
 
 
-def _fold_level(level: np.ndarray) -> np.ndarray:
-    """(2, ..., h, d) from a full (..., d, d) level X: its rows m' >= 0, and
-    its rows m' < 0 moved onto them, (-1)^{m'-m} X_{-m',-m} in row m' > 0
-    (zero in row m' = 0).  Up to the conjugate, ``complete_level`` undoes it."""
-    d = level.shape[-1]
-    h, k = (d + 1) // 2, np.arange(d)
-    out = np.zeros((2,) + level.shape[:-2] + (h, d), dtype=level.dtype)
-    out[0] = level[..., :h, :]
-    out[1, ..., :d - h, :] = level[..., :h - 1:-1, ::-1] * (1 - 2 * ((k[:d - h, None] + k) % 2))
-    return out
-
-
-def _wigner_plan(phases: np.ndarray, betas: np.ndarray, two_L: int) -> dict:
-    """The SU(2) transform plan to degree 2L on a product grid, which makes
-    it read-only: E[c, 2L + 2m] = e^{-i m phases_c} on the gamma axis, the
-    first B = len(betas) phases (the grid's Gauss-Legendre betas, falling
-    from pi to 0), and tables[2l][j, i, b] = d^l_{m_i m_j}(betas[B/2 + b])
-    for i < 2l//2 + 1, a quarter of each level: the rows m' >= 0 at the
-    betas below pi/2, laid out like a degree's view of z (``SU2._plan``)."""
-    E = np.exp(-0.5j * np.outer(phases[:len(betas)], np.arange(-two_L, two_L + 1)))
-    levels = wigner_d_matrices(two_L, betas[len(betas) // 2:])
-    return {"E": E, "tables": tuple(np.ascontiguousarray(d.transpose(2, 1, 0)) for d in levels)}
-
-
-_Parity = namedtuple("_Parity", "p m A C sign w degrees z")  # laid out by SU2._plan
-
-
 def _alpha_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
     """Stage 1, alpha, on the alpha halves [0, 2pi) and [2pi, 4pi) of the
-    (N, m) ``values``, each (B, n) with columns (b, c, v).  Forward: alpha +
-    2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the halves fold into one
-    (their sum, or their difference for half-integer spins); A takes it to
-    g, the rows m' >= 0 of f and conj f (2H, n), weighted 1/(2B), and conj
-    f's rows are conjugated.  Adjoint: those conjugated back, A^* g into the
-    parity's half."""
-    H, halves = len(par.sign), values.reshape(2, len(par.A), -1)
-    g = _take(gz, 2 * H, halves.shape[2])  # (f|conj f r, b c v)
-    if not adjoint:
-        fold = (np.subtract if par.p else np.add)(*halves, out=_take(spare, *halves.shape[1:]))
-        np.matmul(par.A.T * (1.0 / (2 * len(par.A))), fold, out=g)
-    np.conjugate(g[H:], out=g[H:])
+    (N, m) ``values``, each B rows by the columns (b, c, v).  Forward: alpha
+    + 2pi multiplies e^{-i m alpha} by (-1)^{2m}, so the halves fold into one
+    (their sum, or their difference for half-integer spins), and E^T takes
+    it to g (m', b, c, v), every m' of the parity, weighted 1/(2B).
+    Adjoint: conj(E) g into the parity's half."""
+    B, halves = len(par.w), values.reshape(2, len(par.w), -1)
+    g = _take(gz, par.n, halves.shape[2])
     if adjoint:
-        np.matmul(par.A.conj(), g, out=halves[par.p])
+        np.matmul(par.E.conj(), g, out=halves[par.p])
+        return
+    fold = (np.subtract if par.p else np.add)(*halves, out=_take(spare, *halves.shape[1:]))
+    np.matmul(par.E.T * (1.0 / (2 * B)), fold, out=g)
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> None:
@@ -225,61 +200,71 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> None:
 
 
 def _gamma_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
-    """Stage 2, beta planes and gamma: g as (c, r, f|conj f, v, b); x, in
-    ``spare``, its two beta planes (plane, c, r, f|conj f, v, b), the betas
-    below pi/2 and, times ``sign``, their mirrors pi - beta.  Forward: the
-    beta weights go on as g splits into x, and C takes each plane's gamma
-    axis c to N in z, weighted 1/B: the half axis at twice the weight, as in
-    the grid.  Adjoint: C^* takes z to x, which fills g."""
-    B, H, half = len(par.A), len(par.sign), len(par.w)
-    gt = _take(gz, 2, H, B, B, par.m).transpose(3, 1, 0, 4, 2)
-    x = _take(spare, 2, B, H, 2, par.m, half)
-    z = _take(gz, *par.z).reshape(2, par.z[1], -1)
+    """Stage 2, gamma: g (m', b, c, v) as x (b, v, m', c) in ``spare``, whose
+    gamma axis E takes to the parity's m in z (b, v, m', m).  Forward: the
+    beta weights w and 1/B go on as g becomes x.  Adjoint: z E^* is x, which
+    fills g."""
+    B, n, m = len(par.w), par.n, par.m
+    g = _take(gz, n, B, B, m).transpose(1, 3, 0, 2)
+    x = _take(spare, B, m, n, B)
+    z = _take(gz, B * m * n, n)
     if adjoint:
-        np.matmul(par.C.conj().transpose(0, 2, 1), z, out=x.reshape(2, B, -1))
-        gt[..., half:] = x[0]
-        np.multiply(x[1], par.sign, out=gt[..., half - 1::-1])
+        np.matmul(z, par.E.conj().T, out=x.reshape(-1, B))
+        g[...] = x
         return
-    np.multiply(gt[..., half:], par.w, out=x[0])
-    np.multiply(gt[..., half - 1::-1], par.sign * par.w, out=x[1])
-    np.matmul(par.C * (1.0 / B), x.reshape(2, B, -1), out=z)
+    np.multiply(g, (par.w / B)[:, None, None, None], out=x)
+    np.matmul(x.reshape(-1, B), par.E, out=z)
 
 
 def _beta_stage(par, values, blocks, gz, spare, adjoint=False) -> None:
-    """Stage 3, beta: per degree 2l, its table against its view of both
-    planes.  By d_{m'm}(pi - beta) = (-1)^{l+m'} d_{m',-m}(beta), l + m'
-    being (h - 1) + (L' - r) on row r, the plane at pi - beta carries
-    (-1)^{L'+r} (stage 2) and the degree's (-1)^{h-1} picks add or subtract.
-    Forward: by xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}), ``complete_level``
-    fills the rows m' < 0 of F(f) from the rows m' > 0 of F(conj f) in
-    ``blocks[2l]``.  Adjoint, for the inner product sum_xi d <., .>_HS: each
-    block times d, its rows m' < 0 folded onto its rows m' > 0
-    (``_fold_level``) and conjugated as conj f's, is added into z, zeroed
-    first."""
-    z, m = _take(gz, *par.z), par.m
+    """Stage 3, beta, by d^l_{m'm}(beta) = sum_{k>=0} c_k Delta_{km'} Delta_{km}
+    Re(i^{m-m'} e^{ik beta}), c_0 = 1 and c_k = 2 otherwise: one real GEMM
+    takes z (b, v, m', m) to y (re|im, k, v, m', m) in ``spare``, T's rows
+    the real and imaginary parts of c_k e^{-ik beta}, k falling.  Forward:
+    y[0] Re i^{m-m'} + y[1] Im i^{m-m'} into y[0].  Adjoint: y[0] times
+    Im i^{m-m'} into y[1], times Re i^{m-m'} in place, then T^T."""
+    z = _take(gz, len(par.w), par.m * par.n * par.n).view(float)
+    y = _take(spare, 2, len(par.k), par.m, par.n, par.n)
+    yf = y.view(float).reshape(len(par.T), -1)
     if adjoint:
-        z.fill(0)
-    for two_l, s, table in par.degrees:
-        d, h, b = table.shape
-        planes, mirror = z[:, s, -h:], (np.add if h % 2 else np.subtract)
-        if not adjoint:
-            r = np.matmul(planes, table[..., None])[..., 0]  # (plane, d, h, 2m)
-            u = mirror(r[0], r[1, ::-1]).transpose(2, 1, 0)
-            blocks[two_l] = complete_level(u[:m], u[m:])[None]
-            continue
-        q = _fold_level(blocks[two_l][0])  # (f|conj f, v, h, d)
-        np.conjugate(q[1], out=q[1])
-        a = np.multiply(q.transpose(3, 2, 0, 1), d, order="C").reshape(d, h, 2 * m, 1)
-        t = _take(spare, d, h, 2 * m, b)
-        planes[0] += np.multiply(a, table[:, :, None], out=t)
-        mirror(planes[1], np.multiply(a[::-1], table[:, :, None], out=t), out=planes[1])
+        np.multiply(y[0], par.ipow.imag, out=y[1])
+        y[0] *= par.ipow.real
+        np.matmul(par.T.T, yf, out=z)
+        return
+    np.matmul(par.T, z, out=yf)
+    y[0] *= par.ipow.real
+    y[1] *= par.ipow.imag
+    y[0] += y[1]
 
+
+def _fold(par, values, blocks, gz, spare, adjoint=False) -> None:
+    """Stage 4, the degrees, between y[0] (k, v, m', m) in ``spare`` and
+    the blocks: degree 2l meets y's last h = 2l//2 + 1 rows, k = l..0, its
+    slice s of m' and of m, and D, the rows k >= 0 of Delta^l; the products
+    go through a buffer in ``gz``.  Forward: blocks[2l] = sum_k D_{km'}
+    D_{km} y[k, :, m', m].  Adjoint, for the inner product sum_xi d <., .>_HS:
+    y, zeroed first, gathers d D_{km'} D_{km} (T_l)_{m'm}."""
+    y = _take(spare, len(par.k), par.m, par.n, par.n)
+    if adjoint:
+        y.fill(0)
+    for two_l, s, D in par.degrees:
+        h, d = D.shape
+        rows, prod = y[-h:, :, s, s], _take(gz, h, par.m, d, d)
+        if adjoint:
+            np.multiply(blocks[two_l][0], D[:, None, :, None] * d, out=prod)
+            rows += np.multiply(prod, D[:, None, None, :], out=prod)
+        else:
+            np.multiply(rows, D[:, None, :, None], out=prod)
+            blocks[two_l] = np.multiply(prod, D[:, None, None, :], out=prod).sum(0)[None]
+
+
+_Parity = namedtuple("_Parity", "p m n k ipow degrees E T w")  # laid out by SU2._plan
 
 # One spin parity of the SU(2) transform, each stage written once with its
-# adjoint, in two flat work buffers: gz holds g, then z (the adjoint: z, then
-# g), spare the rest.  The forward runs the stages in order with the
-# quadrature weights, the inverse their adjoints in reverse, then _unfold.
-_STAGES = (_alpha_stage, _gamma_stage, _beta_stage)
+# adjoint, in two flat work buffers: the stages alternate between them.  The
+# forward runs the stages in order with the quadrature weights, the inverse
+# their adjoints in reverse, then _unfold.
+_STAGES = (_alpha_stage, _gamma_stage, _beta_stage, _fold)
 
 
 class _Group:
@@ -287,10 +272,10 @@ class _Group:
     cache each, and one xi(x) read from ``irrep_matrices``."""
 
     def enumerate_dual(self, bandlimit: int) -> list[DualIndex]:
-        return list(dual_layout(self, int(bandlimit)).duals)
+        return list(dual_layout(self, checked_bandlimit(bandlimit)).duals)
 
     def haar_quadrature(self, bandlimit: int) -> QuadratureGrid:
-        return _haar_quadrature(self, int(bandlimit))
+        return _haar_quadrature(self, checked_bandlimit(bandlimit))
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -302,8 +287,6 @@ class _Group:
 @lru_cache(maxsize=None)
 def _haar_quadrature(group, bandlimit: int) -> QuadratureGrid:
     """The only cache of the grids: the group builds its rule once."""
-    if bandlimit < 1:
-        raise DomainError("band limit must be >= 1")
     return QuadratureGrid(group, bandlimit, *group._quadrature_rule(bandlimit))
 
 
@@ -318,7 +301,7 @@ class QuadratureGrid:
         self.group, self.bandlimit, self.nodes, self.weights = group, int(bandlimit), nodes, weights
         self.axes = axes
         # haar_quadrature is lru_cached, so every caller shares these arrays
-        for arr in (nodes, weights, *axes.values(), *axes.get("tables", ())):
+        for arr in (nodes, weights, *axes.values()):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
@@ -542,26 +525,23 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        return complete_level(self._phased_levels(points, int(two_l)))
-
-    def _phased_levels(self, points: np.ndarray, two_l: int) -> np.ndarray:
-        """The rows m' >= 0 of xi(x) at degree 2l, from its Wigner level on the distinct betas."""
+        # the rows m' >= 0 of xi(x), from the level 2l on the distinct betas
         pts = self.validate_coords(np.atleast_2d(points))
         betas, where = np.unique(pts[:, 1], return_inverse=True)
         if len(betas) == len(pts):
             betas, where = pts[:, 1], slice(None)
-        d = deque(wigner_d_matrices(two_l, betas), maxlen=1)[0]
+        d = deque(wigner_d_matrices(int(two_l), betas), maxlen=1)[0]
         two_m = np.arange(two_l, -two_l - 1, -2)  # columns m = l..-l
         block = np.exp(-0.5j * np.outer(pts[:, 0], two_m[:d.shape[1]]))[:, :, None] * d[where]
         block *= np.exp(-0.5j * np.outer(pts[:, 2], two_m))[:, None, :]
-        return block
+        return complete_level(block)
 
     # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
         """(nodes, weights, axes): 2B uniform alphas on [0, 4pi), the first B
         of them as gammas on [0, 2pi), B = 2L+2 Gauss-Legendre betas, and the
-        transform plan on them.
+        transform plan on them, E[c, 2L + 2m] = e^{-i m gamma_c}.
 
         The grid covers SU(2) once: (alpha, beta, gamma + 2pi) is the element
         (alpha - 2pi, beta, gamma), so a double-cover sum over alpha and
@@ -580,38 +560,42 @@ class SU2(_Group):
         g = np.tile(phases[:B], 2 * B * B)
         nodes = np.stack([a, b, g], axis=1)
         weights = np.tile(np.repeat(w / 2.0, B), 2 * B) / (2 * B * B)
-        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, B=B,
-                                    **_wigner_plan(phases, betas, 2 * bandlimit))
+        E = np.exp(-0.5j * np.outer(phases[:B], np.arange(-2 * bandlimit, 2 * bandlimit + 1)))
+        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, B=B, E=E)
 
     @staticmethod
-    def _plan(grid: QuadratureGrid, bandlimit: int, m: int):
+    def _plan(bandlimit: int, m: int, grid: QuadratureGrid | None = None):
         """Per spin parity p, the ``_Parity`` of m value columns at
-        ``bandlimit`` L', sliced from the grid's plan (2L+1 tables, E's
-        columns 2m = -2L..2L) onto the axis 2m = -2L'+p, ..., 2L'-p: A the
-        columns m' >= 0 falling, then those of -m'; C the columns as rows,
-        at beta and, reversed (m -> -m), at pi - beta; sign the (-1)^{L'+r}
-        of row r (m' falling) of the plane at pi - beta; w the halved weights
-        of the betas below pi/2; degrees the (2l, s, table) of 2l = p, p+2,
-        ..., 2L', s its rows m = l..-l on the axis (``_parity_slice``); z the
-        shape (plane, N, r, 2m, b) of the beta planes after the gamma DFT, N
-        on the axis, b the betas below pi/2: a degree's view z[:, s, -h:]
-        is its table's."""
-        E, tables, half = grid.axes["E"], grid.axes["tables"], grid.axes["B"] // 2
-        two_L, cut = 2 * bandlimit, len(tables) - 1 - 2 * bandlimit
-        w = grid.axes["beta_w"][half:] / 2.0  # symmetric about pi/2
-        for p, H in ((0, bandlimit + 1), (1, bandlimit)):  # H rows m' >= 0
-            Ep = E[:, cut + p:E.shape[1] - cut:2]
-            A, C = np.hstack([Ep[:, ::-1][:, :H], Ep[:, :H]]), np.stack([Ep.T, Ep.T[::-1]])
-            sign = (-1.0) ** (bandlimit + np.arange(H))[:, None, None, None]
-            degrees = [(k, _parity_slice(two_L, k), tables[k]) for k in range(p, two_L + 1, 2)]
-            yield _Parity(p, m, A, C, sign, w, degrees, (2, Ep.shape[1], H, 2 * m, half))
+        ``bandlimit`` L', on the axis of n entries 2m = 2L'-p, ..., p-2L'
+        (for m' and for m): k = (2L'-p)/2, ..., p/2, ipow i^{m-m'} at
+        (m', m), degrees the (2l, s, D) of 2l = p, p+2, ..., 2L', s its rows
+        m = l..-l on the axis and D the rows k >= 0 of Delta^l, from the
+        grid's own levels if there is a grid.  On a grid also E, the grid's
+        plan on the axis, T the beta rows of ``_beta_stage`` and w the
+        halved beta weights."""
+        two_L = 2 * bandlimit
+        deltas = wigner_d_half_pi(2 * grid.bandlimit if grid else two_L)
+        for p in (0, 1):
+            n, k = two_L + 1 - p, np.arange(two_L - p, -1, -2) / 2.0
+            ipow = np.array([1, 1j, -1, -1j])[(np.arange(n)[:, None] - np.arange(n)) % 4]
+            degrees = [(two_l, slice((two_L - two_l) // 2, (two_L + two_l) // 2 + 1),
+                        deltas[two_l][:two_l // 2 + 1]) for two_l in range(p, n, 2)]
+            if grid is None:
+                yield _Parity(p, m, n, k, ipow, degrees, None, None, None)
+                continue
+            E, cut = grid.axes["E"], 2 * grid.bandlimit - two_L
+            t = np.exp(-1j * np.outer(k, np.arccos(grid.axes["beta_u"])))
+            t *= np.where(k > 0, 2.0, 1.0)[:, None]  # c_k
+            yield _Parity(p, m, n, k, ipow, degrees,
+                          np.ascontiguousarray(E[:, cut + p:E.shape[1] - cut:2][:, ::-1]),
+                          np.vstack([t.real, t.imag]), grid.axes["beta_w"] / 2.0)
 
     def forward_blocks(self, grid: QuadratureGrid, values: np.ndarray, bandlimit: int) -> list:
         """One (1, m, d, d) block per degree: per spin parity (a degree 2l
         meets only the 2m of its own parity), ``_STAGES`` in order."""
         blocks = [None] * (2 * bandlimit + 1)
         spare, gz = np.empty((2, values.size // 2), dtype=complex)
-        for par, stage in itertools.product(self._plan(grid, bandlimit, values.shape[1]), _STAGES):
+        for par, stage in itertools.product(self._plan(bandlimit, values.shape[1], grid), _STAGES):
             stage(par, values, blocks, gz, spare)
         return blocks
 
@@ -622,7 +606,7 @@ class SU2(_Group):
         m = blocks[0].shape[1]
         out = np.empty((2, grid.size * m // 2), dtype=complex)
         gz = np.empty_like(out[0])
-        for par, stage in itertools.product(self._plan(grid, bandlimit, m), _STAGES[::-1]):
+        for par, stage in itertools.product(self._plan(bandlimit, m, grid), _STAGES[::-1]):
             stage(par, out, blocks, gz, out[par.p], adjoint=True)
         _unfold(*out)
         return out.reshape(-1, m)
@@ -630,22 +614,19 @@ class SU2(_Group):
     def evaluate_values(self, points: np.ndarray, blocks, bandlimit: int) -> np.ndarray:
         """(n, m) values of the family at arbitrary points, one trigonometric sum
         per spin parity (``_trig_sum``): as d^l_{m'm}(beta) = i^{m-m'} sum_k D_{km'}
-        D_{km} e^{ik beta}, D = d^l(pi/2) (``wigner_d_half_pi``), e^{i(m' alpha + k beta
-        + m gamma)} has the coefficient sum_l d i^{m-m'} D_{km'} D_{km} (T_l)_{m'm}."""
-        pts, two_L, out = self.validate_coords(points), 2 * bandlimit, 0
-        deltas, idx = wigner_d_half_pi(two_L), np.arange(two_L + 1)
-        ipow = np.array([1, 1j, -1, -1j])[(idx[:, None] - idx) % 4]  # i^{b-a} at row b, column a
-        for p in (0, 1):
-            axis = np.arange(p - two_L, two_L + 1, 2) / 2.0  # the parity's m, rising
-            F = np.zeros((len(axis), blocks[0].shape[1]) + (len(axis),) * 2, dtype=complex)
-            for two_l in range(p, two_L + 1, 2):  # F[m, :, m', k]: each degree's slice, rows k >= 0
-                s, D, d, h = _parity_slice(two_L, two_l), deltas[two_l].T, two_l + 1, two_l // 2 + 1
-                t = (blocks[two_l][0] * (d * ipow[:d, :d])).transpose(2, 0, 1)[..., None]
-                F[s, :, s, s.start:s.start - h:-1] += (D[:, None, :h] * D[:, :h])[:, None] * t
-            # rows k < 0: F_{m'(-k)m} = i^{2(m-m')} F_{m'km}, as D_{-k,m} = (-1)^{l+m} D_{km}
-            np.multiply(F[..., :-bandlimit - 1:-1], ipow[:len(F), None, :len(F), None] ** 2,
-                        out=F[..., :bandlimit])
-            out = out + _trig_sum(pts, (axis,) * 3, F)
+        D_{km} e^{ik beta}, D = Delta^l, e^{i(m' alpha + m gamma + k beta)} has the
+        coefficient i^{m-m'} y[k, :, m', m], y the adjoint of ``_fold``; the rows
+        k < 0 are (-1)^{m-m'} those of -k, as D_{-k,m} = (-1)^{l+m} D_{km}."""
+        pts, out = self.validate_coords(points), 0
+        for par in self._plan(bandlimit, blocks[0].shape[1]):
+            n, k = par.n, par.k
+            F = np.empty((n, par.m, n, n), dtype=complex)  # (k, v, m', m), the rows k >= 0 first
+            _fold(par, None, blocks, np.empty(F[:len(k)].size, dtype=complex), F.reshape(-1),
+                  adjoint=True)
+            F[:len(k)] *= par.ipow
+            np.multiply(F[:n - len(k)], par.ipow ** 2, out=F[len(k):])
+            axis = k[0] - np.arange(n)  # m, falling
+            out = out + _trig_sum(pts[:, [0, 2, 1]], (axis, axis, np.r_[k, -k[:n - len(k)]]), F)
         return out
 
     def _inversion_permutation(self, grid: QuadratureGrid) -> np.ndarray:
@@ -689,7 +670,7 @@ def weyl_summability(group, alpha: float, bandlimit: int) -> np.ndarray:
     For alpha = dim G the increments shrink geometrically; at alpha = dim G / 2
     they do not (the Weyl-law summability threshold).  Read off one layout.
     """
-    layout = dual_layout(group, int(bandlimit))
+    layout = dual_layout(group, checked_bandlimit(bandlimit))
     terms = layout.dim**2 * (1.0 + layout.casimir) ** (-alpha)
     bins = group.label_bandlimit(layout.labels)  # the first L' holding each label
     return np.cumsum(np.bincount(bins, terms, minlength=bandlimit + 1))[1:]

@@ -42,6 +42,15 @@ from liefact.spectral import apply_laplacian
 from test_wigner import wigner_d_sum
 
 
+def s3_poisson(pts, r):
+    """The S^3 Poisson kernel (1 - r^2) / (1 - 2r cos phi + r^2)^2 at (n, 3)
+    elements, cos phi = cos(beta/2) cos((alpha + gamma)/2): sum_l (2l + 1)
+    r^{2l} chi_l, so its coefficients are r^{2l} I.  An oracle with no
+    transform and no Wigner code."""
+    c = np.cos(pts[:, 1] / 2) * np.cos((pts[:, 0] + pts[:, 2]) / 2)
+    return (1 - r * r) / (1 - 2 * r * c + r * r) ** 2
+
+
 class TestForward:
     def test_constant_function(self, t1, su2):
         for g in (t1, su2):
@@ -96,29 +105,49 @@ class TestForward:
             assert np.abs(block[0] - ref).max() < 1e-12
 
     def test_su2_one_plan_per_grid(self, su2, rng, monkeypatch):
-        # L' < L is served from the grid's one plan; a private grid declared at
-        # L' on the same nodes carries the per-L' plan, and both agree bit for bit
+        # L' < L is served from the grid's one plan, E, and from the Delta =
+        # d(pi/2) levels of the grid's own 2L; a private grid declared at L'
+        # on the same nodes carries the per-L' E and reads the levels of 2L',
+        # and both agree bit for bit
+        import liefact._wigner
         import liefact.groups
 
         shared = haar_quadrature(su2, 12)
         nodes, weights, axes = shared.nodes, shared.weights, shared.axes
         grid = QuadratureGrid(su2, 12, nodes, weights, axes)
         f = GridFunction(su2, grid, random_bandlimited(su2, shared, rng, value_dim=2).values)
-        betas = np.arccos(axes["beta_u"])
+        gammas = axes["alphas"][:axes["B"]]
         own = {Lp: QuadratureGrid(su2, Lp, nodes, weights, {
-            **axes, **liefact.groups._wigner_plan(axes["alphas"], betas, 2 * Lp)})
+            **axes, "E": np.exp(-0.5j * np.outer(gammas, np.arange(-2 * Lp, 2 * Lp + 1)))})
             for Lp in (3, 7, 12)}
+        for Lp in own:
+            liefact.groups.wigner_d_half_pi(2 * Lp)
 
         def refuse(*args):
-            raise AssertionError("a Wigner table was built after the grids")
+            raise AssertionError("a Wigner level was built after the grids")
 
+        read, cached = [], liefact.groups.wigner_d_half_pi
+        monkeypatch.setattr(liefact._wigner, "wigner_d_matrices", refuse)
         monkeypatch.setattr(liefact.groups, "wigner_d_matrices", refuse)
+        monkeypatch.setattr(liefact.groups, "wigner_d_half_pi",
+                            lambda two_l_max: read.append(two_l_max) or cached(two_l_max))
         for Lp in (3, 7, 12):
-            T, ref = forward(f, Lp), forward(GridFunction(su2, own[Lp], f.values), Lp)
+            read.clear()
+            T = forward(f, Lp)
+            assert set(read) == {24}
+            ref = forward(GridFunction(su2, own[Lp], f.values), Lp)
             assert all(np.array_equal(a, b) for a, b in zip(T.blocks, ref.blocks))
             assert np.array_equal(inverse(T, grid).values, inverse(ref, own[Lp]).values)
         assert grid.axes["E"].shape == (grid.axes["B"], 4 * 12 + 1)  # the B rows _plan reads
-        assert len(grid.axes["tables"]) == 2 * 12 + 1
+
+    @pytest.mark.parametrize("L, r", [(16, 0.3), (32, 0.5)])
+    def test_su2_forward_of_the_s3_poisson_kernel(self, su2, L, r):
+        # the kernel sampled pointwise on the grid, not through inverse, has
+        # the coefficients r^{2l} I; what aliases in is below 1e-17
+        grid = haar_quadrature(su2, L)
+        T = forward(GridFunction(su2, grid, s3_poisson(grid.nodes, r)))
+        for two_l, block in enumerate(T.blocks):
+            assert np.abs(block[0, 0] - r ** two_l * np.eye(two_l + 1)).max() <= 1e-12
 
     @pytest.mark.parametrize("group", [Torus(1), Torus(2), SU2()], ids=["t1", "t2", "su2"])
     @pytest.mark.parametrize("L", [0, -1])
@@ -207,10 +236,10 @@ class TestInverse:
         assert abs(left - right) <= 1e-13 * scale
 
     def test_su2_transform_peak_memory(self, su2, rng):
-        # per spin parity, the stages hold the rows m' >= 0 of f and conj f in
-        # two work buffers (the inverse: one, and its output's own half); the
+        # per spin parity, the stages hold every row m' of the parity in two
+        # work buffers (the inverse: one, and its output's own half); the
         # values are 2.5 MB at L = 16, m = 2, and the peaks 3.2 MB (forward)
-        # and 4.2 MB (inverse), against 9.4 and 12.1 MB with full (4L+1)^2
+        # and 4.1 MB (inverse), against 9.4 and 12.1 MB with full (4L+1)^2
         # planes and completed tables
         import tracemalloc
 
@@ -253,14 +282,14 @@ class TestInverse:
         assert np.abs(evaluate(T, grid.nodes[idx]) - inverse(T, grid).values[idx]).max() < 1e-12
 
     def test_su2_evaluate_chunks_are_independent(self, su2, rng):
-        # at L = 16, m = 2 a chunk of 2**19 bytes of partial sums holds 15
-        # points of the integer spins (33 x 2 x 33 each) and 16 of the
-        # half-integer ones, and the points are padded to whole chunks: every
-        # GEMM has one shape, so 319 + 2 points, or one point at a time, give
-        # the values of all 321 at once bit for bit
+        # at L = 16, m = 2 a chunk holds 16 points, the floor (2**19 bytes of
+        # partial sums hold 15 points of the integer spins, 33 x 2 x 33 each,
+        # and 16 of the half-integer ones), and the points are padded to
+        # whole chunks: every GEMM has one shape, so 319 + 2 points, or one
+        # point at a time, give the values of all 321 at once bit for bit
         import liefact.groups
 
-        assert liefact.groups._TRIG_SUM_CHUNK == (1 << 19, 1024)
+        assert liefact.groups._TRIG_SUM_CHUNK == (16, 1 << 19, 1024)
         grid = haar_quadrature(su2, 16)
         T = forward(random_bandlimited(su2, grid, rng, value_dim=2))
         pts = np.array([su2.random_element(rng) for _ in range(321)])
@@ -289,14 +318,11 @@ class TestInverse:
 
     @pytest.mark.parametrize("L, r", [(16, 0.3), (32, 0.5)])
     def test_su2_evaluate_matches_the_s3_poisson_kernel(self, su2, rng, L, r):
-        # an oracle with no transform and no Wigner code: the S^3 Poisson
-        # kernel (1 - r^2) / (1 - 2r cos phi + r^2)^2, cos phi = cos(beta/2)
-        # cos((alpha + gamma)/2), is sum_l (2l + 1) r^{2l} chi_l, so its
-        # coefficients are r^{2l} I; the terms past 2L are below 1e-15 here
+        # the coefficients r^{2l} I of the S^3 Poisson kernel; the terms past
+        # 2L are below 1e-15 here
         T = FourierCoefficients.diagonal(su2, L, r ** dual_layout(su2, L).labels.astype(float))
         pts = np.array([su2.random_element(rng) for _ in range(500)])
-        c = np.cos(pts[:, 1] / 2) * np.cos((pts[:, 0] + pts[:, 2]) / 2)
-        kernel = (1 - r * r) / (1 - 2 * r * c + r * r) ** 2
+        kernel = s3_poisson(pts, r)
         vals = evaluate(T, pts)[:, 0]
         assert np.abs(vals - kernel).max() <= 1e-10 * kernel.min()
 
@@ -419,6 +445,14 @@ class TestConvolution:
             chi = inverse(reproducing_kernel(g, L), grid)
             out = convolve(chi, f)
             assert np.abs(out.values - f.values).max() < 1e-9
+
+    def test_su2_poisson_kernels_form_a_semigroup(self, su2):
+        # P_r * P_s = P_{rs}, as r^{2l} s^{2l} = (rs)^{2l}: the convolution of
+        # two kernels sampled on the grid against the third, also sampled
+        grid = haar_quadrature(su2, 16)
+        out = convolve(*(GridFunction(su2, grid, s3_poisson(grid.nodes, r)) for r in (0.3, 0.4)))
+        ref = s3_poisson(grid.nodes, 0.12)
+        assert np.abs(out.values[:, 0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_constant_chi_averages(self, su2, rng):
         grid = haar_quadrature(su2, 2)

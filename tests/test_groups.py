@@ -20,7 +20,6 @@ from liefact.groups import (
     weyl_summability,
 )
 from liefact.signals import reproducing_kernel, synth_coefficients
-from test_wigner import wigner_d_sum
 
 
 class TestDualEnumeration:
@@ -123,6 +122,27 @@ class TestDualLayout:
         dual_layout(su2, 2)  # an int entry at the same value is no way round the check
         with pytest.raises(DomainError, match="band limit must be an integer"):
             dual_layout(su2, L)
+
+    @pytest.mark.parametrize("call", [
+        lambda: haar_quadrature(SU2(), 2.7),
+        lambda: haar_quadrature(Torus(1), True),
+        lambda: enumerate_dual(Torus(2), 2.5),
+        lambda: weyl_summability(SU2(), 3, 2.5),
+        lambda: forward(GridFunction(Torus(1), haar_quadrature(Torus(1), 3), np.ones(8)), 2.9),
+    ], ids=["haar_quadrature float", "haar_quadrature bool", "enumerate_dual float",
+            "weyl_summability float", "forward float"])
+    def test_every_entry_point_refuses_a_non_integer_band_limit(self, call):
+        # each used to truncate with int() first (or failed inside numpy):
+        # 2.7 gave the L = 2 grid, True the L = 1 grid
+        with pytest.raises(DomainError, match="band limit must be an integer"):
+            call()
+
+    def test_numpy_integer_band_limits_are_accepted(self, su2):
+        L = np.int64(3)
+        assert haar_quadrature(su2, L) is haar_quadrature(su2, 3)
+        assert len(enumerate_dual(su2, L)) == 7 and len(weyl_summability(su2, 3, L)) == 3
+        grid = haar_quadrature(su2, 3)
+        assert forward(GridFunction(su2, grid, np.ones(grid.size)), np.int32(2)).bandlimit == 2
 
     def test_label_bandlimit_of_an_array_is_per_label(self, t1, t2, su2):
         for g, L in ((t1, 9), (t2, 6), (su2, 5)):
@@ -356,11 +376,10 @@ class TestElements:
 
 class TestSU2Stages:
     """Each stage of the SU(2) transform against its adjoint, on random
-    complex input: Re<S x, y> = Re<x, S^+ y>, the real inner product since
-    the conj f half is antilinear, within 1e-13 of ||S x|| ||y||.  S is the
-    forward stage with its quadrature weights divided out; the blocks carry
-    the inner product sum_xi d_xi <., .>_HS that ``inverse`` is the adjoint
-    for."""
+    complex input: <S x, y> = <x, S^+ y> within 1e-13 of ||S x|| ||y||.  S is
+    the forward stage with its quadrature weights divided out; the blocks
+    carry the inner product sum_xi d_xi <., .>_HS that ``inverse`` is the
+    adjoint for."""
 
     cases = pytest.mark.parametrize("L, m, p", [
         (L, m, p) for L in (3, 16) for m in (1, 3) for p in (0, 1)])
@@ -368,25 +387,25 @@ class TestSU2Stages:
     @staticmethod
     def _setup(L, m, p, rng):
         grid = haar_quadrature(SU2(), L)
-        par = list(SU2._plan(grid, L, m))[p]
+        par = list(SU2._plan(L, m, grid))[p]
         gz, spare = np.empty((2, grid.size * m // 2), dtype=complex)
         return grid, par, gz, spare, lambda *shape: rng.standard_normal(shape + (2,)) @ [1, 1j]
 
     @staticmethod
     def _check(Sx, y, x, Sy):
-        left, right = np.vdot(Sx, y).real, np.vdot(x, Sy).real
+        left, right = np.vdot(Sx, y), np.vdot(x, Sy)
         assert abs(left - right) <= 1e-13 * np.linalg.norm(Sx) * np.linalg.norm(y)
 
     @cases
     def test_alpha_stage_adjoint(self, L, m, p, rng):
         grid, par, gz, spare, randc = self._setup(L, m, p, rng)
         B = grid.axes["B"]
-        n = 2 * len(par.sign) * B * B * m  # g: the rows m' >= 0 of f and conj f
+        g = liefact.groups._take(gz, par.n, B * B * m)  # every row m' of the parity
         x = randc(grid.size, m)
         liefact.groups._alpha_stage(par, x, None, gz, spare)
-        Sx = gz[:n] * (2 * B)
-        y = randc(n)
-        gz[:n] = y
+        Sx = g * (2 * B)
+        y = randc(*g.shape)
+        g[...] = y
         out = np.zeros((2, grid.size * m // 2), dtype=complex)  # the other parity's half 0
         liefact.groups._alpha_stage(par, out, None, gz, None, adjoint=True)
         liefact.groups._unfold(*out)
@@ -395,33 +414,48 @@ class TestSU2Stages:
     @cases
     def test_gamma_stage_adjoint(self, L, m, p, rng):
         grid, par, gz, spare, randc = self._setup(L, m, p, rng)
-        B = grid.axes["B"]
-        n = 2 * len(par.sign) * B * B * m  # g: the rows m' >= 0 of f and conj f
-        x = randc(n)
-        gz[:n] = x
+        B, n = grid.axes["B"], par.n
+        g, z = liefact.groups._take(gz, n, B, B, m), liefact.groups._take(gz, B, m, n, n)
+        x = randc(*g.shape)
+        g[...] = x
         liefact.groups._gamma_stage(par, None, None, gz, spare)
-        Sx = liefact.groups._take(gz, *par.z) * (B / par.w)
-        y = randc(*Sx.shape)
-        liefact.groups._take(gz, *par.z)[...] = y
+        Sx = z * (B / par.w)[:, None, None, None]
+        y = randc(*z.shape)
+        z[...] = y
         liefact.groups._gamma_stage(par, None, None, gz, spare, adjoint=True)
-        self._check(Sx, y, x, gz[:n])
+        self._check(Sx, y, x, g)
 
     @cases
     def test_beta_stage_adjoint(self, L, m, p, rng):
         grid, par, gz, spare, randc = self._setup(L, m, p, rng)
-        z = liefact.groups._take(gz, *par.z)
+        n = par.n
+        z = liefact.groups._take(gz, grid.axes["B"], m, n, n)
+        y0 = liefact.groups._take(spare, (n + 1) // 2, m, n, n)
         x = randc(*z.shape)
         z[...] = x
+        liefact.groups._beta_stage(par, None, None, gz, spare)
+        Sx = y0.copy()
+        y = randc(*y0.shape)
+        y0[...] = y
+        liefact.groups._beta_stage(par, None, None, gz, spare, adjoint=True)
+        self._check(Sx, y, x, z)
+
+    @cases
+    def test_fold_adjoint(self, L, m, p, rng):
+        grid, par, gz, spare, randc = self._setup(L, m, p, rng)
+        y0 = liefact.groups._take(spare, (par.n + 1) // 2, m, par.n, par.n)
+        x = randc(*y0.shape)
+        y0[...] = x
         blocks = [None] * (2 * L + 1)
-        liefact.groups._beta_stage(par, None, blocks, gz, spare)
+        liefact.groups._fold(par, None, blocks, gz, spare)
         ys = [None] * (2 * L + 1)
         for two_l, _, _ in par.degrees:
             ys[two_l] = randc(1, m, two_l + 1, two_l + 1)
         # sqrt(d) on both sides turns sum_xi d_xi <., .>_HS into a plain one
-        Sx = np.concatenate([np.sqrt(len(b[0, 0])) * b.ravel() for b in blocks if b is not None])
-        y = np.concatenate([np.sqrt(len(b[0, 0])) * b.ravel() for b in ys if b is not None])
-        liefact.groups._beta_stage(par, None, ys, gz, spare, adjoint=True)
-        self._check(Sx, y, x, z)
+        Sx = np.concatenate([np.sqrt(b.shape[-1]) * b.ravel() for b in blocks if b is not None])
+        y = np.concatenate([np.sqrt(b.shape[-1]) * b.ravel() for b in ys if b is not None])
+        liefact.groups._fold(par, None, ys, gz, spare, adjoint=True)
+        self._check(Sx, y, x, y0)
 
 
 class TestQuadrature:
@@ -436,50 +470,22 @@ class TestQuadrature:
             before = grid.nodes.copy()
             arrays = [grid.nodes, grid.weights, grid.inversion_permutation]
             arrays += [a for a in grid.axes.values() if isinstance(a, np.ndarray)]
-            if g is su2:  # the transform plan: E and every Wigner table
+            if g is su2:  # the transform plan, E
                 assert any(a is grid.axes["E"] for a in arrays)
-                arrays += list(grid.axes["tables"])
             for arr in arrays:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 5.0
             assert np.array_equal(haar_quadrature(g, 3).nodes, before)
 
-    def test_su2_plan_keeps_a_quarter_of_each_level(self, su2):
-        # rows m' >= 0 on the B/2 betas below pi/2: 3.41 MB of completed
-        # tables at L = 16 become 0.87 MB
+    def test_su2_grid_holds_no_wigner_table(self, su2):
+        # the plan is E alone, and the transform reads d(beta) through the
+        # cached Delta = d(pi/2) levels: 35 KB and 0.10 MB at L = 16, where
+        # the stored quarter tables were 0.87 MB
         grid = haar_quadrature(su2, 16)
-        B = grid.axes["B"]
-        for two_l, tab in enumerate(grid.axes["tables"]):
-            assert tab.shape == (two_l + 1, two_l // 2 + 1, B // 2)
-        assert sum(tab.nbytes for tab in grid.axes["tables"]) <= 0.9e6
-
-    def test_su2_stored_tables_pin_both_mirror_signs(self):
-        # every entry of a level at beta and at pi - beta is a signed stored
-        # entry: d_{-m',-m}(b) = (-1)^{m'-m} d_{m'm}(b) and
-        # d_{m'm}(pi - b) = (-1)^{l+m'} d_{m',-m}(b), against the sum formula
-        # (whose own cancellation reaches 1.2e-8 at 2l = 64; a wrong sign
-        # would miss by twice the entry)
-        u = np.array([-0.9, -0.35, 0.35, 0.9])
-        betas = np.arccos(u)  # falling from pi, symmetric about pi/2 like the grid's
-        tables = liefact.groups._wigner_plan(np.zeros(1), betas, 64)["tables"]
-        for two_l in (0, 1, 2, 7, 20, 33, 64):
-            tab, d = tables[two_l], two_l + 1
-            tol = 1e-11 if two_l <= 33 else 5e-8
-            for k, b in enumerate(betas[2:]):
-                for i in range(two_l // 2 + 1):  # row m' = l - i >= 0
-                    two_mp = two_l - 2 * i
-                    for j in range(d):
-                        two_m = two_l - 2 * j
-                        stored = tab[j, i, k]
-                        row = (-1) ** ((two_mp - two_m) // 2)
-                        beta = (-1) ** ((two_l + two_mp) // 2)  # (-1)^{l+m'}
-                        beta_of_row = (-1) ** ((two_l - two_mp) // 2)  # of row -m'
-                        cases = [(two_mp, two_m, b, stored),
-                                 (-two_mp, -two_m, b, row * stored),
-                                 (two_mp, -two_m, np.pi - b, beta * stored),
-                                 (-two_mp, two_m, np.pi - b, beta_of_row * row * stored)]
-                        for mp, m, angle, got in cases:
-                            assert abs(got - wigner_d_sum(two_l, mp, m, angle)) < tol
+        assert set(grid.axes) == {"alphas", "beta_u", "beta_w", "B", "E"}
+        assert grid.axes["E"].shape == (grid.axes["B"], 4 * 16 + 1)
+        levels = liefact.groups.wigner_d_half_pi(32)
+        assert grid.axes["E"].nbytes + sum(t.nbytes for t in levels) <= 0.15e6
 
     def test_torus1_uniform_rule(self, t1):
         grid = haar_quadrature(t1, 2)
