@@ -11,16 +11,16 @@ truncated dual, read by ``enumerate_dual`` and every coefficient family;
 SU(2) from the rows m' >= 0 of one streamed Wigner level by the mirror
 xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
 
-The transform is here too, and so is the grid layout: ``forward_blocks``,
-``inverse_values`` and ``evaluate_values`` (at any points).  On the torus
-the first two are numpy.fft read at k mod n; on SU(2) the forward runs
-``_STAGES`` per spin parity and the inverse their adjoints in reverse (the
-stages' docstrings give the list).  SU(2) reads every d^l(beta) through the
-cached levels Delta^l = d^l(pi/2) (``wigner_d_half_pi``), so the grid
-stores no Wigner table: its plan is the gamma phases E, read-only grid data
-a band limit L' below the grid's slices.  Off the grid both sum one
-trigonometric series (``_trig_sum``); SU(2) takes its coefficients from the
-adjoint of the transform's last stage, ``_fold``.
+The transform is here too, on grids that are product rules: the transforms
+read each coordinate's points, and the nodes and weights are built when
+read.  On the torus ``forward_blocks`` and ``inverse_values`` are numpy.fft
+read at k mod n; on SU(2) the forward runs ``_STAGES`` per spin parity and
+the inverse their adjoints in reverse (the stages' docstrings give the
+list).  SU(2) reads every d^l(beta) through the cached levels Delta^l =
+d^l(pi/2) (``wigner_d_half_pi``), so the grid's plan is the gamma phases E
+alone, sliced for a band limit L' below the grid's.  Off the grid
+``evaluate_values`` sums one trigonometric series (``_trig_sum``); SU(2)
+takes its coefficients from the adjoint of the transform's last stage, ``_fold``.
 
 Coordinates and normalizations
 ------------------------------
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 import itertools
 import math
 
@@ -65,6 +65,11 @@ class DualIndex:
     casimir: float
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False  # the cached layouts and grids share it with every caller
+    return arr
+
+
 class DualLayout:
     """Dual order, eigenvalues and block positions of one truncated dual.
 
@@ -76,8 +81,8 @@ class DualLayout:
     Block b holds the duals of dimension ``dims[b]`` at positions
     ``members[b]``; position i sits at ``(block[i], slot[i])``.  ``wire``
     lists the positions in the order every output format uses (by Casimir,
-    then label text).  ``duals``, the ``DualIndex`` objects, is built on
-    first access; ``dual_indices`` makes those of some positions alone.
+    then label text); it and ``duals``, the ``DualIndex`` objects, are built
+    on first access; ``dual_indices`` makes those of some positions alone.
     """
 
     def __init__(self, labels: np.ndarray, dim: np.ndarray, casimir: np.ndarray):
@@ -91,10 +96,13 @@ class DualLayout:
         self.block, self.slot = np.empty((2, len(dim)), dtype=int)
         for b, idx in enumerate(self.members):
             self.block[idx], self.slot[idx] = b, np.arange(len(idx))
-        self.wire = np.lexsort((np.array([str(lab) for lab in self._label_objects()]), casimir))
-        for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, self.wire,
-                    *self.members):
-            arr.flags.writeable = False
+        for arr in (self.labels, self.casimir, self.dim, self.block, self.slot, *self.members):
+            _read_only(arr)
+
+    @cached_property
+    def wire(self) -> np.ndarray:
+        labels = np.array([str(lab) for lab in self._label_objects()])
+        return _read_only(np.lexsort((labels, self.casimir)))
 
     def _label_objects(self, positions=slice(None)) -> list:
         """The labels as ``DualIndex`` holds them: int tuples on T^d, ints on SU(2)."""
@@ -291,30 +299,34 @@ def _haar_quadrature(group, bandlimit: int) -> QuadratureGrid:
 
 
 class QuadratureGrid:
-    """Nodes and weights of a Haar quadrature, exact to a declared band limit.
+    """A product-rule Haar quadrature exact to ``bandlimit``: coordinate a has
+    points ``points[a]`` and weight factors ``factors[a]``; ``nodes`` and
+    ``weights``, built on first read, are their row-major products.  Products
+    of two matrix coefficients within ``bandlimit`` are integrated exactly (up
+    to roundoff); the weights sum to 1."""
 
-    Products of two matrix coefficients within ``bandlimit`` are integrated
-    exactly (up to roundoff); the weights sum to 1.
-    """
-
-    def __init__(self, group, bandlimit: int, nodes: np.ndarray, weights: np.ndarray, axes: dict):
-        self.group, self.bandlimit, self.nodes, self.weights = group, int(bandlimit), nodes, weights
-        self.axes = axes
+    def __init__(self, group, bandlimit: int, points, factors, axes: dict):
+        self.group, self.bandlimit, self.axes = group, int(bandlimit), axes
+        self.points, self.factors = tuple(points), tuple(factors)
+        self.size = math.prod(map(len, self.points))
         # haar_quadrature is lru_cached, so every caller shares these arrays
-        for arr in (nodes, weights, *axes.values()):
+        for arr in (*self.points, *self.factors, *axes.values()):
             if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+                _read_only(arr)
 
-    @property
-    def size(self) -> int:
-        return len(self.weights)
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.points, indexing="ij", copy=False)  # views, no copies
+        return _read_only(np.stack(mesh, -1).reshape(self.size, -1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(reduce(np.multiply.outer, self.factors).reshape(-1))
 
     @cached_property
     def inversion_permutation(self) -> np.ndarray:
         """Permutation p with nodes[p[i]] = nodes[i]^-1 (exact on these grids)."""
-        perm = self.group._inversion_permutation(self)
-        perm.flags.writeable = False  # shared like nodes and weights
-        return perm
+        return _read_only(self.group._inversion_permutation(self))
 
     def __repr__(self):
         return f"QuadratureGrid({self.group.spec_string()}, L={self.bandlimit}, {self.size} nodes)"
@@ -388,11 +400,10 @@ class Torus(_Group):
     # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
-        """(nodes, weights, axes): n = 2L+2 uniform points per axis."""
+        """(points, factors, axes): n = 2L+2 uniform points per axis, weight 1/n^d on the first."""
         n = 2 * bandlimit + 2
-        axis = 2 * np.pi * np.arange(n) / n
-        nodes = np.stack(np.meshgrid(*[axis] * self.d, indexing="ij"), -1).reshape(-1, self.d)
-        return nodes, np.full(len(nodes), 1.0 / n**self.d), {"points_per_axis": n}
+        factors = [np.full(n, 1.0 / n**self.d)] + [np.ones(n)] * (self.d - 1)
+        return (2 * np.pi * np.arange(n) / n,) * self.d, factors, {"points_per_axis": n}
 
     def _bins(self, grid: QuadratureGrid, bandlimit: int):
         """(n, index) of the FFT bins k mod n; n = 2L+2 > 2|k_i| keeps them distinct."""
@@ -539,9 +550,11 @@ class SU2(_Group):
     # -- quadrature and transform -------------------------------------------
 
     def _quadrature_rule(self, bandlimit: int):
-        """(nodes, weights, axes): 2B uniform alphas on [0, 4pi), the first B
-        of them as gammas on [0, 2pi), B = 2L+2 Gauss-Legendre betas, and the
-        transform plan on them, E[c, 2L + 2m] = e^{-i m gamma_c}.
+        """(points, factors, axes) of (alpha, beta, gamma): 2B uniform alphas
+        on [0, 4pi) (half-integer phases), B = 2L+2 Gauss-Legendre betas and
+        the first B alphas as gammas on [0, 2pi); the weight (w/2)/(2B^2) on
+        the betas, 1 on the phases; in ``axes`` the Gauss-Legendre weights w,
+        B and the transform plan on them, E[c, 2L + 2m] = e^{-i m gamma_c}.
 
         The grid covers SU(2) once: (alpha, beta, gamma + 2pi) is the element
         (alpha - 2pi, beta, gamma), so a double-cover sum over alpha and
@@ -550,18 +563,11 @@ class SU2(_Group):
         coefficient has.
         """
         B = 2 * bandlimit + 2
-        # alpha over [0, 4pi) resolves half-integer phases; gamma needs only
-        # the first half of the same axis
         phases = 2 * np.pi * np.arange(2 * B) / B
         u, w = np.polynomial.legendre.leggauss(B)
-        betas = np.arccos(u)
-        a = np.repeat(phases, B * B)
-        b = np.tile(np.repeat(betas, B), 2 * B)
-        g = np.tile(phases[:B], 2 * B * B)
-        nodes = np.stack([a, b, g], axis=1)
-        weights = np.tile(np.repeat(w / 2.0, B), 2 * B) / (2 * B * B)
         E = np.exp(-0.5j * np.outer(phases[:B], np.arange(-2 * bandlimit, 2 * bandlimit + 1)))
-        return nodes, weights, dict(alphas=phases, beta_u=u, beta_w=w, B=B, E=E)
+        factors = np.ones(2 * B), w / 2.0 / (2 * B * B), np.ones(B)
+        return (phases, np.arccos(u), phases[:B]), factors, dict(beta_w=w, B=B, E=E)
 
     @staticmethod
     def _plan(bandlimit: int, m: int, grid: QuadratureGrid | None = None):
@@ -584,7 +590,7 @@ class SU2(_Group):
                 yield _Parity(p, m, n, k, ipow, degrees, None, None, None)
                 continue
             E, cut = grid.axes["E"], 2 * grid.bandlimit - two_L
-            t = np.exp(-1j * np.outer(k, np.arccos(grid.axes["beta_u"])))
+            t = np.exp(-1j * np.outer(k, grid.points[1]))
             t *= np.where(k > 0, 2.0, 1.0)[:, None]  # c_k
             yield _Parity(p, m, n, k, ipow, degrees,
                           np.ascontiguousarray(E[:, cut + p:E.shape[1] - cut:2][:, ::-1]),

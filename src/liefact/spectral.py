@@ -29,7 +29,6 @@ import itertools
 import numpy as np
 
 from .classify import decay_seminorm
-from .errors import DomainError
 from .fourier import FourierCoefficients, GridFunction, forward, inverse
 from .groups import DualIndex
 from .weights import WeightFunction, young_conjugate
@@ -40,22 +39,23 @@ def apply_laplacian(T: FourierCoefficients) -> FourierCoefficients:
     return T.scaled(-T.layout.casimir)
 
 
-def laplacian_fd_defect(group, xi: DualIndex, x, step: float = 1e-3) -> float:
+FD_STEP, FD_BOUND = 1e-3, 1e-3  # laplacian_fd_defect's step t, and the bound verify holds it to
+
+
+def laplacian_fd_defect(group, xi: DualIndex, x) -> float:
     """max_ij |Lap_fd xi_ij(x) + lambda_xi xi_ij(x)| via second differences.
 
     Lap f(x) ~ sum_k [f(x exp(t X_k)) - 2 f(x) + f(x exp(-t X_k))] / t^2 over
-    the orthonormal Lie-algebra basis {X_k}.
+    the orthonormal Lie-algebra basis {X_k}, t = ``FD_STEP``.
     """
-    if not 1e-4 <= step <= 1e-1:
-        raise DomainError("step must lie in [1e-4, 1e-1]")
     center = group.irrep_matrix(xi, x)
     acc = np.zeros_like(center)
     for k in range(group.dim):
         for sign in (+1.0, -1.0):
-            y = group.multiply(x, group.exp_step(k, sign * step))
+            y = group.multiply(x, group.exp_step(k, sign * FD_STEP))
             acc += group.irrep_matrix(xi, y)
         acc -= 2.0 * center
-    lap = acc / step**2
+    lap = acc / FD_STEP**2
     return float(np.max(np.abs(lap + xi.casimir * center)))
 
 

@@ -23,7 +23,7 @@ from .factorize import (
 from .fourier import GridFunction, forward, inverse, involution, parseval_defect
 from .groups import SU2, Torus
 from .signals import poisson_function, random_bandlimited, synth_coefficients
-from .spectral import apply_laplacian, laplacian_fd_defect
+from .spectral import FD_BOUND, apply_laplacian, laplacian_fd_defect
 from .weights import eval_weight, gevrey_weight, young_conjugate, young_conjugate_grid
 
 
@@ -168,8 +168,8 @@ def run_verification(seed: int = 0) -> list[CheckResult]:
         x = g.random_element(rng)
         for xi in g.enumerate_dual(4):
             if xi.casimir <= 20.0:
-                worst = max(worst, laplacian_fd_defect(g, xi, x, 1e-3))
-    check("spectral/laplacian-eigenvalue-fd", worst, 1e-3)
+                worst = max(worst, laplacian_fd_defect(g, xi, x))
+    check("spectral/laplacian-eigenvalue-fd", worst, FD_BOUND)
 
     grid = t1.haar_quadrature(16)
     f = random_bandlimited(t1, grid, rng)

@@ -84,7 +84,7 @@ def test_criterion_3_laplacian_eigenvalues():
                 x = group.random_element(rng)
                 for xi in enumerate_dual(group, 5):
                     if xi.casimir <= 20.0:
-                        assert laplacian_fd_defect(group, xi, x, 1e-3) <= 1e-3
+                        assert laplacian_fd_defect(group, xi, x) <= 1e-3
 
 
 def test_criterion_4_iterates_shadow():

@@ -140,6 +140,22 @@ class TestFromLabels:
             assert rep.blocks[0].label == label and rep.blocks[0].dim == dim
             assert "duals" not in vars(dual_layout(group, L))
 
+    def test_layout_wire_built_on_first_read(self, t2):
+        # no lookup reads the wire order, one str per label and a lexsort:
+        # the call traces 23 MB at T^2 L = 300, and 85 MB with the wire built
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            FiniteRep.from_labels(t2, [(300, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layout = dual_layout(t2, 300)
+        assert "wire" not in vars(layout) and peak < 40e6
+        with pytest.raises(ValueError):
+            layout.wire[0] = 1
+
     def test_unknown_labels_rejected(self, t1, t2, su2):
         for group, label in ((su2, -1), (t2, (1,)), (t1, (1, 2))):
             with pytest.raises(ParameterError):

@@ -107,17 +107,17 @@ class TestForward:
     def test_su2_one_plan_per_grid(self, su2, rng, monkeypatch):
         # L' < L is served from the grid's one plan, E, and from the Delta =
         # d(pi/2) levels of the grid's own 2L; a private grid declared at L'
-        # on the same nodes carries the per-L' E and reads the levels of 2L',
+        # on the same axes carries the per-L' E and reads the levels of 2L',
         # and both agree bit for bit
         import liefact._wigner
         import liefact.groups
 
         shared = haar_quadrature(su2, 12)
-        nodes, weights, axes = shared.nodes, shared.weights, shared.axes
-        grid = QuadratureGrid(su2, 12, nodes, weights, axes)
+        points, factors, axes = shared.points, shared.factors, shared.axes
+        grid = QuadratureGrid(su2, 12, points, factors, axes)
         f = GridFunction(su2, grid, random_bandlimited(su2, shared, rng, value_dim=2).values)
-        gammas = axes["alphas"][:axes["B"]]
-        own = {Lp: QuadratureGrid(su2, Lp, nodes, weights, {
+        gammas = points[2]
+        own = {Lp: QuadratureGrid(su2, Lp, points, factors, {
             **axes, "E": np.exp(-0.5j * np.outer(gammas, np.arange(-2 * Lp, 2 * Lp + 1)))})
             for Lp in (3, 7, 12)}
         for Lp in own:

@@ -7,11 +7,13 @@ import pytest
 import liefact.fourier
 import liefact.groups
 from liefact.errors import DomainError
-from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward
+from liefact.factorize import strong_factorize
+from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward, inverse
 from liefact.groups import (
     SU2,
     DualIndex,
     DualLayout,
+    QuadratureGrid,
     Torus,
     dual_layout,
     enumerate_dual,
@@ -19,7 +21,8 @@ from liefact.groups import (
     parse_group_spec,
     weyl_summability,
 )
-from liefact.signals import reproducing_kernel, synth_coefficients
+from liefact.signals import random_bandlimited, reproducing_kernel, synth_coefficients
+from liefact.weights import gevrey_weight
 
 
 class TestDualEnumeration:
@@ -468,7 +471,8 @@ class TestQuadrature:
         for g in (t1, t2, su2):
             grid = haar_quadrature(g, 3)
             before = grid.nodes.copy()
-            arrays = [grid.nodes, grid.weights, grid.inversion_permutation]
+            arrays = [grid.nodes, grid.weights, grid.inversion_permutation,
+                      *grid.points, *grid.factors]
             arrays += [a for a in grid.axes.values() if isinstance(a, np.ndarray)]
             if g is su2:  # the transform plan, E
                 assert any(a is grid.axes["E"] for a in arrays)
@@ -480,12 +484,52 @@ class TestQuadrature:
     def test_su2_grid_holds_no_wigner_table(self, su2):
         # the plan is E alone, and the transform reads d(beta) through the
         # cached Delta = d(pi/2) levels: 35 KB and 0.10 MB at L = 16, where
-        # the stored quarter tables were 0.87 MB
+        # the stored quarter tables were 0.87 MB; the coordinates are the
+        # (alpha, beta, gamma) axes of the grid
         grid = haar_quadrature(su2, 16)
-        assert set(grid.axes) == {"alphas", "beta_u", "beta_w", "B", "E"}
+        assert set(grid.axes) == {"beta_w", "B", "E"}
+        assert [len(p) for p in grid.points] == [2 * grid.axes["B"], grid.axes["B"], grid.axes["B"]]
         assert grid.axes["E"].shape == (grid.axes["B"], 4 * 16 + 1)
         levels = liefact.groups.wigner_d_half_pi(32)
         assert grid.axes["E"].nbytes + sum(t.nbytes for t in levels) <= 0.15e6
+
+    @pytest.mark.parametrize("spec, L", [("t2", 5), ("su2", 4)])
+    def test_transforms_leave_nodes_and_weights_unbuilt(self, spec, L, rng):
+        # the transforms read the coordinate axes alone
+        group = parse_group_spec(spec)
+        grid = QuadratureGrid(group, L, *group._quadrature_rule(L))  # fresh, not the cached one
+        f = random_bandlimited(group, grid, rng, value_dim=2)
+        T = forward(f)
+        inverse(T, grid)
+        strong_factorize(GridFunction(group, grid, f.values[:, 0]), gevrey_weight(1.0), 0.5, 1.0)
+        evaluate(T, np.stack([group.random_element(rng) for _ in range(5)]))
+        assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+
+    @pytest.mark.parametrize("spec, L", [("t1", 5), ("t2", 3), ("su2", 2), ("su2", 5)])
+    def test_nodes_and_weights_match_the_repeat_tile_layout(self, spec, L):
+        # the product rule against the grids as they were once stored: the
+        # coordinates repeated and tiled, the last one fastest
+        group = parse_group_spec(spec)
+        grid = QuadratureGrid(group, L, *group._quadrature_rule(L))
+        if spec == "su2":
+            B = 2 * L + 2
+            phases = 2 * np.pi * np.arange(2 * B) / B
+            u, w = np.polynomial.legendre.leggauss(B)
+            nodes = np.stack([np.repeat(phases, B * B), np.tile(np.repeat(np.arccos(u), B), 2 * B),
+                              np.tile(phases[:B], 2 * B * B)], axis=1)
+            weights = np.tile(np.repeat(w / 2.0, B), 2 * B) / (2 * B * B)
+        else:
+            n, d = 2 * L + 2, group.d
+            axis = 2 * np.pi * np.arange(n) / n
+            nodes = np.stack([np.tile(np.repeat(axis, n ** (d - 1 - a)), n ** a) for a in range(d)],
+                             axis=1)
+            weights = np.full(n**d, 1.0 / n**d)
+        assert grid.size == len(nodes)
+        for got, want in ((grid.nodes, nodes), (grid.weights, weights)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()  # bit for bit
+        for arr in (grid.nodes, grid.weights, *grid.points, *grid.factors):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 5.0
 
     def test_torus1_uniform_rule(self, t1):
         grid = haar_quadrature(t1, 2)

@@ -45,18 +45,18 @@ class TestFiniteDifferences:
         xi = [x for x in enumerate_dual(t1, 4) if x.label == (2,)][0]
         for _ in range(3):
             x = t1.random_element(rng)
-            assert laplacian_fd_defect(t1, xi, x, 1e-3) < 1e-4
+            assert laplacian_fd_defect(t1, xi, x) < 1e-4
 
     def test_su2_defining_rep(self, su2, rng):
         # validates lambda = 3/4 under the metric normalization
         xi = [x for x in enumerate_dual(su2, 1) if x.label == 1][0]
         for _ in range(3):
             x = su2.random_element(rng)
-            assert laplacian_fd_defect(su2, xi, x, 1e-3) < 1e-3
+            assert laplacian_fd_defect(su2, xi, x) < 1e-3
 
     def test_trivial_rep(self, su2, rng):
         xi = [x for x in enumerate_dual(su2, 1) if x.label == 0][0]
-        assert laplacian_fd_defect(su2, xi, su2.random_element(rng), 1e-3) <= 1e-3
+        assert laplacian_fd_defect(su2, xi, su2.random_element(rng)) <= 1e-3
 
     def test_fd_commutes_with_forward(self, t1, rng):
         # forward of the finite-difference Laplacian vs spectral multiplication
@@ -164,12 +164,6 @@ class TestIterateSeminorm:
         assert rep.saturated
         assert np.isinf(rep.value)
         assert not rep.reached
-
-    def test_step_precondition(self, t1, rng):
-        xi = enumerate_dual(t1, 2)[0]
-        from liefact.errors import DomainError
-        with pytest.raises(DomainError):
-            laplacian_fd_defect(t1, xi, t1.random_element(rng), 1.0)
 
 
 class TestIteratesVsDecay:
