@@ -75,7 +75,7 @@ class GridFunction:
         return self.values[:, 0]
 
     def l2_norm_sq(self) -> float:
-        return float(np.sum(self.grid.weights[:, None] * np.abs(self.values) ** 2))
+        return float(self.grid.integrate(np.abs(self.values) ** 2).sum())
 
 
 class _BlockEntries(MutableMapping):

@@ -8,8 +8,7 @@ band-limited integrands, and the transform on that quadrature.
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family;
 ``irrep_matrices`` builds one whole xi (``DomainError`` off the dual), on
-SU(2) from the rows m' >= 0 of one streamed Wigner level by the mirror
-xi_{-m',-m} = (-1)^{m'-m} conj(xi_{m'm}).
+SU(2) as the last streamed Wigner level between its two phases.
 
 The transform is here too, on grids that are product rules: the transforms
 read each coordinate's points, and the nodes and weights are built when
@@ -52,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._wigner import complete_level, wigner_d_half_pi, wigner_d_matrices
+from ._wigner import wigner_d_half_pi, wigner_d_matrices
 from .errors import DomainError, ParameterError
 
 
@@ -323,6 +322,15 @@ class QuadratureGrid:
     def weights(self) -> np.ndarray:
         return _read_only(reduce(np.multiply.outer, self.factors).reshape(-1))
 
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """sum_n weights[n] values[n] over the first axis of ``values``: the
+        factors contracted one axis at a time on its (n_a, n_b, ..., m) view,
+        so ``weights`` is not built."""
+        out = values.reshape(tuple(map(len, self.factors)) + values.shape[1:])
+        for factor in self.factors:
+            out = np.tensordot(factor, out, axes=1)
+        return out
+
     @cached_property
     def inversion_permutation(self) -> np.ndarray:
         """Permutation p with nodes[p[i]] = nodes[i]^-1 (exact on these grids)."""
@@ -536,16 +544,16 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        # the rows m' >= 0 of xi(x), from the level 2l on the distinct betas
+        # xi(x), the level 2l on the distinct betas between the two phases
         pts = self.validate_coords(np.atleast_2d(points))
         betas, where = np.unique(pts[:, 1], return_inverse=True)
         if len(betas) == len(pts):
             betas, where = pts[:, 1], slice(None)
         d = deque(wigner_d_matrices(int(two_l), betas), maxlen=1)[0]
-        two_m = np.arange(two_l, -two_l - 1, -2)  # columns m = l..-l
-        block = np.exp(-0.5j * np.outer(pts[:, 0], two_m[:d.shape[1]]))[:, :, None] * d[where]
+        two_m = np.arange(two_l, -two_l - 1, -2)  # rows and columns m = l..-l
+        block = np.exp(-0.5j * np.outer(pts[:, 0], two_m))[:, :, None] * d[where]
         block *= np.exp(-0.5j * np.outer(pts[:, 2], two_m))[:, None, :]
-        return complete_level(block)
+        return block
 
     # -- quadrature and transform -------------------------------------------
 

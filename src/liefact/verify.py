@@ -44,7 +44,7 @@ class CheckResult:
 
 
 def _inner(f: GridFunction, g: GridFunction) -> complex:
-    return complex(np.sum(f.grid.weights[:, None] * f.values * g.values.conj()))
+    return complex(f.grid.integrate(f.values * g.values.conj()).sum())
 
 
 def run_verification(seed: int = 0) -> list[CheckResult]:

@@ -8,7 +8,8 @@ import liefact.fourier
 import liefact.groups
 from liefact.errors import DomainError
 from liefact.factorize import strong_factorize
-from liefact.fourier import FourierCoefficients, GridFunction, evaluate, forward, inverse
+from liefact.fourier import (
+    FourierCoefficients, GridFunction, evaluate, forward, inverse, parseval_defect)
 from liefact.groups import (
     SU2,
     DualIndex,
@@ -495,7 +496,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("spec, L", [("t2", 5), ("su2", 4)])
     def test_transforms_leave_nodes_and_weights_unbuilt(self, spec, L, rng):
-        # the transforms read the coordinate axes alone
+        # the transforms and the L2 norm read the coordinate axes alone
         group = parse_group_spec(spec)
         grid = QuadratureGrid(group, L, *group._quadrature_rule(L))  # fresh, not the cached one
         f = random_bandlimited(group, grid, rng, value_dim=2)
@@ -503,7 +504,12 @@ class TestQuadrature:
         inverse(T, grid)
         strong_factorize(GridFunction(group, grid, f.values[:, 0]), gevrey_weight(1.0), 0.5, 1.0)
         evaluate(T, np.stack([group.random_element(rng) for _ in range(5)]))
+        norm_sq = f.l2_norm_sq()
+        parseval_defect(f)
         assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+        # the per-axis contraction is the sum against the dense weights
+        dense = np.sum(grid.weights[:, None] * np.abs(f.values) ** 2)
+        assert abs(norm_sq - dense) <= 1e-14 * dense
 
     @pytest.mark.parametrize("spec, L", [("t1", 5), ("t2", 3), ("su2", 2), ("su2", 5)])
     def test_nodes_and_weights_match_the_repeat_tile_layout(self, spec, L):

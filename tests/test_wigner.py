@@ -1,12 +1,14 @@
 """The small-d recursion against the explicit factorial sum formula."""
 
-from math import cos, factorial, sin, sqrt
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import comb, cos, factorial, sin, sqrt
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from liefact._wigner import complete_level, wigner_d_half_pi, wigner_d_matrices
+from liefact._wigner import wigner_d_half_pi, wigner_d_matrices
 from liefact.groups import DualIndex, SU2
 
 
@@ -38,7 +40,7 @@ def wigner_d_sum(two_j, two_mp, two_m, beta):
 def test_recursion_matches_sum_formula():
     rng = np.random.default_rng(5)
     betas = rng.uniform(0.01, np.pi - 0.01, 6)
-    mats = [complete_level(d) for d in wigner_d_matrices(8, betas)]
+    mats = list(wigner_d_matrices(8, betas))
     for two_l in range(9):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -49,11 +51,11 @@ def test_recursion_matches_sum_formula():
 
 
 def test_wide_batch_matches_sum_formula_and_symmetries():
-    # the borders and interiors are filled for the whole batch at once, so
-    # check a wide batch that includes both endpoints
+    # every level is built for the whole batch at once, so check a wide
+    # batch that includes both endpoints
     rng = np.random.default_rng(11)
     betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 62)])
-    mats = [complete_level(d) for d in wigner_d_matrices(64, betas)]
+    mats = list(wigner_d_matrices(64, betas))
     for two_l in range(13):
         d = two_l + 1
         for bi, beta in enumerate(betas):
@@ -72,14 +74,14 @@ def test_wide_batch_matches_sum_formula_and_symmetries():
 
 def test_half_spin_matrix():
     beta = 0.8
-    d = complete_level(list(wigner_d_matrices(1, np.array([beta])))[1])[0]
+    d = list(wigner_d_matrices(1, np.array([beta])))[1][0]
     c, s = cos(beta / 2), sin(beta / 2)
     assert np.allclose(d, [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_spin_one_closed_form():
     beta = 1.3
-    d = complete_level(list(wigner_d_matrices(2, np.array([beta])))[2])[0]
+    d = list(wigner_d_matrices(2, np.array([beta])))[2][0]
     c, s = cos(beta), sin(beta)
     ref = np.array(
         [
@@ -92,14 +94,14 @@ def test_spin_one_closed_form():
 
 
 def test_orthogonality_stable_to_high_degree():
-    mats = [complete_level(d) for d in wigner_d_matrices(256, np.array([0.3, 1.1, 2.8]))]
+    mats = list(wigner_d_matrices(256, np.array([0.3, 1.1, 2.8])))
     for two_l in (64, 128, 256):
         for d in mats[two_l]:
             assert np.abs(d @ d.T - np.eye(two_l + 1)).max() < 1e-11
 
 
 def test_identity_angle():
-    mats = [complete_level(d) for d in wigner_d_matrices(6, np.array([0.0]))]
+    mats = list(wigner_d_matrices(6, np.array([0.0])))
     for two_l in range(7):
         assert np.allclose(mats[two_l][0], np.eye(two_l + 1), atol=1e-14)
 
@@ -108,24 +110,24 @@ def test_full_matrix_phases():
     # D^l = diag(e^{-i m' a}) d^l(b) diag(e^{-i m g}) with m decreasing
     a, b, g = 0.7, 1.2, 2.9
     D = SU2().irrep_matrix(DualIndex(label=2, dim=3, casimir=2.0), [a, b, g])
-    d = complete_level(list(wigner_d_matrices(2, np.array([b])))[2])[0]
+    d = list(wigner_d_matrices(2, np.array([b])))[2][0]
     ms = np.array([1.0, 0.0, -1.0])
     ref = np.exp(-1j * ms[:, None] * a) * d * np.exp(-1j * ms[None, :] * g)
     assert np.allclose(D, ref, atol=1e-14)
 
 
 def test_levels_stream_in_bounded_memory():
-    # the generator keeps only the four levels the recursion still needs, so
-    # consuming it level by level peaks near six top levels (the four kept,
-    # the one being built and one temporary); the list of every level is
-    # more than twice that
+    # the generator keeps only the level below the one it builds, so
+    # consuming it level by level peaks near four top levels (the one kept,
+    # the one being built and the temporaries of one step; 3.9 when
+    # measured); the list of every level would take 11.5
     betas = np.random.default_rng(3).uniform(0.0, np.pi, 256)
     top = 256 * 33 * 33 * 8
     every_level = sum(256 * d * d * 8 for d in range(1, 34))
     tracemalloc.start()
     try:
         for two_l, d in enumerate(wigner_d_matrices(32, betas)):
-            assert complete_level(d).shape == (256, two_l + 1, two_l + 1)
+            assert d.shape == (256, two_l + 1, two_l + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -155,22 +157,51 @@ def test_irrep_matrices_match_sum_formula_with_phases():
             assert np.abs(got - ref).max() < 1e-12
 
 
-def test_completed_rows_are_the_signed_mirror_of_the_upper_rows():
-    # d^l_{-m',-m} = (-1)^{m'-m} d^l_{m'm}: row m' < 0 of a completed level is
-    # the yielded row -m' reversed, entry by entry with its sign, exactly
+def test_levels_hold_the_signed_mirror_identity():
+    # d^l_{-m',-m} = (-1)^{m'-m} d^l_{m'm} on the whole level: the recursion
+    # builds every row, so the mirror is a property of the result, not its
+    # construction (4.4e-16 at most when measured)
     rng = np.random.default_rng(23)
     betas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 30)])
-    for two_l, upper in enumerate(wigner_d_matrices(64, betas)):
-        full = complete_level(upper)
-        assert upper.shape == (len(betas), two_l // 2 + 1, two_l + 1)
-        assert full.shape == (len(betas), two_l + 1, two_l + 1)
-        assert np.array_equal(full[:, :two_l // 2 + 1], upper)
-        for two_mp in range(-two_l, 0, 2):  # rows m' < 0
-            for two_m in range(-two_l, two_l + 1, 2):
-                row, col = (two_l - two_mp) // 2, (two_l - two_m) // 2
-                mirror = upper[:, (two_l + two_mp) // 2, (two_l + two_m) // 2]
-                sign = -1.0 if (two_mp - two_m) // 2 % 2 else 1.0
-                assert np.array_equal(full[:, row, col], sign * mirror)
+    for two_l, level in enumerate(wigner_d_matrices(64, betas)):
+        assert level.shape == (len(betas), two_l + 1, two_l + 1)
+        k = np.arange(two_l + 1)
+        sign = 1 - 2 * ((k[:, None] - k) % 2)  # (-1)^{m'-m} = (-1)^{i-j} on indices
+        assert np.abs(level[:, ::-1, ::-1] - sign * level).max() <= 2e-15
+
+
+def _exact_d(two_l, c, s):
+    """d^l(beta) at rational (c, s) = (cos beta/2, sin beta/2), c^2 + s^2 = 1,
+    rows and columns m = l..-l, as floats: the factorial sum formula
+
+        d^l_{m'm} = sqrt((l+m')!(l-m')! / ((l+m)!(l-m)!))
+                    sum_k (-1)^{k+m'-m} C(l+m, k) C(l-m, k-m+m') c^{2l-2k+m-m'} s^{2k-m+m'}
+
+    with the sum in exact Fraction arithmetic and the square root in Decimal
+    at 60 digits: an oracle that shares no arithmetic with the recursion."""
+    out = np.empty((two_l + 1, two_l + 1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i in range(two_l + 1):  # row: l + m' = two_l - i, l - m' = i
+            for j in range(two_l + 1):  # column: l + m = two_l - j, l - m = j
+                total = sum(
+                    (-1) ** (k + j - i) * comb(two_l - j, k) * comb(j, k + j - i)
+                    * c ** (two_l - 2 * k + i - j) * s ** (2 * k + j - i)
+                    for k in range(max(0, i - j), min(two_l - j, i) + 1))
+                ratio = Decimal(factorial(two_l - i) * factorial(i)) / (
+                    factorial(two_l - j) * factorial(j))
+                out[i, j] = float(Decimal(total.numerator) / total.denominator * ratio.sqrt())
+    return out
+
+
+@pytest.mark.parametrize("c, s", [(Fraction(3, 5), Fraction(4, 5)),
+                                  (Fraction(12, 13), Fraction(5, 13))])
+def test_level_64_matches_the_exact_sum_formula(c, s):
+    # every entry of level 2l = 64 at a Pythagorean half-angle, against the
+    # exact sum: 5.0e-16 and 1.2e-15 when measured
+    beta = 2.0 * np.arctan2(float(s), float(c))
+    *_, level = wigner_d_matrices(64, beta)
+    assert np.abs(level[0] - _exact_d(64, c, s)).max() <= 2e-15
 
 
 def test_levels_do_not_depend_on_the_batch():
@@ -212,7 +243,7 @@ def test_half_pi_factorization_matches_the_recursion_at_desk_scale():
     # at 2l = 64 when measured
     betas = np.arccos(np.polynomial.legendre.leggauss(130)[0])
     for two_l, level in enumerate(wigner_d_matrices(64, betas)):
-        assert np.abs(_through_half_pi(two_l, 64, betas) - complete_level(level)).max() <= 1e-13
+        assert np.abs(_through_half_pi(two_l, 64, betas) - level).max() <= 1e-13
 
 
 def test_half_pi_tables_are_cached_and_read_only():
