@@ -36,16 +36,16 @@ operations in the same order for every angle, so a level is bit for bit the
 same on any batch of its angles.  The levels are streamed: each is yielded,
 read-only, when done, and only the level below is kept.
 
-The recursion runs for ``wigner_d_half_pi`` and for ``irrep_matrices``
-alone.  ``wigner_d_half_pi`` keeps the full levels at the one angle pi/2,
-cached and read-only: through them every d^l(beta) is a Fourier series in
-beta, which is how the SU(2) transform and ``SU2.evaluate_values`` read
-d^l(beta), on the grid and off it.  No other table of levels is stored.
+The recursion runs for ``wigner_d_half_pi`` alone, at the one angle pi/2.
+Its levels Delta^l = d^l(pi/2) are the library's only table of levels, and
+through them every d^l(beta) is a Fourier series in beta: that is how the
+SU(2) transform, ``SU2.evaluate_values`` and ``SU2.irrep_matrices`` read
+d^l(beta), on the grid and off it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -74,7 +74,9 @@ def wigner_d_matrices(two_l_max: int, beta):
         yield level.transpose(2, 0, 1)
 
 
-@lru_cache(maxsize=None)
+_HALF_PI: tuple[np.ndarray, ...] = ()  # Delta^l for 2l = 0, 1, ..., grown on demand
+
+
 def wigner_d_half_pi(two_l_max: int) -> tuple[np.ndarray, ...]:
     """Delta^l = d^l(pi/2), each full (2l+1, 2l+1) level for 2l = 0..two_l_max.
 
@@ -82,7 +84,13 @@ def wigner_d_half_pi(two_l_max: int) -> tuple[np.ndarray, ...]:
 
         d^l_{m'm}(beta) = i^{m-m'} sum_k Delta^l_{km'} Delta^l_{km} e^{ik beta},
 
-    k = l..-l.  Built once per two_l_max and read-only, since every caller
-    shares them: 100 KB at two_l_max = 32, 5.8 MB at 128.
+    k = l..-l.  One read-only table, shared by every caller: a level does
+    not depend on how far the recursion ran, so a read past the top grows
+    the table and keeps the levels it had.  100 KB to 2l = 32, 5.8 MB to 128.
     """
-    return tuple(level[0] for level in wigner_d_matrices(two_l_max, np.pi / 2))
+    global _HALF_PI
+    table = _HALF_PI  # grown into a new tuple, so a concurrent read keeps its own
+    if len(table) <= two_l_max:
+        levels = wigner_d_matrices(two_l_max, np.pi / 2)
+        _HALF_PI = table = table + tuple(level[0] for level in islice(levels, len(table), None))
+    return table[:two_l_max + 1]

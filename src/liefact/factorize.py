@@ -146,7 +146,8 @@ def orbit_map(rep: FiniteRep, v, grid: QuadratureGrid | None = None) -> GridFunc
     for slot, rows in rep.block_slots(T):
         d = slot.shape[-1]
         slot[rows] = np.eye(d)[:, :, None] * u[rows].conj() / d
-    values = inverse(T, grid).values.conj() @ rep.basis.T
+    values = inverse(T, grid).values
+    values = np.conjugate(values, out=values) @ rep.basis.T
     return GridFunction(rep.group, grid, values)
 
 
@@ -281,17 +282,18 @@ def factorize_vector(rep: FiniteRep, v, w: WeightFunction, h: float,
                      h_prime: float | None = None) -> VectorFactorizationResult:
     """Factor v = Pi(g_check) v_tilde through the orbit map of a finite rep."""
     gamma = orbit_map(rep, v)  # checks the length of v
-    res = strong_factorize(gamma, w, h, h_prime)
+    res, grid = strong_factorize(gamma, w, h, h_prime), gamma.grid
+    del gamma  # the orbit is (N, m); only its grid is read below
     fp = res.f_prime  # xi(e) = Id, so f'_v(e) is a sum of traces
     v_tilde = sum(d * np.trace(b, axis1=2, axis2=3).sum(axis=0)
                   for d, b in zip(fp.layout.dims, fp.blocks))
-    g_grid = inverse(res.g, gamma.grid)
-    g_check = GridFunction(rep.group, gamma.grid, g_grid.values[gamma.grid.inversion_permutation])
+    g_grid = inverse(res.g, grid)
+    g_check = GridFunction(rep.group, grid, g_grid.values[grid.inversion_permutation])
     recovered = induced_action(rep, g_check, v_tilde)
     action_residual = float(np.max(np.abs(recovered - v)))
-    orbit_tilde = orbit_map(rep, v_tilde, gamma.grid)
-    fprime_grid = inverse(res.f_prime, gamma.grid)
-    orbit_residual = float(np.max(np.abs(orbit_tilde.values - fprime_grid.values)))
+    diff = orbit_map(rep, v_tilde, grid).values
+    diff -= inverse(fp, grid).values  # in place: the orbits are (N, m)
+    orbit_residual = float(np.max(np.abs(diff)))
     return VectorFactorizationResult(
         g_check=g_check, v_tilde=v_tilde, action_residual=action_residual,
         orbit_residual=orbit_residual, factorization=res,

@@ -212,9 +212,9 @@ def evaluate(T: FourierCoefficients, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parseval_defect(f: GridFunction) -> float:
-    """Relative defect |  ||f||_2^2 - sum_xi d_xi ||F f(xi)||_HS^2  |."""
-    T = forward(f)
+def parseval_defect(f: GridFunction, T: FourierCoefficients) -> float:
+    """Relative defect |  ||f||_2^2 - sum_xi d_xi ||T_xi||_HS^2  |, T = ``forward(f)``,
+    the family its caller already holds."""
     lhs = f.l2_norm_sq()
     rhs = float(sum(d * np.sum(np.abs(b) ** 2) for d, b in zip(T.layout.dims, T.blocks)))
     return abs(lhs - rhs) / max(lhs, 1e-300)

@@ -8,16 +8,17 @@ band-limited integrands, and the transform on that quadrature.
 The dual and xi(x) live here only.  ``dual_layout`` is the one cache of a
 truncated dual, read by ``enumerate_dual`` and every coefficient family;
 ``irrep_matrices`` builds one whole xi (``DomainError`` off the dual), on
-SU(2) as the last streamed Wigner level between its two phases.
+SU(2) as d^l read through Delta^l between its two phases.
 
 The transform is here too, on grids that are product rules: the transforms
 read each coordinate's points, and the nodes and weights are built when
 read.  On the torus ``forward_blocks`` and ``inverse_values`` are numpy.fft
 read at k mod n; on SU(2) the forward runs ``_STAGES`` per spin parity and
 the inverse their adjoints in reverse (the stages' docstrings give the
-list).  SU(2) reads every d^l(beta) through the cached levels Delta^l =
-d^l(pi/2) (``wigner_d_half_pi``), so the grid's plan is the gamma phases E
-alone, sliced for a band limit L' below the grid's.  Off the grid
+list).  SU(2) reads every d^l(beta), in the transform, off the grid and in
+xi(x), through the one table of levels Delta^l = d^l(pi/2)
+(``wigner_d_half_pi``), so the grid's plan is the gamma phases E alone,
+sliced for a band limit L' below the grid's.  Off the grid
 ``evaluate_values`` sums one trigonometric series (``_trig_sum``); SU(2)
 takes its coefficients from the adjoint of the transform's last stage, ``_fold``.
 
@@ -43,7 +44,7 @@ xi(x), product, inverse and evaluation goes through it.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 import itertools
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from ._wigner import wigner_d_half_pi, wigner_d_matrices
+from ._wigner import wigner_d_half_pi
 from .errors import DomainError, ParameterError
 
 
@@ -157,6 +158,11 @@ def dual_layout(group, bandlimit: int) -> DualLayout:
 def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The first entries of a flat work buffer, as an array of ``shape``."""
     return buf[:math.prod(shape)].reshape(shape)
+
+
+def _i_pow(n: int) -> np.ndarray:
+    """i^{m-m'} at (m', m), on an axis of n magnetic indices falling by 1: i^{i-j} at (i, j)."""
+    return np.array([1, 1j, -1, -1j])[(np.arange(n)[:, None] - np.arange(n)) % 4]
 
 
 # per chunk in ``_trig_sum``: at least 16 points, as many more as fill 2**19
@@ -544,14 +550,17 @@ class SU2(_Group):
         two_l = xi.label
         if np.asarray(two_l).dtype.kind not in "iu" or np.ndim(two_l) or two_l < 0:
             raise DomainError(f"{two_l!r} is not a label of the su2 dual")
-        # xi(x), the level 2l on the distinct betas between the two phases
+        # xi(x), d^l on the distinct betas between the two phases: d_{m'm} =
+        # i^{m-m'} sum_k D_{km'} D_{km} e^{ik beta}, D = Delta^l, one batched product
         pts = self.validate_coords(np.atleast_2d(points))
         betas, where = np.unique(pts[:, 1], return_inverse=True)
         if len(betas) == len(pts):
             betas, where = pts[:, 1], slice(None)
-        d = deque(wigner_d_matrices(int(two_l), betas), maxlen=1)[0]
-        two_m = np.arange(two_l, -two_l - 1, -2)  # rows and columns m = l..-l
-        block = np.exp(-0.5j * np.outer(pts[:, 0], two_m))[:, :, None] * d[where]
+        D = wigner_d_half_pi(two_l)[two_l]
+        two_m = np.arange(two_l, -two_l - 1, -2)  # rows and columns m = l..-l, and k
+        d = (D.T * np.exp(0.5j * np.multiply.outer(betas, two_m))[:, None, :]) @ D
+        d *= _i_pow(two_l + 1)
+        block = np.exp(-0.5j * np.outer(pts[:, 0], two_m))[:, :, None] * d.real[where]
         block *= np.exp(-0.5j * np.outer(pts[:, 2], two_m))[:, None, :]
         return block
 
@@ -583,15 +592,14 @@ class SU2(_Group):
         ``bandlimit`` L', on the axis of n entries 2m = 2L'-p, ..., p-2L'
         (for m' and for m): k = (2L'-p)/2, ..., p/2, ipow i^{m-m'} at
         (m', m), degrees the (2l, s, D) of 2l = p, p+2, ..., 2L', s its rows
-        m = l..-l on the axis and D the rows k >= 0 of Delta^l, from the
-        grid's own levels if there is a grid.  On a grid also E, the grid's
-        plan on the axis, T the beta rows of ``_beta_stage`` and w the
-        halved beta weights."""
+        m = l..-l on the axis and D the rows k >= 0 of Delta^l.  On a grid
+        also E, the grid's plan on the axis, T the beta rows of
+        ``_beta_stage`` and w the halved beta weights."""
         two_L = 2 * bandlimit
-        deltas = wigner_d_half_pi(2 * grid.bandlimit if grid else two_L)
+        deltas = wigner_d_half_pi(two_L)
         for p in (0, 1):
             n, k = two_L + 1 - p, np.arange(two_L - p, -1, -2) / 2.0
-            ipow = np.array([1, 1j, -1, -1j])[(np.arange(n)[:, None] - np.arange(n)) % 4]
+            ipow = _i_pow(n)
             degrees = [(two_l, slice((two_L - two_l) // 2, (two_L + two_l) // 2 + 1),
                         deltas[two_l][:two_l // 2 + 1]) for two_l in range(p, n, 2)]
             if grid is None:

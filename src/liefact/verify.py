@@ -119,10 +119,10 @@ def run_verification(seed: int = 0) -> list[CheckResult]:
         grid = g.haar_quadrature(L)
         for _ in range(3):
             f = random_bandlimited(g, grid, rng, value_dim=2)
+            f0 = GridFunction(g, grid, f.values[:, 0])
             rt = inverse(forward(f), grid)
             worst_rt = max(worst_rt, float(np.max(np.abs(rt.values - f.values))))
-            worst_par = max(worst_par, parseval_defect(
-                GridFunction(g, grid, f.values[:, 0])))
+            worst_par = max(worst_par, parseval_defect(f0, forward(f0)))
     check("fourier/roundtrip", worst_rt, 1e-9)
     check("fourier/parseval", worst_par, 1e-9)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liefact.cli
 import liefact.factorize
 import liefact.fourier
 import liefact.serialize
@@ -141,6 +142,20 @@ class TestTransform:
             assert run([*argv, "--out", str(out)]) == 2
             assert "--builtin and --input cannot be combined" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_one_forward_per_transform(self, tmp_path, monkeypatch):
+        # the roundtrip and the Parseval gap read the one family the command writes
+        calls, real = [], liefact.fourier.forward
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(liefact.fourier, "forward", counting)
+        monkeypatch.setattr(liefact.cli, "forward", counting)
+        assert run(["transform", "--group", "su2", "--bandlimit", "2",
+                    "--builtin", "heat:0.5", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

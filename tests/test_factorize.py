@@ -451,6 +451,23 @@ class TestVectorFactorization:
         assert res.action_residual < 1e-9 and res.orbit_residual < 1e-9
         assert peak < N * m * m * 16
 
+    def test_su2_peak_below_four_orbits(self, su2, rng):
+        # the orbit is let go once factored and the orbit residual is taken in
+        # place, so few (N, m) complex arrays are alive at once: 3.0 of them
+        # when measured
+        import tracemalloc
+
+        rep = FiniteRep.from_labels(su2, [0, 1, 16])
+        N, m = su2.haar_quadrature(rep.bandlimit).size, rep.total_dim
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        tracemalloc.start()
+        try:
+            factorize_vector(rep, v, gevrey_weight(1.0), 1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * N * m * 16
+
 
 class TestBumps:
     def test_center_value(self, t1):

@@ -105,10 +105,10 @@ class TestForward:
             assert np.abs(block[0] - ref).max() < 1e-12
 
     def test_su2_one_plan_per_grid(self, su2, rng, monkeypatch):
-        # L' < L is served from the grid's one plan, E, and from the Delta =
-        # d(pi/2) levels of the grid's own 2L; a private grid declared at L'
-        # on the same axes carries the per-L' E and reads the levels of 2L',
-        # and both agree bit for bit
+        # L' < L is served from the grid's one plan, E, and from the levels
+        # 2l <= 2L' of the one Delta = d(pi/2) table; a private grid declared
+        # at L' on the same axes carries the per-L' E and reads the same
+        # levels, and both agree bit for bit
         import liefact._wigner
         import liefact.groups
 
@@ -128,13 +128,12 @@ class TestForward:
 
         read, cached = [], liefact.groups.wigner_d_half_pi
         monkeypatch.setattr(liefact._wigner, "wigner_d_matrices", refuse)
-        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", refuse)
         monkeypatch.setattr(liefact.groups, "wigner_d_half_pi",
                             lambda two_l_max: read.append(two_l_max) or cached(two_l_max))
         for Lp in (3, 7, 12):
             read.clear()
             T = forward(f, Lp)
-            assert set(read) == {24}
+            assert set(read) == {2 * Lp}
             ref = forward(GridFunction(su2, own[Lp], f.values), Lp)
             assert all(np.array_equal(a, b) for a, b in zip(T.blocks, ref.blocks))
             assert np.array_equal(inverse(T, grid).values, inverse(ref, own[Lp]).values)
@@ -267,12 +266,12 @@ class TestInverse:
     def test_evaluate_builds_no_wigner_level_at_the_points(self, su2, rng, monkeypatch):
         # off the grid, evaluate reads the cached Delta = d(pi/2) tables: it
         # runs the Wigner recursion on no beta of its points
-        import liefact.groups
+        import liefact._wigner
 
         grid = haar_quadrature(su2, 4)
         T = forward(random_bandlimited(su2, grid, rng))
         calls = []
-        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", lambda *args: calls.append(args))
+        monkeypatch.setattr(liefact._wigner, "wigner_d_matrices", lambda *args: calls.append(args))
         evaluate(T, grid.nodes[rng.choice(grid.size, 40, replace=False)])
         assert calls == []
         monkeypatch.undo()
@@ -420,12 +419,12 @@ class TestParseval:
     def test_random_su2(self, su2, rng):
         grid = haar_quadrature(su2, 8)
         f = random_bandlimited(su2, grid, rng)
-        assert parseval_defect(f) < 1e-9
+        assert parseval_defect(f, forward(f)) < 1e-9
 
     def test_zero(self, t1):
         grid = haar_quadrature(t1, 4)
         f = GridFunction(t1, grid, np.zeros(grid.size))
-        assert parseval_defect(f) == 0.0
+        assert parseval_defect(f, forward(f)) == 0.0
 
     def test_single_matrix_coefficient_norm(self, su2):
         # Schur orthogonality: ||xi_ij||_2^2 = 1/d_xi
@@ -434,7 +433,7 @@ class TestParseval:
         table = su2.irrep_matrices(xi2, grid.nodes)
         f = GridFunction(su2, grid, table[:, 0, 2])
         assert f.l2_norm_sq() == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert parseval_defect(f) < 1e-10
+        assert parseval_defect(f, forward(f)) < 1e-10
 
 
 class TestConvolution:
@@ -799,7 +798,7 @@ class TestGroupHooks:
             (compose(forward(chi), forward(f)).blocks[0],
              compose(forward(qchi), forward(qf)).blocks[0]),
             (convolve(chi, f).values, convolve(qchi, qf).values),
-            (parseval_defect(f), parseval_defect(qf)),
+            (parseval_defect(f, forward(f)), parseval_defect(qf, forward(qf))),
             (evaluate(forward(f), pts), evaluate(forward(qf), pts)),
         ]
         for ref, got in pairs:

@@ -225,23 +225,57 @@ class TestMatrixCoefficients:
             g.irrep_matrices(xi, np.stack([g.identity()] * 3))
 
     def test_su2_grid_table_built_on_distinct_betas(self, su2, monkeypatch):
-        # a product grid repeats B betas, so the Wigner table needs only those
+        # a product grid repeats B betas, so the product through Delta needs only those
         import liefact.groups
 
         angles = []
-        real = liefact.groups.wigner_d_matrices
+        read = liefact.groups.wigner_d_half_pi
 
-        def spy(two_l_max, beta):
-            angles.append(np.size(beta))
-            return real(two_l_max, beta)
+        class Spy(np.ndarray):  # a Delta level that counts the betas of its products
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                if ufunc is np.matmul:
+                    angles.append(len(args[0]))
+                return getattr(ufunc, method)(*map(np.asarray, args), **kwargs)
 
-        monkeypatch.setattr(liefact.groups, "wigner_d_matrices", spy)
+        monkeypatch.setattr(liefact.groups, "wigner_d_half_pi",
+                            lambda two_l_max: tuple(t.view(Spy) for t in read(two_l_max)))
         grid = haar_quadrature(su2, 3)
         xi = enumerate_dual(su2, 3)[5]
         mats = su2.irrep_matrices(xi, grid.nodes)
         assert angles and max(angles) <= grid.axes["B"]
         for node, mat in zip(grid.nodes, mats):
             assert np.array_equal(mat, su2.irrep_matrix(xi, node))
+
+    def test_su2_reads_delta_and_runs_no_recursion(self, su2, rng, monkeypatch):
+        # once the Delta table holds degree 2l, xi(x) is a product through it:
+        # the recursion is reached through liefact._wigner alone, and refuses
+        import liefact._wigner
+
+        assert not hasattr(liefact.groups, "wigner_d_matrices")
+        liefact._wigner.wigner_d_half_pi(9)
+
+        def refuse(*args):
+            raise AssertionError("a Wigner level was built after the table held it")
+
+        monkeypatch.setattr(liefact._wigner, "wigner_d_matrices", refuse)
+        pts = np.stack([su2.random_element(rng) for _ in range(7)])
+        for two_l in (0, 1, 4, 9):
+            mats = su2.irrep_matrices(DualIndex(two_l, two_l + 1, 0.0), pts)
+            assert mats.shape == (7, two_l + 1, two_l + 1)
+
+    def test_su2_matches_the_recursion_at_degree_64(self, su2, rng):
+        # the product through Delta against Risbo's recursion on the same 130
+        # distinct betas with the phases applied: 5.3e-15 when measured
+        from liefact._wigner import wigner_d_matrices
+
+        betas = np.arccos(np.polynomial.legendre.leggauss(130)[0])
+        pts = np.stack([rng.uniform(0, 4 * np.pi, 130), betas, rng.uniform(0, 4 * np.pi, 130)], 1)
+        *_, level = wigner_d_matrices(64, betas)
+        two_m = np.arange(64, -65, -2)
+        ref = (np.exp(-0.5j * np.outer(pts[:, 0], two_m))[:, :, None] * level
+               * np.exp(-0.5j * np.outer(pts[:, 2], two_m))[:, None, :])
+        mats = su2.irrep_matrices(DualIndex(64, 65, 32.0 * 33.0), pts)
+        assert np.abs(mats - ref).max() <= 1e-13
 
     def test_su2_grid_table_peak_memory(self, su2):
         # the phase product is formed in the result, not in a second temporary
@@ -505,7 +539,7 @@ class TestQuadrature:
         strong_factorize(GridFunction(group, grid, f.values[:, 0]), gevrey_weight(1.0), 0.5, 1.0)
         evaluate(T, np.stack([group.random_element(rng) for _ in range(5)]))
         norm_sq = f.l2_norm_sq()
-        parseval_defect(f)
+        parseval_defect(f, forward(f))
         assert "nodes" not in vars(grid) and "weights" not in vars(grid)
         # the per-axis contraction is the sum against the dense weights
         dense = np.sum(grid.weights[:, None] * np.abs(f.values) ** 2)

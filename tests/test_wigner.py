@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import liefact._wigner
 from liefact._wigner import wigner_d_half_pi, wigner_d_matrices
 from liefact.groups import DualIndex, SU2
 
@@ -246,9 +247,15 @@ def test_half_pi_factorization_matches_the_recursion_at_desk_scale():
         assert np.abs(_through_half_pi(two_l, 64, betas) - level).max() <= 1e-13
 
 
-def test_half_pi_tables_are_cached_and_read_only():
+def test_half_pi_tables_are_cached_and_read_only(monkeypatch):
+    # one table: every read shares its level objects, and a read past the top
+    # grows the table and keeps the levels it had
+    monkeypatch.setattr(liefact._wigner, "_HALF_PI", ())
     tables = wigner_d_half_pi(8)
-    assert wigner_d_half_pi(8) is tables and len(tables) == 9
+    assert len(tables) == 9
+    assert all(a is b for a, b in zip(wigner_d_half_pi(8), tables))
+    grown = wigner_d_half_pi(12)
+    assert len(grown) == 13 and all(a is b for a, b in zip(grown, tables))
     assert [t.shape for t in tables] == [(d, d) for d in range(1, 10)]
     for t in tables:
         with pytest.raises(ValueError):
